@@ -433,6 +433,7 @@ class ExecutionContext:
                 costs = self.frame_costs(np.asarray(works, dtype=np.float64), "seq")
                 self.next_region()
                 self.fastpath_regions += 1
+                self.bus.count_region()
                 seg = np.empty(len(costs) + 1)
                 seg[0] = self.vclock
                 seg[1:] = costs

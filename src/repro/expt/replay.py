@@ -26,9 +26,9 @@ from repro.core.context import ExecutionContext
 from repro.core.kernel import get_kernel
 from repro.errors import ConfigError
 from repro.sched.costmodel import CostModel
-from repro.sched.dag_sim import dag_policy_makespan, simulate_dag
-from repro.sched.simulator import simulate
-from repro.sched.taskgraph import TaskGraph
+from repro.sched.dag_sim import dag_policy_makespan
+from repro.sched.policies import DynamicSchedule
+from repro.sched.simulator import simulate_makespan
 
 __all__ = ["RegionLog", "WorkProfileCache", "replay_log"]
 
@@ -94,25 +94,20 @@ def replay_log(
         kind = entry[0]
         if kind == PAR:
             costs = noisy(model.times_of(entry[1]))
-            res = simulate(costs, policy, nthreads, model=model, start_time=vclock)
-            vclock = max(res.timeline.makespan, vclock) + model.fork_join_overhead
+            end = simulate_makespan(costs, policy, nthreads, model=model, start_time=vclock)
+            vclock = max(end, vclock) + model.fork_join_overhead
         elif kind == SEQ:
             vclock += sum(noisy(model.times_of(entry[1])))
         elif kind == MASTER:
             vclock += model.time_of(entry[1])
-        elif kind == DAG:
-            works, preds = entry[1], entry[2]
-            costs = noisy(model.times_of(works))
-            graph = TaskGraph()
-            for i, c in enumerate(costs):
-                graph.add_task(None, c, depends_on=preds[i])
-            tl = simulate_dag(graph, nthreads, model=model, start_time=vclock)
-            vclock = max(tl.makespan, vclock) + model.fork_join_overhead
-        elif kind == DAGP:
+        elif kind in (DAG, DAGP):
+            # task regions are FIFO list scheduling: the dynamic branch
+            # of the policy-aware DAG scheduler
             works, preds = entry[1], entry[2]
             costs = noisy(model.times_of(works))
             end = dag_policy_makespan(
-                costs, preds, policy, nthreads, model=model, start_time=vclock
+                costs, preds, DynamicSchedule(1) if kind == DAG else policy, nthreads,
+                model=model, start_time=vclock,
             )
             vclock = max(end, vclock) + model.fork_join_overhead
         else:  # pragma: no cover - defensive

@@ -2,7 +2,7 @@
 
 The default (``sim``) backend executes bodies sequentially — measuring
 deterministic *work units* — then replays the loop through the
-event-driven scheduler to obtain the timeline a real thread team would
+scheduling simulator to obtain the timeline a real thread team would
 produce under the requested ``schedule(...)`` clause.  The ``threads``
 backend runs a real ``ThreadPoolExecutor`` team and records wall-clock
 times (useful to sanity-check shapes against genuine parallelism; NumPy
@@ -23,8 +23,9 @@ falling back to the reference path.  The fast path engages only when
 :meth:`ExecutionContext.fastpath_active` holds — no monitoring, no
 tracing, no footprints — and is bit-identical to the reference in every
 remaining observable: final images, kernel state, the virtual clock
-(closed-form makespans match the event loop exactly), the region log,
-and the jitter RNG stream.
+(both paths run the same chunk grabs; the fast path just never expands
+them into a timeline), the ``steals``/``regions`` counters, the region
+log, and the jitter RNG stream.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.sched.policies import (
     parse_schedule,
 )
 from repro.sched.dag_sim import simulate_dag_policy
-from repro.sched.simulator import SimResult, simulate, simulate_makespan
+from repro.sched.simulator import SimResult, simulate
 from repro.sched.timeline import TaskExec, Timeline
 
 __all__ = ["parallel_for", "parallel_reduce"]
@@ -107,7 +108,7 @@ def parallel_for(
     if frame is not None and ctx.fastpath_active():
         works = frame(ctx, items)
         if works is not None:
-            return _fast_region(ctx, np.asarray(works, dtype=np.float64), policy)
+            return _fast_region(ctx, np.asarray(works, dtype=np.float64), items, policy)
 
     works, footprints = _measure(ctx, body, items)
     if ctx.region_log is not None:
@@ -161,17 +162,21 @@ def _dag_for(ctx, body, items, deps, policy: SchedulePolicy, kind: str) -> SimRe
     return SimResult(timeline)
 
 
-def _fast_region(ctx, works: np.ndarray, policy: SchedulePolicy) -> SimResult:
-    """Advance the clock past one worksharing region without building a
-    timeline: closed-form makespan over the frame's work vector."""
+def _fast_region(ctx, works: np.ndarray, items, policy: SchedulePolicy) -> SimResult:
+    """Advance the clock past one worksharing region without publishing a
+    timeline: the chunk grabs over the frame's work vector give the
+    makespan and the steal count; the timeline is never expanded."""
     costs = ctx.frame_costs(works, "par")
-    makespan = simulate_makespan(
-        costs, policy, ctx.nthreads, model=ctx.model, start_time=ctx.vclock
+    result = simulate(
+        costs, policy, ctx.nthreads, items=items, model=ctx.model, start_time=ctx.vclock
     )
     ctx.next_region()
     ctx.fastpath_regions += 1
-    ctx.vclock = max(makespan, ctx.vclock) + ctx.model.fork_join_overhead
-    return SimResult(Timeline(ncpus=ctx.nthreads), fast_makespan=makespan)
+    ctx.vclock = max(result.makespan, ctx.vclock) + ctx.model.fork_join_overhead
+    if result.steals:
+        ctx.bus.counter("steals", result.steals)
+    ctx.bus.count_region()
+    return result
 
 
 def _measure(ctx, body, items):
@@ -248,7 +253,8 @@ def parallel_reduce(
         if out is not None:
             works, value = out
             res = _fast_region(
-                ctx, np.asarray(works, dtype=np.float64), _resolve_policy(ctx, schedule)
+                ctx, np.asarray(works, dtype=np.float64), items,
+                _resolve_policy(ctx, schedule),
             )
             return res, combine(init, value)
     acc = init
@@ -357,14 +363,11 @@ def _threads_parallel_for(ctx, body, items, policy, meta) -> SimResult:
 
         target, args_of = worker_static, lambda r: (r,)
     else:
-        if isinstance(policy, GuidedSchedule):
-            queue = policy.chunk_queue(n, nthreads)
-        elif isinstance(policy, DynamicSchedule):
-            queue = policy.chunk_queue(n)
-        elif isinstance(policy, NonMonotonicDynamic):
-            queue = DynamicSchedule(policy.chunk).chunk_queue(n)
-        else:  # pragma: no cover - parse_schedule covers all kinds
-            raise ScheduleError(f"unsupported policy {policy!r}")
+        if isinstance(policy, NonMonotonicDynamic):
+            policy = DynamicSchedule(policy.chunk)
+        elif not isinstance(policy, (DynamicSchedule, GuidedSchedule)):
+            raise ScheduleError(f"unsupported policy {policy!r}")  # pragma: no cover
+        queue = policy.chunk_queue(n, nthreads)
         lock = threading.Lock()
         state = {"next": 0}
 

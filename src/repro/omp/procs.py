@@ -702,9 +702,6 @@ def _chunk_plan(policy: SchedulePolicy, n: int, nworkers: int) -> dict:
                 table.append((c.lo, c.hi))
             static_chunks.append(ids)
         return {"mode": "static", "table": table, "static_chunks": static_chunks}
-    if isinstance(policy, GuidedSchedule):
-        table = [(c.lo, c.hi) for c in policy.chunk_queue(n, nworkers)]
-        return {"mode": "queue", "table": table}
     if isinstance(policy, NonMonotonicDynamic):
         k = policy.chunk
         table = []
@@ -718,8 +715,8 @@ def _chunk_plan(policy: SchedulePolicy, n: int, nworkers: int) -> dict:
             "mode": "steal", "table": table, "deques": deques,
             "steal_half": policy.steal_half,
         }
-    if isinstance(policy, DynamicSchedule):
-        table = [(c.lo, c.hi) for c in policy.chunk_queue(n)]
+    if isinstance(policy, (DynamicSchedule, GuidedSchedule)):
+        table = [(c.lo, c.hi) for c in policy.chunk_queue(n, nworkers)]
         return {"mode": "queue", "table": table}
     raise ScheduleError(f"unsupported policy {policy!r}")  # pragma: no cover
 

@@ -14,13 +14,14 @@ next item's predecessors finish, which is exactly where static loses to
 the dynamic family on wavefront DAGs.  The dynamic/guided/stealing
 policies all collapse to greedy FIFO list scheduling (a central ready
 queue *is* what makes them dynamic; chunking is moot when readiness,
-not contiguity, gates execution).
+not contiguity, gates execution) — the one list scheduler that also
+runs :func:`simulate_dag`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -46,52 +47,83 @@ def simulate_dag(
     * a task never starts before all its predecessors have finished;
     * a CPU runs at most one task at a time;
     * no CPU stays idle while a ready task is pending (greediness).
+
+    Tasks appear in the timeline in dispatch order.
     """
-    if ncpus < 1:
-        raise SimulationError(f"need at least one cpu, got {ncpus}")
-    n = len(graph)
+    nodes = graph.nodes
+    preds = [node.preds for node in nodes]
+    _check_dag(len(nodes), preds, ncpus)
+    slots, order = _list_schedule(
+        [node.cost for node in nodes], preds, ncpus, model.dispatch_overhead, start_time
+    )
     base_meta = dict(meta or {})
     timeline = Timeline(ncpus=ncpus)
-    if n == 0:
-        return timeline
-
-    indeg = [len(node.preds) for node in graph.nodes]
-    finish = [0.0] * n
-    # ready: min-heap on (release_time, tid) — FIFO among simultaneously
-    # released tasks thanks to increasing tids within a wave.
-    ready: list[tuple[float, int]] = [
-        (start_time, tid) for tid, d in enumerate(indeg) if d == 0
-    ]
-    heapq.heapify(ready)
-    # idle CPUs: (free_time, cpu)
-    cpus: list[tuple[float, int]] = [(start_time, c) for c in range(ncpus)]
-    heapq.heapify(cpus)
-
-    scheduled = 0
-    while ready:
-        rel, tid = heapq.heappop(ready)
-        free_t, cpu = heapq.heappop(cpus)
-        node = graph.nodes[tid]
-        t0 = max(rel, free_t) + model.dispatch_overhead
-        t1 = t0 + node.cost
+    for tid in order:
+        node = nodes[tid]
         m = dict(base_meta)
         m.update(node.meta)
         m["tid"] = tid
         m["preds"] = sorted(node.preds)
-        timeline.append(TaskExec(node.item, cpu, t0, t1, m))
-        finish[tid] = t1
+        timeline.append(TaskExec(node.item, *slots[tid], m))
+    return timeline
+
+
+def _check_dag(n: int, preds: Sequence[Iterable[int]], ncpus: int) -> None:
+    """Reject empty teams and preds that break enumeration order.
+
+    ``preds[i]`` must only name lower indices (enumeration order is a
+    topological order — the :class:`~repro.core.domains.WorkDomain`
+    contract, and what :class:`TaskGraph` builds), which is what makes
+    the single forward passes below exact.
+    """
+    if ncpus < 1:
+        raise SimulationError(f"need at least one cpu, got {ncpus}")
+    if len(preds) != n:
+        raise SimulationError(f"{len(preds)} pred lists for {n} costs")
+    for i, ps in enumerate(preds):
+        for p in ps:
+            if not 0 <= p < i:
+                raise SimulationError(f"pred {p} of task {i} violates topological order")
+
+
+def _list_schedule(
+    costs: Sequence[float],
+    preds: Sequence[Iterable[int]],
+    ncpus: int,
+    dispatch: float,
+    start_time: float,
+) -> tuple[list[tuple[int, float, float]], list[int]]:
+    """Greedy FIFO list scheduling off a central ready queue, one
+    dispatch per task: per-task ``(cpu, start, finish)`` and the order
+    in which tasks were dispatched."""
+    n = len(costs)
+    succs: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, ps in enumerate(preds):
+        for p in ps:
+            succs[p].append(i)
+            indeg[i] += 1
+    # ready: min-heap on (release_time, index) — FIFO among simultaneously
+    # released tasks; idle CPUs: min-heap on (free_time, cpu)
+    ready = [(start_time, i) for i in range(n) if indeg[i] == 0]
+    cpus = [(start_time, c) for c in range(ncpus)]
+    finish = [0.0] * n
+    slots: list[tuple[int, float, float]] = [(0, start_time, start_time)] * n
+    order: list[int] = []
+    while ready:
+        rel, i = heapq.heappop(ready)
+        free_t, cpu = heapq.heappop(cpus)
+        t0 = max(rel, free_t) + dispatch
+        t1 = t0 + costs[i]
+        finish[i] = t1
+        slots[i] = (cpu, t0, t1)
+        order.append(i)
         heapq.heappush(cpus, (t1, cpu))
-        scheduled += 1
-        for s in sorted(node.succs):
+        for s in succs[i]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                release = max(finish[p] for p in graph.nodes[s].preds)
-                heapq.heappush(ready, (release, s))
-    if scheduled != n:
-        raise SimulationError(
-            f"scheduled {scheduled}/{n} tasks — graph has a cycle?"
-        )
-    return timeline
+                heapq.heappush(ready, (max(finish[p] for p in preds[s]), s))
+    return slots, order
 
 
 def _schedule_policy(
@@ -102,95 +134,39 @@ def _schedule_policy(
     model: CostModel,
     start_time: float,
 ) -> list[tuple[int, float, float]]:
-    """Per-task ``(cpu, start, finish)`` of policy-aware DAG scheduling.
-
-    ``preds[i]`` must only name lower indices (enumeration order is a
-    topological order — the :class:`~repro.core.domains.WorkDomain`
-    contract), which is what makes the single forward pass below exact.
-    """
+    """Per-task ``(cpu, start, finish)`` of policy-aware DAG scheduling."""
     n = len(costs)
-    if ncpus < 1:
-        raise SimulationError(f"need at least one cpu, got {ncpus}")
-    if len(preds) != n:
-        raise SimulationError(f"{len(preds)} pred lists for {n} costs")
-    out: list[tuple[int, float, float]] = [(0, start_time, start_time)] * n
-    if n == 0:
-        return out
+    _check_dag(n, preds, ncpus)
     d = model.dispatch_overhead
+    if not isinstance(policy, StaticSchedule):
+        # dynamic family (dynamic/guided/nonmonotonic)
+        return _list_schedule(costs, preds, ncpus, d, start_time)[0]
+
+    # fixed assignment: each CPU runs its chunks in order, paying the
+    # dispatch once per chunk and *idling* until the next item's
+    # predecessors finish.  One pass in increasing global index is
+    # exact: preds and same-CPU predecessors in program order both have
+    # lower indices.
+    cpu_of = [0] * n
+    chunk_head = [False] * n
+    for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
+        for chunk in chunks:
+            for idx in chunk.indices():
+                cpu_of[idx] = cpu
+            chunk_head[chunk.lo] = True
+    free = [start_time] * ncpus
     finish = [0.0] * n
-
-    if isinstance(policy, StaticSchedule):
-        # fixed assignment: each CPU runs its chunks in order, paying
-        # the dispatch once per chunk and *idling* until the next
-        # item's predecessors finish.  One pass in increasing global
-        # index is exact: preds and same-CPU predecessors in program
-        # order both have lower indices.
-        cpu_of = [0] * n
-        chunk_head = [False] * n
-        for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
-            for chunk in chunks:
-                first = True
-                for idx in chunk.indices():
-                    if idx < 0 or idx >= n:
-                        raise SimulationError(f"task index {idx} out of range")
-                    cpu_of[idx] = cpu
-                    chunk_head[idx] = first
-                    first = False
-        free = [start_time] * ncpus
-        for i in range(n):
-            for p in preds[i]:
-                if not 0 <= p < i:
-                    raise SimulationError(
-                        f"pred {p} of task {i} violates topological order"
-                    )
-            cpu = cpu_of[i]
-            t0 = free[cpu] + (d if chunk_head[i] else 0.0)
-            for p in preds[i]:
-                if finish[p] > t0:
-                    t0 = finish[p]
-            t1 = t0 + costs[i]
-            finish[i] = t1
-            free[cpu] = t1
-            out[i] = (cpu, t0, t1)
-        return out
-
-    # dynamic family (dynamic/guided/nonmonotonic): greedy FIFO list
-    # scheduling off a central ready queue, one dispatch per task
-    nsuccs: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, ps in enumerate(preds):
-        for p in ps:
-            if not 0 <= p < i:
-                raise SimulationError(
-                    f"pred {p} of task {i} violates topological order"
-                )
-            nsuccs[p].append(i)
-            indeg[i] += 1
-    ready: list[tuple[float, int]] = [
-        (start_time, i) for i in range(n) if indeg[i] == 0
-    ]
-    heapq.heapify(ready)
-    cpus: list[tuple[float, int]] = [(start_time, c) for c in range(ncpus)]
-    heapq.heapify(cpus)
-    scheduled = 0
-    while ready:
-        rel, i = heapq.heappop(ready)
-        free_t, cpu = heapq.heappop(cpus)
-        t0 = max(rel, free_t) + d
+    out: list[tuple[int, float, float]] = []
+    for i in range(n):
+        cpu = cpu_of[i]
+        t0 = free[cpu] + (d if chunk_head[i] else 0.0)
+        for p in preds[i]:
+            if finish[p] > t0:
+                t0 = finish[p]
         t1 = t0 + costs[i]
         finish[i] = t1
-        out[i] = (cpu, t0, t1)
-        heapq.heappush(cpus, (t1, cpu))
-        scheduled += 1
-        for s in nsuccs[i]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                release = max(finish[p] for p in preds[s])
-                heapq.heappush(ready, (release, s))
-    if scheduled != n:
-        raise SimulationError(
-            f"scheduled {scheduled}/{n} tasks — graph has a cycle?"
-        )
+        free[cpu] = t1
+        out.append((cpu, t0, t1))
     return out
 
 
@@ -244,6 +220,4 @@ def dag_policy_makespan(
     perf path lean on that equality.
     """
     slots = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
-    if not slots:
-        return 0.0
-    return max(t1 for _, _, t1 in slots)
+    return max((t1 for _, _, t1 in slots), default=0.0)

@@ -7,7 +7,8 @@ in LLVM's runtime, as a static initial distribution corrected by work
 stealing).
 
 A policy only decides *which indices go together and to whom*; the
-event-driven part lives in :mod:`repro.sched.simulator`.
+single decision routine that hands chunks to virtual CPUs over time
+lives in :mod:`repro.sched.simulator`.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ class DynamicSchedule(SchedulePolicy):
     def spec(self) -> str:
         return f"dynamic,{self.chunk}" if self.chunk != 1 else "dynamic"
 
-    def chunk_queue(self, n: int) -> list[Chunk]:
+    def chunk_queue(self, n: int, ncpus: int) -> list[Chunk]:
+        """The chunks handed out in grab order (``ncpus`` does not change
+        them; it is taken for signature parity with guided)."""
         k = self.chunk
         return [Chunk(lo, min(lo + k, n)) for lo in range(0, n, k)]
 

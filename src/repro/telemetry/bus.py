@@ -138,7 +138,7 @@ class TelemetryBus:
         a footprint already carried in their meta (task-DAG regions
         attach it inline).
         """
-        self.counters["regions"] = self.counters.get("regions", 0) + 1
+        self.count_region()
         if not self._consumers:
             return
         for e in timeline:
@@ -159,6 +159,12 @@ class TelemetryBus:
             fn = getattr(c, "on_region_end", None)
             if fn is not None:
                 fn(timeline)
+
+    def count_region(self) -> None:
+        """Count one executed region; :meth:`publish_region` calls this,
+        paths that publish no timeline (the perf-mode fast path) call it
+        directly."""
+        self.counters["regions"] = self.counters.get("regions", 0) + 1
 
     def counter(self, name: str, value: float = 1, producer: int = MASTER_PRODUCER) -> None:
         self.publish(CounterEvent(name=name, value=value), producer)

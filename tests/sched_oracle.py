@@ -1,0 +1,115 @@
+"""Reference heapq event loop for the loop-scheduling policies.
+
+This is the straightforward event-driven model of an OpenMP team: a
+min-heap of ``(free_time, cpu)`` hands the next chunk to the earliest
+free CPU (lowest index on ties), and each chunk's iterations are
+appended to the timeline one by one with ``t = t + cost``.  It shares
+no scheduling code with :mod:`repro.sched.simulator`, which is what
+makes it a useful oracle: ``tests/test_simulator.py`` requires the
+simulator's grabs, timeline, steal count and makespan to equal this
+loop's exactly.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass, field
+from typing import Any, Sequence
+
+from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
+from repro.sched.policies import (
+    Chunk,
+    DynamicSchedule,
+    GuidedSchedule,
+    NonMonotonicDynamic,
+    SchedulePolicy,
+    StaticSchedule,
+)
+from repro.sched.simulator import ChunkGrab
+from repro.sched.timeline import TaskExec, Timeline
+
+
+@dataclass
+class OracleResult:
+    timeline: Timeline
+    grabs: list[ChunkGrab] = field(default_factory=list)
+    steals: int = 0
+
+    @property
+    def makespan(self) -> float:
+        return self.timeline.makespan
+
+
+def oracle_simulate(
+    costs: Sequence[float],
+    policy: SchedulePolicy,
+    ncpus: int,
+    *,
+    items: Sequence[Any] | None = None,
+    model: CostModel = DEFAULT_COST_MODEL,
+    start_time: float = 0.0,
+    meta: dict | None = None,
+) -> OracleResult:
+    n = len(costs)
+    items = list(range(n)) if items is None else items
+    base_meta = dict(meta or {})
+    timeline = Timeline(ncpus=ncpus)
+    res = OracleResult(timeline)
+
+    def run_chunk(chunk: Chunk, cpu: int, t: float, stolen: bool = False) -> float:
+        res.grabs.append(ChunkGrab(cpu, t, chunk, stolen))
+        for idx in chunk.indices():
+            end = t + costs[idx]
+            m = dict(base_meta)
+            m["index"] = idx
+            if stolen:
+                m["stolen"] = True
+            timeline.append(TaskExec(items[idx], cpu, t, end, m))
+            t = end
+        return t
+
+    if isinstance(policy, StaticSchedule):
+        for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
+            t = start_time
+            for chunk in chunks:
+                t = run_chunk(chunk, cpu, t + model.dispatch_overhead)
+        return res
+
+    heap: list[tuple[float, int]] = [(start_time, cpu) for cpu in range(ncpus)]
+    heapq.heapify(heap)
+    if isinstance(policy, (DynamicSchedule, GuidedSchedule)):
+        for chunk in policy.chunk_queue(n, ncpus):
+            t, cpu = heapq.heappop(heap)
+            t = run_chunk(chunk, cpu, t + model.dispatch_overhead)
+            heapq.heappush(heap, (t, cpu))
+        return res
+
+    assert isinstance(policy, NonMonotonicDynamic), policy
+    # each CPU consumes its own block from the front; an idle CPU steals
+    # from the back of the largest remaining block (lowest index on ties)
+    blocks = [[b.lo, b.hi] for b in policy.initial_blocks(n, ncpus)]
+    k = policy.chunk
+    done = 0
+    while done < n:
+        t, cpu = heapq.heappop(heap)
+        own = blocks[cpu]
+        if own[1] > own[0]:
+            lo = own[0]
+            own[0] = min(lo + k, own[1])
+            chunk = Chunk(lo, own[0])
+            t = run_chunk(chunk, cpu, t + model.dispatch_overhead)
+        else:
+            victim = max(range(ncpus), key=lambda c: (blocks[c][1] - blocks[c][0], -c))
+            vb = blocks[victim]
+            remaining = vb[1] - vb[0]
+            if remaining <= 0:
+                continue  # nothing left anywhere: this CPU is done
+            amount = max(remaining // 2, k) if policy.steal_half else k
+            hi = vb[1]
+            vb[1] = max(hi - amount, vb[0])
+            chunk = Chunk(vb[1], hi)
+            res.steals += 1
+            t = run_chunk(chunk, cpu, t + model.steal_overhead, stolen=True)
+        done += len(chunk)
+        heapq.heappush(heap, (t, cpu))
+    return res

@@ -91,9 +91,6 @@ class TestExecute:
                 "--grain ": [16],
                 "--iterations ": [2],
                 "--schedule ": ["nonmonotonic:dynamic,1"],
-                # the fastpath skips the event-driven simulation (no
-                # steals to count); force the reference path
-                "--no-fastpath": [""],
             },
             runs=1,
             csv_path=tmp_path / "steals.csv",

@@ -56,6 +56,7 @@ def assert_identical(fast, ref, state_keys=()):
     assert np.array_equal(fast.image, ref.image)
     assert fast.completed_iterations == ref.completed_iterations
     assert fast.early_stop == ref.early_stop
+    assert fast.counters == ref.counters
     for key in state_keys:
         assert np.array_equal(fast.context.data[key], ref.context.data[key]), key
 

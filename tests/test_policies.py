@@ -83,11 +83,11 @@ class TestStatic:
 
 class TestDynamic:
     def test_chunk_queue_covers_space(self):
-        q = DynamicSchedule(3).chunk_queue(10)
+        q = DynamicSchedule(3).chunk_queue(10, 2)
         assert [(c.lo, c.hi) for c in q] == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
     def test_default_chunk_is_one(self):
-        q = DynamicSchedule().chunk_queue(4)
+        q = DynamicSchedule().chunk_queue(4, 2)
         assert all(len(c) == 1 for c in q)
 
 

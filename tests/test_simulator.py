@@ -1,5 +1,6 @@
-"""Tests for the event-driven loop-scheduling simulator."""
+"""Tests for the loop-scheduling simulator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from repro.sched.policies import (
     StaticSchedule,
 )
 from repro.sched.simulator import simulate, simulate_makespan
+from tests.sched_oracle import oracle_simulate
 
 ZERO = CostModel(seconds_per_unit=1.0, dispatch_overhead=0.0,
                  steal_overhead=0.0, fork_join_overhead=0.0)
@@ -185,7 +187,7 @@ def test_dynamic_is_greedy(costs, ncpus):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form fast path (simulate_makespan) vs the event loop
+# simulate / simulate_makespan vs the reference heapq event loop
 # ---------------------------------------------------------------------------
 
 OVERHEAD_MODELS = [
@@ -195,6 +197,25 @@ OVERHEAD_MODELS = [
     CostModel(seconds_per_unit=5e-9, dispatch_overhead=2.5e-7,
               steal_overhead=1.5e-6, fork_join_overhead=5e-6),  # default scale
 ]
+
+
+def assert_matches_oracle(costs, policy, ncpus, *, model=ZERO, start_time=0.0):
+    """The whole result equals the oracle's EXACTLY (``==``, not approx):
+    grabs, timeline order, every task's item/cpu/start/end/meta, steals
+    and makespan — and so does the timeline-free makespan.  Perf mode
+    and traced runs must not drift by a single ulp, or bit-identical
+    virtual clocks across the engine paths become impossible."""
+    items = [f"t{i}" for i in range(len(costs))]
+    kw = dict(model=model, start_time=start_time)
+    got = simulate(costs, policy, ncpus, items=items, meta={"iteration": 3}, **kw)
+    ref = oracle_simulate(costs, policy, ncpus, items=items, meta={"iteration": 3}, **kw)
+    assert got.grabs == ref.grabs
+    assert got.steals == ref.steals
+    assert got.timeline.ncpus == ref.timeline.ncpus
+    assert [(e.item, e.cpu, e.start, e.end, e.meta) for e in got.timeline] == \
+        [(e.item, e.cpu, e.start, e.end, e.meta) for e in ref.timeline]
+    assert got.makespan == ref.makespan
+    assert simulate_makespan(costs, policy, ncpus, **kw) == ref.makespan
 
 
 @settings(max_examples=120, deadline=None)
@@ -209,17 +230,10 @@ OVERHEAD_MODELS = [
 )
 def test_closed_form_equals_event_loop_exactly(costs, ncpus, policy_i, model_i,
                                                start_time):
-    """Property: the closed-form/queue-replay makespan is EXACTLY equal
-    (``==``, not approx) to the event-driven simulation — the perf-mode
-    fast path must not drift by a single ulp, or bit-identical virtual
-    clocks across the two engine paths become impossible."""
-    policy = ALL_POLICIES[policy_i]
-    model = OVERHEAD_MODELS[model_i]
-    full = simulate(costs, policy, ncpus, model=model, start_time=start_time)
-    fast = simulate_makespan(costs, policy, ncpus, model=model,
-                             start_time=start_time)
-    expect = full.timeline.makespan if len(costs) else 0.0
-    assert fast == expect
+    """Property: every policy, overhead model and start time reproduces
+    the reference event loop exactly."""
+    assert_matches_oracle(costs, ALL_POLICIES[policy_i], ncpus,
+                          model=OVERHEAD_MODELS[model_i], start_time=start_time)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,47 +247,41 @@ def test_closed_form_equals_event_loop_exactly(costs, ncpus, policy_i, model_i,
 )
 def test_closed_form_exact_across_magnitudes(costs, ncpus, policy_i):
     """Property: exactness survives mixed cost magnitudes (catastrophic
-    ranges for naive summation reorderings)."""
-    policy = ALL_POLICIES[policy_i]
-    full = simulate(costs, policy, ncpus, model=ZERO)
-    assert simulate_makespan(costs, policy, ncpus, model=ZERO) == \
-        full.timeline.makespan
+    ranges for naive summation reorderings) and chunks long enough for
+    the ``np.add.accumulate`` fold."""
+    assert_matches_oracle(costs, ALL_POLICIES[policy_i], ncpus)
+    assert_matches_oracle(costs, StaticSchedule(), 1)
+
+
+def test_long_chunks_fold_exactly():
+    """Chunks past the ``np.add.accumulate`` cutoff, over costs whose sum
+    any reassociation (pairwise summation, say) would change."""
+    costs = (10.0 ** np.random.default_rng(7).uniform(-9, 6, size=500)).tolist()
+    for policy in (StaticSchedule(), StaticSchedule(100), DynamicSchedule(64),
+                   GuidedSchedule(1), NonMonotonicDynamic(40, steal_half=True)):
+        for ncpus in (1, 3):
+            assert_matches_oracle(costs, policy, ncpus, model=OVERHEAD_MODELS[1],
+                                  start_time=1.5)
 
 
 def test_closed_form_empty_costs():
     assert simulate_makespan([], StaticSchedule(), 4, model=ZERO) == 0.0
+    for policy in ALL_POLICIES:
+        assert_matches_oracle([], policy, 3, start_time=2.0)
 
 
 class TestStealingClosedForm:
-    """The deterministic replay of work stealing (no heapq event loop)."""
+    """Work stealing against the oracle, with real overheads."""
 
     def test_direct_equality_with_overheads(self):
-        from repro.sched.workstealing import stealing_makespan
-
         model = CostModel(seconds_per_unit=1.0, dispatch_overhead=0.25,
                           steal_overhead=0.5, fork_join_overhead=0.0)
         costs = [5.0] * 4 + [0.1] * 29 + [2.0] * 8
         for policy in (NonMonotonicDynamic(1), NonMonotonicDynamic(2),
                        NonMonotonicDynamic(1, steal_half=True)):
             for ncpus in (1, 2, 3, 7):
-                full = simulate(costs, policy, ncpus, model=model,
-                                start_time=3.25)
-                fast = stealing_makespan(costs, policy, ncpus, model,
-                                         start_time=3.25)
-                assert fast == full.timeline.makespan
-
-    def test_makespan_dispatch_avoids_event_loop(self, monkeypatch):
-        """simulate_makespan must route stealing policies through the
-        closed form — perf mode never pays for the heapq event loop."""
-        import repro.sched.simulator as simulator
-
-        def boom(*a, **k):  # pragma: no cover - would mean a regression
-            raise AssertionError("perf mode entered the event loop")
-
-        monkeypatch.setattr(simulator, "simulate_stealing", boom)
-        got = simulate_makespan([1.0, 2.0, 3.0], NonMonotonicDynamic(1), 2,
-                                model=ZERO)
-        assert got == pytest.approx(3.0)
+                assert_matches_oracle(costs, policy, ncpus, model=model,
+                                      start_time=3.25)
 
 
 def test_closed_form_rejects_zero_cpus():
