@@ -23,26 +23,20 @@ def report(name: str, text: str) -> Path:
     return path
 
 
-def gate_skip_reason(
-    measured: dict, needs_cpus: int = 2, capability: str | None = None
-) -> str | None:
-    """Hardware/capability guard shared by the perf-gate benchmarks.
+def gate_skip_reason(measured: dict, needs_cpus: int = 2) -> str | None:
+    """Hardware guard shared by the perf-gate benchmarks.
 
     Returns ``None`` when the absolute gate should be enforced on this
     measurement, else a human-readable reason it cannot be: the payload
     was recorded on a host with fewer than ``needs_cpus`` CPUs (its
-    ``cpu_count`` field), or an optional ``capability`` flag recorded in
-    the payload (e.g. ``"numba"``) is false/absent.  Callers apply this
-    to the measured payload (skip the absolute gate) *and* to the
-    committed baseline (skip the regression-ratio comparison — a
-    baseline that could not exhibit the gated behaviour must never gate
-    a host that can).
+    ``cpu_count`` field).  Callers apply this to the measured payload
+    (skip the absolute gate) *and* to the committed baseline (skip the
+    regression-ratio comparison — a baseline that could not exhibit the
+    gated behaviour must never gate a host that can).
     """
     cpus = int(measured.get("cpu_count", 1))
     if cpus < needs_cpus:
         return f"host has {cpus} CPU(s); the gate needs >= {needs_cpus}"
-    if capability is not None and not measured.get(capability):
-        return f"optional capability {capability!r} is unavailable"
     return None
 
 

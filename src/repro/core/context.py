@@ -16,7 +16,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.core import access
-from repro.core import jit as _jit
 from repro.core.config import RunConfig
 from repro.core.domains import make_domain
 from repro.core.image import Img2D
@@ -87,11 +86,6 @@ class ExecutionContext:
             else base_model
         )
         self.backend = config.backend
-        #: the compiled (numba) tile core for this kernel, or None with
-        #: the fallback reason.  Resolved here — once per context, in
-        #: every process that builds one (incl. procs pool workers) —
-        #: so kernels just test ``ctx.jit_core``.
-        self.jit_core, self.jit_reason = _jit.resolve(config)
         self.rng = make_rng(config.seed)
         self.jitter_rng = make_jitter_rng(config.seed, config.run_index)
         self.arg = config.arg
@@ -343,23 +337,6 @@ class ExecutionContext:
             and self.config.fastpath != "off"
             and not self.instrumented()
         )
-
-    def execution_tier(self) -> str:
-        """The execution tier this run reports: ``"fastpath"`` when the
-        whole-frame batch path may engage, else ``"jit"`` when a
-        compiled tile core resolved, else ``"interpreted"``.
-
-        The tiers are a precedence, not a partition — a fastpath-tier
-        run still uses ``ctx.jit_core`` on any region the frame
-        declines, and a jit-tier run falls back per-kernel when a body
-        isn't registered.  ``jit_reason`` carries the why-not string
-        surfaced by the CLI and sweep provenance.
-        """
-        if self.fastpath_active():
-            return "fastpath"
-        if self.jit_core is not None:
-            return "jit"
-        return "interpreted"
 
     def frame_costs(self, works: np.ndarray, log_kind: str) -> np.ndarray:
         """Convert a frame's work vector to per-item costs, feeding the

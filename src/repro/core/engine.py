@@ -44,11 +44,6 @@ class RunResult:
     #: telemetry events lost to ring-buffer overflow (0 for in-process
     #: channels; bounded drop-oldest behaviour of the procs ring)
     dropped_events: int = 0
-    #: execution tier the run resolved to — "fastpath", "jit" or
-    #: "interpreted" ("" for aggregate MPI results; per-rank results
-    #: carry their own).  Provenance, not identity: sweeps record it
-    #: but exclude it from resume/equality comparisons.
-    jit_tier: str = ""
 
     @property
     def elapsed(self) -> float:
@@ -135,5 +130,4 @@ def run(
         fastpath_regions=ctx.fastpath_regions,
         counters=dict(ctx.bus.counters),
         dropped_events=dropped,
-        jit_tier=ctx.execution_tier(),
     )

@@ -49,13 +49,14 @@ __all__ = [
 
 #: columns recording *where and how* a row was produced, not *what*
 #: was measured: the executor that dispatched the point, the worker
-#: process that ran it, the execution tier the run resolved to
-#: (fastpath/jit/interpreted — all bit-identical by construction) and
-#: whether the schedule-result memo served the point ("hit"/"miss"/"").
-#: Cross-executor sweeps are row-identical modulo these columns, and
-#: the resume identity excludes them, so databases written under
-#: different executors (or numba availabilities, or warm vs cold
-#: caches) merge cleanly.
+#: process that ran it and whether the schedule-result memo served the
+#: point ("hit"/"miss"/"").  Cross-executor sweeps are row-identical
+#: modulo these columns, and the resume identity excludes them, so
+#: databases written under different executors (or warm vs cold
+#: caches) merge cleanly.  ``jit_tier`` is a legacy column: the
+#: execution tier, written before the compiled tile-body tier was
+#: removed.  Nothing writes it now, but databases that carry it still
+#: load, resume and strip cleanly.
 PROVENANCE_COLUMNS = ("executor", "worker_id", "jit_tier", "memo")
 
 

@@ -17,11 +17,11 @@ The interface is deliberately tiny:
 
 Every executor resolves **all** submitted jobs: a lost worker must
 never silently swallow a grid point.  Rows carry provenance columns
-(``executor``, ``worker_id``, ``jit_tier``, ``memo``) so a merged
-database records where — and through which execution tier / cache —
-each measurement ran; the *resume identity* (``RunConfig.csv_row()`` +
-the ``run`` index) deliberately excludes them, so a sweep started
-under one executor resumes under any other.
+(``executor``, ``worker_id``, ``memo``) so a merged database records
+where — and through which cache — each measurement ran; the *resume
+identity* (``RunConfig.csv_row()`` + the ``run`` index) deliberately
+excludes them, so a sweep started under one executor resumes under
+any other.
 
 :func:`run_point` — one (configuration, repetition) to one row, with
 per-point timeout/retries — is the single execution path shared by all
@@ -142,7 +142,6 @@ def error_row(config: RunConfig, rep: int, machine: str, message: str,
     row["completed"] = 0
     row["steals"] = ""
     row["dropped_events"] = ""
-    row["jit_tier"] = ""
     row["memo"] = ""
     row["status"] = "error"
     row["error"] = message[:200]
@@ -171,14 +170,12 @@ def run_point(
                     elapsed = cache.simulate(rep_cfg)
                     completed = rep_cfg.iterations
                     counters: dict = {}
-                    jit_tier = WorkProfileCache.tier_of(rep_cfg)
                     memo = cache.last_memo
                 else:
                     result = run(rep_cfg)
                     elapsed = result.elapsed
                     completed = result.completed_iterations
                     counters = result.counters
-                    jit_tier = result.jit_tier
                     memo = ""
         except SweepTimeout as exc:
             last_error = str(exc)
@@ -192,9 +189,8 @@ def run_point(
         # telemetry-bus counters: scheduling + channel health per point
         row["steals"] = int(counters.get("steals", 0))
         row["dropped_events"] = int(counters.get("dropped_events", 0))
-        # provenance: the resolved execution tier and whether the
-        # schedule-result memo served this point ("" = measured live)
-        row["jit_tier"] = jit_tier
+        # provenance: whether the schedule-result memo served this
+        # point ("" = measured live)
         row["memo"] = memo
         row["status"] = "ok"
         row["error"] = ""

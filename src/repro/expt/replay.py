@@ -20,7 +20,6 @@ import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core import jit
 from repro.core.config import RunConfig
 from repro.core.context import ExecutionContext
 from repro.core.kernel import get_kernel
@@ -43,8 +42,14 @@ RegionLog = list  # list of ("par", works) / ("seq", works) / ("master", w)
 
 
 def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel]:
-    """Run ``config`` once, recording every region's work profile."""
-    from repro.core.engine import run
+    """Run ``config`` once, recording every region's work profile.
+
+    The log is replayed once at ``config`` itself before it is returned:
+    a variant that moves the clock outside the region log (GPU launches,
+    the wall-clock time of real backends) cannot be replayed, and
+    raises :class:`ConfigError` instead of yielding a wrong time.
+    """
+    from repro.util.rng import make_jitter_rng
 
     if config.mpi_np:
         raise ConfigError("work-profile replay does not support MPI runs")
@@ -63,6 +68,20 @@ def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel]:
     kernel.draw(ctx)
     compute(ctx, capture_cfg.iterations)
     kernel.finalize(ctx)
+    replayed = replay_log(
+        log,
+        nthreads=capture_cfg.nthreads,
+        policy=capture_cfg.policy(),
+        model=ctx.model,
+        jitter=capture_cfg.jitter,
+        jitter_rng=make_jitter_rng(capture_cfg.seed, capture_cfg.run_index),
+    )
+    if replayed != ctx.vclock:
+        raise ConfigError(
+            f"work-profile replay cannot reproduce {capture_cfg.kernel} "
+            f"{capture_cfg.variant} on backend {capture_cfg.backend}: the region "
+            f"log replays to {replayed!r} s but the run took {ctx.vclock!r} s"
+        )
     return log, ctx.model
 
 
@@ -97,7 +116,9 @@ def replay_log(
             end = simulate_makespan(costs, policy, nthreads, model=model, start_time=vclock)
             vclock = max(end, vclock) + model.fork_join_overhead
         elif kind == SEQ:
-            vclock += sum(noisy(model.times_of(entry[1])))
+            # the same left fold from the clock as the live loop
+            for cost in noisy(model.times_of(entry[1])):
+                vclock += cost
         elif kind == MASTER:
             vclock += model.time_of(entry[1])
         elif kind in (DAG, DAGP):
@@ -121,7 +142,9 @@ def replay_log(
 #: memo files appeared alongside the profiles
 #: 3: work domains — the workload key grew (domain, dim_y, dim_z) and
 #: region logs may carry "dagp" entries
-CACHE_FORMAT = 3
+#: 4: ``config.fastpath`` replaced the resolved execution tier in the
+#: workload key
+CACHE_FORMAT = 4
 
 
 @dataclass
@@ -165,12 +188,12 @@ class WorkProfileCache:
     def workload_key(config: RunConfig) -> tuple:
         """Everything the work profile depends on (NOT threads/schedule).
 
-        Includes the execution tier (fastpath/jit/interpreted): the
-        tiers are bit-identical by construction, but the cache must not
-        *assume* its own correctness proof — a profile captured under a
-        compiled tile body never collides with an interpreted one, so a
-        tier-selection change between sweep resumes can only re-capture,
-        never serve a profile from a different code path.
+        Includes ``backend`` and ``fastpath``, which together decide
+        whether a capture runs the whole-frame fast path or the
+        interpreted tile bodies.  The two are bit-identical by
+        construction, but the cache must not *assume* its own
+        correctness proof: a profile captured on one path never serves
+        a point requested on the other.
         """
         return (
             config.kernel,
@@ -183,17 +206,11 @@ class WorkProfileCache:
             config.seed,
             config.time_scale,
             config.backend,
-            WorkProfileCache.tier_of(config),
+            config.fastpath,
             config.domain,
             config.dim_y,
             config.dim_z,
         )
-
-    @staticmethod
-    def tier_of(config: RunConfig) -> str:
-        """The execution tier a capture of ``config`` resolves to (the
-        capture always runs uninstrumented, like :func:`capture_log`)."""
-        return jit.select_tier(config.with_(monitoring=False, trace=False))[0]
 
     def _disk_path(self, key: tuple) -> Path:
         digest = hashlib.sha256(repr((CACHE_FORMAT, key)).encode()).hexdigest()

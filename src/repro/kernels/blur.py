@@ -121,26 +121,18 @@ class BlurKernel(Kernel):
             writes=[("next", x, y, w, h)],
         )
 
-    @staticmethod
-    def _stencil(ctx):
-        """The tile stencil implementation: the compiled (numba) core
-        when the jit tier resolved, else the numpy reference.  Both are
-        signature-compatible and bit-identical (integer channel sums,
-        identical division operands, half-to-even rounding)."""
-        return ctx.jit_core or blur_rect_vectorized
-
     def do_tile_basic(self, ctx, tile: Tile) -> float:
         """Branchy path everywhere (students' first tiled version)."""
         x, y, w, h = tile.as_rect()
         self._declare_tile_access(ctx, x, y, w, h)
-        self._stencil(ctx)(ctx.img.cur, ctx.img.nxt, x, y, w, h)
+        blur_rect_vectorized(ctx.img.cur, ctx.img.nxt, x, y, w, h)
         return tile.area * SCALAR_PIXEL_WORK
 
     def do_tile_opt(self, ctx, tile: Tile) -> float:
         """Branch-free bulk path for inner tiles, branchy for border ones."""
         x, y, w, h = tile.as_rect()
         self._declare_tile_access(ctx, x, y, w, h)
-        self._stencil(ctx)(ctx.img.cur, ctx.img.nxt, x, y, w, h)
+        blur_rect_vectorized(ctx.img.cur, ctx.img.nxt, x, y, w, h)
         is_border = (
             tile.row == 0
             or tile.col == 0

@@ -148,8 +148,7 @@ class LifeKernel(Kernel):
             reads=[halo_region("cells", tile.x, tile.y, tile.w, tile.h, ctx.dim)],
             writes=[("next", tile.x, tile.y, tile.w, tile.h)],
         )
-        step = ctx.jit_core or life_step_rect
-        changed = step(
+        changed = life_step_rect(
             ctx.data["cells"], ctx.data["next"], tile.y, tile.x, tile.h, tile.w
         )
         ctx.data["changes"][tile.row, tile.col] = changed > 0
@@ -334,8 +333,7 @@ class LifeKernel(Kernel):
             reads=[halo_region("cells", tile.x, tile.y, tile.w, tile.h, ctx.dim)],
             writes=[("next", tile.x, tile.y, tile.w, tile.h)],
         )
-        step = ctx.jit_core or life_step_rect
-        changed = step(
+        changed = life_step_rect(
             ctx.data["cells"], ctx.data["next"], tile.y - y0 + 1, tile.x, tile.h, tile.w
         )
         ctx.data["changes"][tile.row, tile.col] = changed > 0

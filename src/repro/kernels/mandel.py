@@ -308,26 +308,9 @@ class MandelKernel(Kernel):
         return cr[np.newaxis, :], ci[:, np.newaxis]
 
     def _rect_counts(self, ctx, x: int, y: int, w: int, h: int):
-        """Escape counts + work for a rectangle, through the compiled
-        tile core when the jit tier resolved, else the numpy reference.
-        Both paths are bit-identical (per-pixel work is an integer sum
-        below 2**53, so the accumulation order cannot matter)."""
+        """Escape counts + work for a rectangle."""
         cr, ci = self._coords(ctx, x, y, w, h)
-        julia_c = ctx.data.get("julia_c")
-        if ctx.jit_core is not None:
-            counts = np.empty((h, w), dtype=np.int32)
-            if julia_c is not None:
-                work = ctx.jit_core(
-                    cr.ravel(), ci.ravel(), float(julia_c[0]), float(julia_c[1]),
-                    True, ctx.data["max_iter"], counts,
-                )
-            else:
-                work = ctx.jit_core(
-                    cr.ravel(), ci.ravel(), 0.0, 0.0,
-                    False, ctx.data["max_iter"], counts,
-                )
-            return counts, work
-        return mandel_counts(cr, ci, ctx.data["max_iter"], julia_c=julia_c)
+        return mandel_counts(cr, ci, ctx.data["max_iter"], julia_c=ctx.data.get("julia_c"))
 
     def do_tile(self, ctx, tile: Tile) -> float:
         """Compute one tile; returns its work (escape iterations executed)."""

@@ -85,8 +85,7 @@ class SandpileKernel(Kernel):
             reads=[halo_region("grains", tile.x, tile.y, tile.w, tile.h, ctx.dim)],
             writes=[("next", tile.x, tile.y, tile.w, tile.h)],
         )
-        step = ctx.jit_core or sandpile_step_rect
-        changed = step(
+        changed = sandpile_step_rect(
             ctx.data["grains"], ctx.data["next"], tile.y, tile.x, tile.h, tile.w
         )
         if changed:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.expt.csvdb import read_rows
-from repro.expt.exptools import execute, sweep_configs
+from repro.expt.csvdb import append_rows, read_rows, strip_provenance
+from repro.expt.exptools import execute, point_key, sweep_configs
 
 
 class TestSweepConfigs:
@@ -129,3 +129,26 @@ class TestExecute:
     def test_unknown_program_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             execute("make", {}, {}, csv_path=tmp_path / "x.csv")
+
+
+class TestLegacyColumns:
+    def test_half_written_csv_with_jit_tier_resumes(self, tmp_path):
+        """Databases written while sweeps still recorded the execution
+        tier carry a ``jit_tier`` column: they must load and resume
+        without re-running a completed point."""
+        icvs = {"OMP_NUM_THREADS=": [2, 4]}
+        opts = {"--kernel ": ["mandel"], "--size ": [32], "--grain ": [16],
+                "--iterations ": [1]}
+        full = execute("easypap", icvs, opts, runs=2, csv_path=tmp_path / "full.csv")
+        assert "jit_tier" not in full[0]
+        legacy = tmp_path / "legacy.csv"
+        half = [dict(r, jit_tier="fastpath") for r in full[:2]]
+        append_rows(legacy, half)
+        redone = execute("easypap", icvs, opts, runs=2, csv_path=legacy, resume=True)
+        done = {point_key(r) for r in half}
+        assert len(redone) == len(full) - len(half)
+        assert not done & {point_key(r) for r in redone}
+        rows = read_rows(legacy)
+        assert len({point_key(r) for r in rows}) == len(full)
+        assert [r["jit_tier"] for r in rows] == ["fastpath"] * 2 + [""] * len(redone)
+        assert all("jit_tier" not in strip_provenance(r) for r in rows)

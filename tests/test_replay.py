@@ -1,9 +1,12 @@
-"""Tests for work-profile capture & replay."""
+"""Tests for work-profile capture & replay and the schedule-result memo."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import run
 from repro.errors import ConfigError
+from repro.expt.exptools import execute
 from repro.expt.replay import WorkProfileCache, capture_log, replay_log
 from tests.conftest import make_config
 
@@ -29,24 +32,48 @@ class TestCapture:
         with pytest.raises(ConfigError):
             capture_log(cfg)
 
+    def test_gpu_variant_rejected(self):
+        # GPU launches move the clock without writing the region log,
+        # so the log would replay to 0 s
+        with pytest.raises(ConfigError, match="replay"):
+            capture_log(make_config(kernel="mandel", variant="ocl"))
+
+    def test_gpu_variant_sweep_yields_error_row(self, tmp_path):
+        rows = execute(
+            "easypap",
+            {"OMP_NUM_THREADS=": [2]},
+            {"--kernel ": ["mandel"], "--variant ": ["ocl"], "--size ": [64],
+             "--grain ": [16], "--iterations ": [2]},
+            runs=1,
+            csv_path=tmp_path / "ocl.csv",
+            reuse_work=True,
+        )
+        assert [r["status"] for r in rows] == ["error"]
+        assert rows[0]["time_us"] == ""
+        assert "replay" in rows[0]["error"]
+
 
 class TestReplay:
-    @pytest.mark.parametrize("variant", ["omp_tiled", "tiled"])
+    @pytest.mark.parametrize("kernel, variant", [
+        pytest.param("mandel", "omp_tiled", id="omp_tiled"),
+        pytest.param("mandel", "tiled", id="tiled"),
+        pytest.param("life", "seq", id="life-seq"),
+    ])
     @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided",
                                           "nonmonotonic:dynamic"])
-    def test_replay_equals_full_run(self, variant, schedule):
-        base = make_config(kernel="mandel", variant=variant, iterations=2)
+    def test_replay_equals_full_run(self, kernel, variant, schedule):
+        base = make_config(kernel=kernel, variant=variant, iterations=2)
         cache = WorkProfileCache()
         for threads in (1, 3, 5):
             cfg = base.with_(nthreads=threads, schedule=schedule)
-            assert cache.simulate(cfg) == pytest.approx(run(cfg).virtual_time)
+            assert cache.simulate(cfg) == run(cfg).elapsed
 
     def test_replay_equals_full_run_for_tasks(self):
         base = make_config(kernel="cc", variant="omp_task", iterations=6)
         cache = WorkProfileCache()
         for threads in (2, 4):
             cfg = base.with_(nthreads=threads)
-            assert cache.simulate(cfg) == pytest.approx(run(cfg).virtual_time)
+            assert cache.simulate(cfg) == run(cfg).elapsed
 
     def test_cache_reused_across_configs(self):
         cache = WorkProfileCache()
@@ -70,3 +97,82 @@ class TestReplay:
             replay_log([("bogus",)], nthreads=2,
                        policy=parse_schedule("dynamic"),
                        model=DEFAULT_COST_MODEL)
+
+
+class TestMemo:
+    def test_hit_equals_fresh_replay(self):
+        cfg = make_config(iterations=2)
+        cache = WorkProfileCache()
+        first = cache.simulate(cfg)
+        assert cache.last_memo == "miss"
+        again = cache.simulate(cfg)
+        assert cache.last_memo == "hit"
+        fresh = WorkProfileCache(memoize=False).simulate(cfg)
+        assert first == again == fresh
+        assert cache.counters == {"memo_hits": 1, "memo_misses": 1}
+
+    def test_memoize_off_never_counts(self):
+        cfg = make_config(iterations=1)
+        cache = WorkProfileCache(memoize=False)
+        cache.simulate(cfg)
+        cache.simulate(cfg)
+        assert cache.last_memo == ""
+        assert cache.counters == {"memo_hits": 0, "memo_misses": 0}
+
+    def test_distinct_points_do_not_collide(self):
+        cache = WorkProfileCache()
+        base = make_config(iterations=1)
+        t2 = cache.simulate(base.with_(nthreads=2))
+        t8 = cache.simulate(base.with_(nthreads=8))
+        assert cache.counters["memo_misses"] == 2
+        assert t2 != t8  # different thread counts really were replayed
+
+    def test_memo_persists_across_instances(self, tmp_path):
+        cfg = make_config(iterations=2, schedule="nonmonotonic:dynamic")
+        first = WorkProfileCache(cache_dir=tmp_path)
+        t1 = first.simulate(cfg)
+        warm = WorkProfileCache(cache_dir=tmp_path)
+        t2 = warm.simulate(cfg)
+        assert warm.counters == {"memo_hits": 1, "memo_misses": 0}
+        assert t1 == t2
+
+    def test_corrupt_memo_file_recomputes(self, tmp_path):
+        cfg = make_config(iterations=1)
+        cache = WorkProfileCache(cache_dir=tmp_path)
+        expected = cache.simulate(cfg)
+        for memo_file in tmp_path.glob("memo-*.pkl"):
+            memo_file.write_bytes(b"garbage")
+        cold = WorkProfileCache(cache_dir=tmp_path)
+        assert cold.simulate(cfg) == expected
+        assert cold.counters["memo_misses"] == 1
+
+    def test_workload_key_includes_fastpath(self):
+        # a fast-path capture never serves an interpreted point
+        cfg = make_config()
+        assert WorkProfileCache.workload_key(cfg.with_(fastpath="off")) != \
+            WorkProfileCache.workload_key(cfg.with_(fastpath="auto"))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    nthreads=st.integers(min_value=1, max_value=6),
+    schedule=st.sampled_from([
+        "static", "dynamic", "dynamic,3", "guided",
+        "nonmonotonic:dynamic", "nonmonotonic:dynamic,2",
+    ]),
+    run_index=st.integers(min_value=0, max_value=2),
+)
+def test_memoized_equals_fresh_for_every_schedule(nthreads, schedule, run_index):
+    """Property: for every schedule family, work stealing included, the
+    memoized elapsed time equals a fresh replay of the same point,
+    exactly."""
+    cfg = make_config(
+        dim=32, tile_w=8, tile_h=8, iterations=1,
+        nthreads=nthreads, schedule=schedule, run_index=run_index,
+    )
+    memo_cache = WorkProfileCache()
+    first = memo_cache.simulate(cfg)
+    hit = memo_cache.simulate(cfg)
+    fresh = WorkProfileCache(memoize=False).simulate(cfg)
+    assert first == hit == fresh
+    assert memo_cache.counters["memo_hits"] >= 1

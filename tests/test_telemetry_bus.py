@@ -185,6 +185,17 @@ class TestLazyAttachment:
         assert res.trace is None
         assert res.fastpath_regions == 0
 
+    @pytest.mark.parametrize("overrides, active", [
+        pytest.param({}, True, id="sim-default"),
+        pytest.param({"backend": "threads"}, False, id="real-backend"),
+        pytest.param({"monitoring": True}, False, id="monitoring"),
+        pytest.param({"fastpath": "off"}, False, id="fastpath-off"),
+    ])
+    def test_fastpath_eligibility(self, overrides, active):
+        from repro.core.context import ExecutionContext
+
+        assert ExecutionContext(make_config(**overrides)).fastpath_active() is active
+
     def test_external_consumer_disables_fastpath(self):
         from repro.core.context import ExecutionContext
 

@@ -5,7 +5,7 @@ Run from the repository root::
     PYTHONPATH=src python tools/make_golden_traces.py
 
 The fixtures pin the byte-exact trace output of fully deterministic
-runs: scheduler event times come from the event-loop simulator over
+runs: scheduler event times come from ``repro.sched.simulator`` over
 integer-valued work units, so the files must be identical on every
 machine and Python version.  ``tests/test_golden_traces.py`` regenerates
 each trace in-process and byte-compares it against the committed file —
