@@ -21,9 +21,9 @@ from repro.core.domains import make_domain
 from repro.core.image import Img2D
 from repro.core.tiling import Tile, TileGrid
 from repro.monitor.activity import Monitor
-from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel, perturb
+from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sched.policies import SchedulePolicy
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 from repro.telemetry.bus import TelemetryBus
 from repro.trace.events import TraceMeta
 from repro.trace.recorder import TraceRecorder
@@ -317,11 +317,6 @@ class ExecutionContext:
         for r in writes:
             access.note_write(*r)
 
-    def perturb_costs(self, costs: list[float]) -> list[float]:
-        """Apply the run's system-noise model to per-item costs (no-op
-        unless ``config.jitter > 0``)."""
-        return perturb(costs, self.jitter_rng, self.config.jitter)
-
     def fastpath_active(self) -> bool:
         """True when the whole-frame perf-mode fast path may replace the
         per-tile reference path.
@@ -337,18 +332,6 @@ class ExecutionContext:
             and self.config.fastpath != "off"
             and not self.instrumented()
         )
-
-    def frame_costs(self, works: np.ndarray, log_kind: str) -> np.ndarray:
-        """Convert a frame's work vector to per-item costs, feeding the
-        region log exactly as the reference measurement loop would."""
-        if self.region_log is not None:
-            self.region_log.append((log_kind, [float(w) for w in works]))
-        if self.config.jitter > 0:
-            # same list-based path (and RNG draws) as the reference
-            return np.asarray(
-                self.perturb_costs(self.model.times_of(list(works))), dtype=np.float64
-            )
-        return works * self.model.seconds_per_unit
 
     # -- parallel constructs (thin wrappers over repro.omp) -----------------------------
     def parallel_for(
@@ -395,56 +378,9 @@ class ExecutionContext:
         kind: str = "tile",
         frame: Callable | None = None,
     ) -> float:
-        """Run ``body`` over items on virtual CPU 0, back-to-back.
+        from repro.omp.parallel import sequential_for
 
-        This is what ``seq``/``tiled`` (single-thread) variants use; it
-        still feeds monitoring and traces, so heat maps work in
-        sequential mode too.  When a whole-frame ``frame`` callable is
-        given and :meth:`fastpath_active` holds, the per-item bodies are
-        replaced by one batch call (see :mod:`repro.omp.parallel`).
-        """
-        items = list(self.domain) if items is None else list(items)
-        if frame is not None and self.fastpath_active():
-            works = frame(self, items)
-            if works is not None:
-                costs = self.frame_costs(np.asarray(works, dtype=np.float64), "seq")
-                self.next_region()
-                self.fastpath_regions += 1
-                self.bus.count_region()
-                seg = np.empty(len(costs) + 1)
-                seg[0] = self.vclock
-                seg[1:] = costs
-                self.vclock = float(np.add.accumulate(seg)[-1])
-                return self.vclock
-        footprints = None
-        if self.collect_footprints:
-            footprints = []
-            works = []
-            for item in items:
-                with access.collect() as col:
-                    works.append(float(body(item) or 0.0))
-                footprints.append(col.freeze())
-        else:
-            works = [float(body(item) or 0.0) for item in items]
-        if self.region_log is not None:
-            self.region_log.append(("seq", works))
-        costs = self.perturb_costs(self.model.times_of(works))
-        region = self.next_region()
-        timeline = Timeline(ncpus=self.nthreads)
-        t = self.vclock
-        for i, (item, cost) in enumerate(zip(items, costs)):
-            meta = {
-                "iteration": self.iteration,
-                "kind": kind,
-                "index": i,
-                "region": region,
-                "rmode": "seq",
-            }
-            timeline.append(TaskExec(item, 0, t, t + cost, meta))
-            t += cost
-        self.vclock = t
-        self.record_timeline(timeline, footprints=footprints)
-        return t
+        return sequential_for(self, body, items, kind=kind, frame=frame)
 
     def run_on_master(self, fn: Callable[[], Any], work: float = 0.0) -> Any:
         """Run a sequential section (the ``#pragma omp single`` zoom() call)."""

@@ -150,7 +150,7 @@ class LuWavefrontKernel(Kernel):
     def compute_omp_tiled(self, ctx, nb_iter: int) -> int:
         """Worksharing over the wavefront domain: ``parallel_for`` sees
         the dependency edges and schedules the region as a policy-aware
-        DAG (see :func:`repro.omp.parallel._dag_for`)."""
+        DAG (see :func:`repro.omp.parallel.parallel_for`)."""
         for _ in ctx.iterations(nb_iter):
             ctx.run_on_master(lambda: self._reset(ctx))
             ctx.parallel_for(ctx.body(self.do_block))

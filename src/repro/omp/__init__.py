@@ -1,7 +1,7 @@
 """OpenMP-like runtime: worksharing loops, tasks, ICVs."""
 
 from repro.omp.icv import DEFAULT_NUM_THREADS, Icvs, resolve_icvs
-from repro.omp.parallel import parallel_for, parallel_reduce
+from repro.omp.parallel import parallel_for, parallel_reduce, sequential_for
 from repro.omp.tasks import TaskRegion
 
 __all__ = [
@@ -10,5 +10,6 @@ __all__ = [
     "resolve_icvs",
     "parallel_for",
     "parallel_reduce",
+    "sequential_for",
     "TaskRegion",
 ]

@@ -98,7 +98,6 @@ __all__ = [
     "get_pool",
     "shutdown_pools",
     "procs_parallel_for",
-    "procs_parallel_reduce",
     "new_session_id",
     "live_arena_blocks",
     "register_cleanup",
@@ -1055,43 +1054,25 @@ def shutdown_pools() -> None:
 
 
 # --------------------------------------------------------------------------
-# The backend entry points (called from repro.omp.parallel)
+# The backend entry point (called from repro.omp.parallel)
 # --------------------------------------------------------------------------
 
 
-def _publish_region(ctx, timeline, extra) -> None:
-    """Re-publish one drained region on the context's telemetry bus."""
-    if extra["dropped"]:
-        ctx.bus.record_dropped(extra["dropped"])
-    if extra["steals"]:
-        ctx.bus.counter("steals", extra["steals"])
-    ctx.record_timeline(timeline, footprints=extra["footprints"])
+def procs_parallel_for(ctx, body, items, policy, meta, values=None) -> SimResult:
+    """One worksharing region on the pool; a reduction's values (in item
+    order, from the workers' replies) land in ``values``."""
+    from repro.omp.parallel import publish_region
 
-
-def procs_parallel_for(ctx, body, items, policy, meta) -> SimResult:
-    spec = _require_tile_body(body, ctx)
-    pool = get_pool(ctx.nthreads)
-    timeline, elapsed, extra = pool.run_region(ctx, spec, items, policy, meta)
-    for k, v in extra["sets"].items():
-        ctx.data[k] = v
-    ctx.vclock += elapsed
-    _publish_region(ctx, timeline, extra)
-    return SimResult(timeline, grabs=[], steals=extra["steals"])
-
-
-def procs_parallel_reduce(ctx, body, items, policy, meta, *, combine, init):
     spec = _require_tile_body(body, ctx)
     pool = get_pool(ctx.nthreads)
     timeline, elapsed, extra = pool.run_region(
-        ctx, spec, items, policy, meta, reduce=True
+        ctx, spec, items, policy, meta, reduce=values is not None
     )
     for k, v in extra["sets"].items():
         ctx.data[k] = v
-    # deterministic item-order fold: the same (strictly stronger than
-    # OpenMP) reduction order the sim backend guarantees
-    acc = init
-    for value in extra["values"]:
-        acc = combine(acc, value)
+    if values is not None:
+        values[:] = extra["values"]
     ctx.vclock += elapsed
-    _publish_region(ctx, timeline, extra)
-    return SimResult(timeline, grabs=[], steals=extra["steals"]), acc
+    ctx.bus.record_dropped(extra["dropped"])
+    publish_region(ctx, timeline, extra["steals"], extra["footprints"])
+    return SimResult(timeline, grabs=[], steals=extra["steals"])

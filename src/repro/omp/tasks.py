@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Sequence
 
-from repro.core import access
 from repro.errors import DependencyError
+from repro.omp.parallel import _measure, close_region
 from repro.sched.dag_sim import simulate_dag
+from repro.sched.simulator import SimResult
 from repro.sched.taskgraph import TaskGraph
 from repro.sched.timeline import Timeline
 
@@ -62,18 +63,12 @@ class TaskRegion:
         """Submit one task; executes its body now, returns the task id."""
         if self._closed:
             raise DependencyError("task region already closed")
-        if self.ctx.collect_footprints:
-            with access.collect() as col:
-                work = float(body() or 0.0)
-            footprint = col.freeze()
-        else:
-            footprint = None
-            work = float(body() or 0.0)
+        (work,), footprints = _measure(self.ctx, lambda _: body(), (item,))
         cost = self.ctx.model.time_of(work)
         node_meta = dict(meta or {})
         node_meta["work"] = work
-        if footprint is not None:
-            node_meta["footprint"] = footprint
+        if footprints is not None:
+            node_meta["footprint"] = footprints[0]
             node_meta["depend_in"] = [str(t) for t in reads]
             node_meta["depend_out"] = [str(t) for t in writes]
         return self.graph.add_task(
@@ -124,33 +119,19 @@ class TaskRegion:
         if self._closed:
             raise DependencyError("task region already closed")
         self._closed = True
-        ctx = self.ctx
-        if ctx.region_log is not None:
-            # log raw works before noise is applied
-            ctx.region_log.append(
-                (
-                    "dag",
-                    [n.meta.get("work", 0.0) for n in self.graph.nodes],
-                    [sorted(n.preds) for n in self.graph.nodes],
-                )
-            )
-        noisy = ctx.perturb_costs([n.cost for n in self.graph.nodes])
-        for node, cost in zip(self.graph.nodes, noisy):
-            node.cost = cost
-        timeline = simulate_dag(
-            self.graph,
-            ctx.nthreads,
-            model=ctx.model,
-            start_time=ctx.vclock,
-            meta={
-                "iteration": ctx.iteration,
-                "kind": self.kind,
-                "region": ctx.next_region(),
-                "rmode": "dag",
-            },
+        nodes = self.graph.nodes
+
+        def schedule(costs, start, meta):
+            for node, cost in zip(nodes, costs):
+                node.cost = cost
+            return SimResult(simulate_dag(
+                self.graph, self.ctx.nthreads,
+                model=self.ctx.model, start_time=start, meta=meta,
+            ))
+
+        result = close_region(
+            self.ctx, "dag", [n.meta.get("work", 0.0) for n in nodes], schedule,
+            kind=self.kind, rmode="dag", deps=[n.preds for n in nodes],
         )
-        end = max(timeline.makespan, ctx.vclock)
-        ctx.vclock = end + ctx.model.fork_join_overhead
-        ctx.record_timeline(timeline)
-        self.timeline = timeline
-        return timeline
+        self.timeline = result.timeline
+        return self.timeline

@@ -82,6 +82,18 @@ class TestDifferentialMatrix:
         assert fast.fastpath_regions > 0
         assert_identical(fast, ref)
 
+    def test_reduce_publishes_steals(self):
+        # ragged edge tiles make the work uneven enough for
+        # nonmonotonic:dynamic to steal; the reduction's reference path
+        # must publish the same steals counter as its fast path
+        fast, ref = run_pair(kernel="heat", variant="omp_tiled", dim=120,
+                             tile_w=16, tile_h=16, nthreads=4,
+                             schedule="nonmonotonic:dynamic", iterations=3)
+        assert fast.fastpath_regions > 0
+        assert fast.counters["steals"] > 0
+        assert fast.counters == ref.counters
+        assert_identical(fast, ref, ["temp"])
+
     def test_uneven_tiling(self):
         # dim not a multiple of the tile size: ragged edge tiles
         fast, ref = run_pair(kernel="mandel", variant="omp_tiled", dim=72,

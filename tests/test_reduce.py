@@ -1,6 +1,7 @@
 """Tests for the parallel_reduce construct."""
 
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -37,18 +38,31 @@ class TestParallelReduce:
         assert biggest == 12
 
     def test_clock_advances_like_parallel_for(self):
-        a = ctx_with(nthreads=2, schedule="dynamic")
-        a.parallel_for(lambda i: 1.0, [0, 1, 2, 3])
-        b = ctx_with(nthreads=2, schedule="dynamic")
-        b.parallel_reduce(lambda i: (1.0, 0), [0, 1, 2, 3],
-                          combine=operator.add, init=0)
-        assert a.vclock == pytest.approx(b.vclock)
+        # the second case's uneven works make nonmonotonic:dynamic steal
+        cases = [("dynamic", [1.0] * 4),
+                 ("nonmonotonic:dynamic", [1.0] * 6 + [8.0, 9.0])]
+        for schedule, works in cases:
+            a = ctx_with(nthreads=2, schedule=schedule)
+            res = a.parallel_for(lambda i: works[i], range(len(works)))
+            b = ctx_with(nthreads=2, schedule=schedule)
+            b.parallel_reduce(lambda i: (works[i], 0), range(len(works)),
+                              combine=operator.add, init=0)
+            assert a.vclock == b.vclock
+            assert a.bus.counters == b.bus.counters
+        assert res.steals > 0
 
-    def test_combination_order_is_item_order(self):
-        ctx = ctx_with(nthreads=4, schedule="dynamic")
+    @pytest.mark.parametrize("backend", [
+        "sim", pytest.param("threads", marks=pytest.mark.slow),
+    ])
+    def test_combination_order_is_item_order(self, backend):
+        def body(i):
+            if i == 0:
+                time.sleep(0.05)  # on a real team, item 0 completes last
+            return 1.0, [i]
+
+        ctx = ctx_with(backend=backend, nthreads=4, schedule="dynamic")
         _, seqs = ctx.parallel_reduce(
-            lambda i: (1.0, [i]), list(range(6)),
-            combine=operator.add, init=[],
+            body, list(range(6)), combine=operator.add, init=[],
         )
         assert seqs == [0, 1, 2, 3, 4, 5]  # deterministic, unlike real OpenMP
 
