@@ -32,6 +32,7 @@ from repro.core.tiling import Tile
 from repro.kernels.api import (
     SCALAR_PIXEL_WORK,
     VECTOR_PIXEL_WORK,
+    clipped_halo,
     halo_region,
     merge_channels,
     split_channels,
@@ -50,7 +51,9 @@ def blur_rect_vectorized(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: in
     bulk code" stand-in.
     """
     dim_y, dim_x = src.shape
-    planes = split_channels(src)
+    # only the rectangle and its one-pixel halo are read: split just those
+    region, oy, ox = clipped_halo(src, x, y, w, h)
+    planes = split_channels(region)
     acc = np.zeros((4, h, w))
     cnt = np.zeros((h, w))
     for dy in (-1, 0, 1):
@@ -65,7 +68,7 @@ def blur_rect_vectorized(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: in
             if ty0 >= ty1 or tx0 >= tx1:
                 continue
             acc[:, ty0:ty1, tx0:tx1] += planes[
-                :, sy0 + ty0 : sy0 + ty1, sx0 + tx0 : sx0 + tx1
+                :, oy + dy + ty0 : oy + dy + ty1, ox + dx + tx0 : ox + dx + tx1
             ]
             cnt[ty0:ty1, tx0:tx1] += 1.0
     dst[y : y + h, x : x + w] = merge_channels(acc / cnt)

@@ -1,7 +1,9 @@
 """The real-process MPI substrate: ranks from a persistent worker pool.
 
-Each rank is a process spawned once (forkserver/spawn, the PR-4 pool
-machinery) and reused across worlds; point-to-point traffic and the
+Each rank is a process spawned once and reused across worlds — a
+:class:`~repro.util.workerpool.WorkerPool`, sharing spawn, teardown,
+the worker loop, the registry and the exit hook with the procs tile
+pool; point-to-point traffic and the
 collectives built on it travel over per-(src, dst) single-producer/
 single-consumer **byte lanes** in one POSIX shared-memory block — the
 same monotonic write-count discipline as the telemetry rings of
@@ -47,7 +49,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import DeadlockError, ExecutionError, MpiError
+from repro.errors import DeadlockError, MpiError
 from repro.mpi.comm import (
     ANY_SOURCE,
     ANY_TAG,
@@ -56,16 +58,8 @@ from repro.mpi.comm import (
     RecvTimeout,
     default_recv_timeout,
 )
-from repro.omp.procs import (
-    _alloc_block,
-    _defuse,
-    _mp_context,
-    _no_main_reimport,
-    _unlink_block,
-    _untrack,
-    register_cleanup,
-)
 from repro.telemetry.ring import KIND_COUNTER, RECORD_WIDTH, RingWriter, drain_lane
+from repro.util.workerpool import WorkerPool, alloc_block, attach_block, defuse, live_blocks
 
 __all__ = [
     "ProcComm",
@@ -442,8 +436,7 @@ class ProcComm(CommBase):
             return view
         _, _, meta = self._get(root, tag)
         name, shape, dtype = pickle.loads(meta)
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
+        shm = attach_block(name)
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
         view.setflags(write=False)
         self._windows.append(shm)
@@ -453,7 +446,7 @@ class ProcComm(CommBase):
     def _release_windows(self) -> None:
         """Hand window lifetimes to the numpy views (fd-close defuse)."""
         for shm in self._windows:
-            _defuse(shm)
+            defuse(shm)
         self._windows.clear()
 
 
@@ -462,23 +455,19 @@ class ProcComm(CommBase):
 # --------------------------------------------------------------------------
 
 
-def _rank_serve(rank: int, conn, size: int, ctrl_name: str, lane_name: str,
-                ring_name: str, lane_cap: int, ring_cap: int) -> None:
-    """Rank process: serve one world at a time until shutdown."""
-    ctrl_shm = shared_memory.SharedMemory(name=ctrl_name)
-    lane_shm = shared_memory.SharedMemory(name=lane_name)
-    ring_shm = shared_memory.SharedMemory(name=ring_name)
-    for shm in (ctrl_shm, lane_shm, ring_shm):
-        _untrack(shm)
+def _rank_worker(rank: int, bufs: list, size: int, lane_cap: int, ring_cap: int):
+    """The request handler of one rank process: each request is one
+    world, ``(fn, recv_timeout, window_prefix)``."""
+    ctrl_mem, lane_mem, ring_mem = bufs
     nlanes = size * size
     ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size + size,), dtype=np.int64,
-                      buffer=ctrl_shm.buf)
-    lane_hdr = np.ndarray((nlanes, 2), dtype=np.int64, buffer=lane_shm.buf)
+                      buffer=ctrl_mem)
+    lane_hdr = np.ndarray((nlanes, 2), dtype=np.int64, buffer=lane_mem)
     lane_buf = np.ndarray((nlanes, lane_cap), dtype=np.uint8,
-                          buffer=lane_shm.buf, offset=nlanes * 16)
+                          buffer=lane_mem, offset=nlanes * 16)
     ring_counts = ctrl[_CTRL_HEAD + _REG_WORDS * size:]
     ring_buf = np.ndarray((size, ring_cap, RECORD_WIDTH), dtype=np.float64,
-                          buffer=ring_shm.buf)
+                          buffer=ring_mem)
 
     # pyuvsim-style excepthook: anything escaping a thread of this rank
     # (not just the serve loop) must take the whole world down with it
@@ -489,48 +478,31 @@ def _rank_serve(rank: int, conn, size: int, ctrl_name: str, lane_name: str,
 
     sys.excepthook = _excepthook
 
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, KeyboardInterrupt):  # pragma: no cover
-                return
-            tag = msg[0]
-            if tag == "shutdown":
-                return
-            if tag == "ping":
-                conn.send(("pong", rank, msg[1]))
-                continue
-            # ("world", epoch, fn, recv_timeout, window_prefix)
-            _, epoch, fn, recv_timeout, window_prefix = msg
-            comm = ProcComm(
-                rank, size, ctrl, lane_hdr, lane_buf,
-                RingWriter(ring_counts, ring_buf, rank),
-                recv_timeout, window_prefix=f"{window_prefix}e{epoch}_",
-            )
-            try:
-                result = fn(comm, rank)
-                comm._finish()
-                reply = ("result", rank, epoch, result)
-            except _WorldAborted as exc:
-                comm._finish()
-                reply = ("aborted", rank, epoch, str(exc))
-            except BaseException as exc:
-                comm._abort_world()
-                comm._finish()
-                detail = f"{type(exc).__name__}: {exc}"
-                if not isinstance(exc, MpiError):
-                    detail += "\n" + traceback.format_exc()
-                reply = ("error", rank, epoch, detail)
-            finally:
-                comm._release_windows()
-            try:
-                conn.send(reply)
-            except Exception:  # pragma: no cover - master went away
-                return
-    finally:
-        for shm in (ctrl_shm, lane_shm, ring_shm):
-            _defuse(shm)
+    def handle(tag: str, payload: tuple) -> tuple[str, Any]:
+        fn, recv_timeout, window_prefix = payload
+        comm = ProcComm(
+            rank, size, ctrl, lane_hdr, lane_buf,
+            RingWriter(ring_counts, ring_buf, rank),
+            recv_timeout, window_prefix=window_prefix,
+        )
+        try:
+            result = fn(comm, rank)
+            comm._finish()
+            return "result", result
+        except _WorldAborted as exc:
+            comm._finish()
+            return "aborted", str(exc)
+        except BaseException as exc:
+            comm._abort_world()
+            comm._finish()
+            detail = f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, MpiError):
+                detail += "\n" + traceback.format_exc()
+            return "error", detail
+        finally:
+            comm._release_windows()
+
+    return handle
 
 
 # --------------------------------------------------------------------------
@@ -538,102 +510,38 @@ def _rank_serve(rank: int, conn, size: int, ctrl_name: str, lane_name: str,
 # --------------------------------------------------------------------------
 
 
-class MpiPool:
+class MpiPool(WorkerPool):
     """A persistent world of rank processes for one size."""
+
+    label = "mpi"
 
     def __init__(self, size: int):
         if size < 1:
             raise MpiError(f"world size must be >= 1, got {size}")
+        super().__init__("ezmpi_", size)
         self.size = size
-        self.prefix = f"ezmpi_{os.getpid()}_{os.urandom(3).hex()}_"
         self.lane_cap = lane_capacity()
         self.ring_cap = _RING_CAP
-        self._mp = _mp_context()
         nlanes = size * size
-        ctrl_shm = _alloc_block(
+        ctrl_shm = alloc_block(
             self.prefix + "ctrl_", 0,
             (_CTRL_HEAD + _REG_WORDS * size + size) * 8,
         )
-        self._ctrl_name = ctrl_shm.name
         self.ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size + size,),
                                dtype=np.int64, buffer=ctrl_shm.buf)
-        lane_shm = _alloc_block(
+        lane_shm = alloc_block(
             self.prefix + "lanes_", 0, nlanes * 16 + nlanes * self.lane_cap
         )
-        self._lane_name = lane_shm.name
         self.lane_hdr = np.ndarray((nlanes, 2), dtype=np.int64, buffer=lane_shm.buf)
-        ring_shm = _alloc_block(
+        ring_shm = alloc_block(
             self.prefix + "ring_", 0,
             size * self.ring_cap * RECORD_WIDTH * 8,
         )
-        self._ring_name = ring_shm.name
         self.ring_buf = np.ndarray((size, self.ring_cap, RECORD_WIDTH),
                                    dtype=np.float64, buffer=ring_shm.buf)
         self._ring_consumed = [0] * size
-        self.epoch = 0
-        self.broken = False
-        self.conns = []
-        self.procs = []
-        with _no_main_reimport():
-            for rank in range(size):
-                parent, child = self._mp.Pipe()
-                p = self._mp.Process(
-                    target=_rank_serve,
-                    args=(rank, child, size, self._ctrl_name, self._lane_name,
-                          self._ring_name, self.lane_cap, self.ring_cap),
-                    daemon=True,
-                    name=f"easypap-mpi-{rank}",
-                )
-                p.start()
-                child.close()
-                self.conns.append(parent)
-                self.procs.append(p)
-
-    # -- lifecycle ------------------------------------------------------------
-    def healthy(self) -> bool:
-        return not self.broken and all(p.is_alive() for p in self.procs)
-
-    def worker_pids(self) -> list[int]:
-        return [p.pid for p in self.procs]
-
-    def shutdown(self) -> None:
-        self.broken = True
-        for conn in self.conns:
-            try:
-                conn.send(("shutdown",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for p in self.procs:
-            p.join(timeout=max(deadline - time.monotonic(), 0.05))
-        for p in self.procs:
-            if p.is_alive():
-                p.terminate()
-        for p in self.procs:
-            p.join(timeout=1.0)
-            if p.is_alive():  # pragma: no cover
-                p.kill()
-                p.join(timeout=1.0)
-        for conn in self.conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for name in (self._ctrl_name, self._lane_name, self._ring_name):
-            _unlink_block(name)
-
-    def _fail(self, why: str) -> ExecutionError:
-        self.shutdown()
-        _MPI_POOLS.pop(self.size, None)
-        return ExecutionError(why)
-
-    def _drain_stale(self) -> None:
-        for conn in self.conns:
-            try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
+        self._spawn(_rank_worker, [ctrl_shm.name, lane_shm.name, ring_shm.name],
+                    size, self.lane_cap, self.ring_cap)
 
     # -- telemetry ------------------------------------------------------------
     def _drain_counters(self, bus) -> None:
@@ -673,17 +581,16 @@ class MpiPool:
         timeout = default_recv_timeout() if recv_timeout is None else recv_timeout
         if not self.healthy():
             raise self._fail("MPI rank pool is broken")
-        self.epoch += 1
-        epoch = self.epoch
         # quiescent reset: workers only touch lanes between "world" and
         # their reply, so zeroing here races with nothing
         self.ctrl[:] = 0
         self.lane_hdr[:] = 0
         self._ring_consumed = [0] * self.size
-        self._drain_stale()
         try:
-            for conn in self.conns:
-                conn.send(("world", epoch, fn, timeout, self.prefix))
+            # window names carry the epoch _dispatch is about to assign
+            epoch = self._dispatch(
+                "world", (fn, timeout, f"{self.prefix}e{self.epoch + 1}_")
+            )
         except (OSError, ValueError, BrokenPipeError) as exc:
             raise self._fail(f"MPI rank pool died at dispatch: {exc}") from None
         pending = set(range(self.size))
@@ -703,7 +610,7 @@ class MpiPool:
                 except (EOFError, OSError):
                     continue  # liveness check below handles the dead pipe
                 kind, r, ep = msg[0], msg[1], msg[2]
-                if ep != epoch or kind == "pong":
+                if ep != epoch:
                     continue
                 pending.discard(r)
                 if kind == "result":
@@ -745,33 +652,16 @@ class MpiPool:
         return results
 
 
-_MPI_POOLS: dict[int, MpiPool] = {}
+#: the persistent rank pool for a world size (respawned if broken)
+get_mpi_pool = MpiPool.get
 
-
-def get_mpi_pool(size: int) -> MpiPool:
-    """The persistent rank pool for a world size (respawned if broken)."""
-    register_cleanup(shutdown_mpi_pools)
-    pool = _MPI_POOLS.get(size)
-    if pool is not None and not pool.healthy():
-        pool.shutdown()
-        pool = None
-    if pool is None:
-        pool = MpiPool(size)
-        _MPI_POOLS[size] = pool
-    return pool
-
-
-def shutdown_mpi_pools() -> None:
-    """Stop every rank pool and unlink their shared blocks."""
-    for key in list(_MPI_POOLS):
-        _MPI_POOLS.pop(key).shutdown()
+#: stop every rank pool and unlink their shared blocks
+shutdown_mpi_pools = MpiPool.shutdown_all
 
 
 def live_mpi_blocks() -> list[str]:
     """Names of MPI-owned shared blocks still registered (leak tests)."""
-    from repro.omp.procs import _LIVE_BLOCKS
-
-    return [n for n in _LIVE_BLOCKS if n.startswith("ezmpi_")]
+    return [n for n in live_blocks() if n.startswith("ezmpi_")]
 
 
 def run_world_procs(

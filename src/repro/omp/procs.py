@@ -11,11 +11,9 @@ wall-clock Gantt charts.
 Architecture
 ------------
 ``SharedArena``
-    Allocates named ``multiprocessing.shared_memory`` blocks and tracks
-    them for deterministic cleanup (explicit ``release()``, plus a
-    process-exit finalizer so interrupted runs never leak ``/dev/shm``
-    segments — ``multiprocessing.util.Finalize`` also fires inside
-    sweep worker processes, where ``atexit`` does not run).
+    The named shared-memory blocks of one run, unlinked by an explicit
+    ``release()`` or, for an interrupted run, by the exit hook of
+    :mod:`repro.util.workerpool` that every pool block shares.
 
 ``SharedData``
     A ``dict`` for ``ctx.data`` that transparently mirrors every NumPy
@@ -33,8 +31,10 @@ Architecture
     method_name)`` against their own kernel registry and context.
 
 ``ProcPool``
-    One pool per team size, spawned once and reused across iterations,
-    runs and expTools sweep points.  Per region the master writes the
+    A :class:`~repro.util.workerpool.WorkerPool`: one pool per team
+    size, spawned once and reused across iterations, runs and expTools
+    sweep points; spawning, teardown, the worker loop and the registry
+    are shared with the MPI rank pool.  Per region the master writes the
     chunk table and item indices into shared blocks and sends one small
     dispatch message per worker — frames are **never** pickled.  Chunks
     are claimed through a shared int64 index array (one lock, one
@@ -52,19 +52,17 @@ Architecture
 
 Worker death (e.g. SIGKILL) is detected by liveness polling during
 collection and surfaces as a clean :class:`ExecutionError` after a
-bounded join; the pool is rebuilt on next use.
+bounded join; the pool is rebuilt on next use.  A worker exception —
+including a request the worker cannot unpickle — comes back as an
+error reply and leaves the worker serving.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import sys
 import time
-import traceback
-from contextlib import contextmanager
 from dataclasses import asdict
-from multiprocessing import shared_memory, util
 from typing import Any, Sequence
 
 import numpy as np
@@ -89,6 +87,14 @@ from repro.telemetry.ring import (
     drain_lane,
     ring_capacity,
 )
+from repro.util.workerpool import (
+    WorkerPool,
+    alloc_block,
+    attach_block,
+    defuse,
+    live_blocks,
+    unlink_block,
+)
 
 __all__ = [
     "SharedArena",
@@ -100,18 +106,10 @@ __all__ = [
     "procs_parallel_for",
     "new_session_id",
     "live_arena_blocks",
-    "register_cleanup",
 ]
 
-#: start method for pool workers; forkserver gives clean children that
-#: preload the framework once (cheap respawn), spawn is the fallback.
-START_METHODS = ("forkserver", "spawn")
-
 #: how long ``ensure_session`` waits for workers to come up / resync
-SETUP_TIMEOUT = float(os.environ.get("REPRO_PROCS_SETUP_TIMEOUT", "120"))
-
-#: optional wall-clock bound per region (0 = unbounded, liveness only)
-REGION_TIMEOUT = float(os.environ.get("REPRO_PROCS_TIMEOUT", "0"))
+SETUP_TIMEOUT = 120.0
 
 _SESSION_IDS = itertools.count(1)
 
@@ -122,101 +120,8 @@ def new_session_id() -> int:
 
 
 # --------------------------------------------------------------------------
-# Shared-memory bookkeeping
+# Shared-memory blocks
 # --------------------------------------------------------------------------
-
-#: every live master-side block, for the exit finalizer: name -> SharedMemory
-_LIVE_BLOCKS: dict[str, shared_memory.SharedMemory] = {}
-
-_EXIT_FINALIZER = None
-
-
-def _ensure_exit_finalizer() -> None:
-    # util.Finalize(None, ...) runs at interpreter exit in the main
-    # process *and* inside multiprocessing children (sweep workers),
-    # where plain atexit handlers never fire.
-    global _EXIT_FINALIZER
-    if _EXIT_FINALIZER is None:
-        _EXIT_FINALIZER = util.Finalize(None, _cleanup_at_exit, exitpriority=20)
-
-
-def _cleanup_at_exit() -> None:  # pragma: no cover - exercised via subprocess
-    shutdown_pools()
-    for fn in list(_EXTRA_CLEANUPS):
-        try:
-            fn()
-        except Exception:
-            pass
-    for name in list(_LIVE_BLOCKS):
-        _unlink_block(name)
-
-
-#: exit hooks of sibling subsystems sharing the finalizer (the MPI rank
-#: pool registers its shutdown here, so one Finalize covers everything)
-_EXTRA_CLEANUPS: list = []
-
-
-def register_cleanup(fn) -> None:
-    """Run ``fn`` at interpreter exit, after the procs pools stop but
-    before the live shared-memory blocks are swept."""
-    _ensure_exit_finalizer()
-    if fn not in _EXTRA_CLEANUPS:
-        _EXTRA_CLEANUPS.append(fn)
-
-
-def _alloc_block(prefix: str, seq: int, nbytes: int) -> shared_memory.SharedMemory:
-    _ensure_exit_finalizer()
-    shm = shared_memory.SharedMemory(
-        name=f"{prefix}{seq}", create=True, size=max(int(nbytes), 1)
-    )
-    _LIVE_BLOCKS[shm.name] = shm
-    return shm
-
-
-def _unlink_block(name: str) -> None:
-    shm = _LIVE_BLOCKS.pop(name, None)
-    if shm is None:
-        return
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-    _defuse(shm)
-
-
-def _defuse(shm: shared_memory.SharedMemory) -> None:
-    """Hand the mapping's lifetime over to the NumPy views.
-
-    ``SharedMemory.close()`` (also called by ``__del__``) unmaps
-    immediately: NumPy keeps only an object reference to the mmap
-    (``arr.base``), not an active buffer export, so a close under live
-    views turns every later access into a segfault.  Instead we close
-    the fd and null the object's handles — the mmap object then lives
-    exactly as long as the views referencing it, and the OS reclaims
-    the memory when the last one is garbage collected.
-    """
-    fd = getattr(shm, "_fd", -1)
-    if fd >= 0:
-        try:
-            os.close(fd)
-        except OSError:  # pragma: no cover
-            pass
-        shm._fd = -1
-    shm._mmap = None
-    shm._buf = None
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """No-op placeholder for the attach-side resource_tracker dance.
-
-    Python < 3.13 registers *attached* (not just created) blocks with the
-    resource tracker.  Pool workers share the master's tracker process
-    (the fd is inherited through forkserver/spawn), so the re-register is
-    a harmless set-dedup and must NOT be undone: an explicit
-    ``unregister`` here would erase the master's own registration and
-    break its unlink bookkeeping.  Kept as a hook (and documentation)
-    should a future start method give workers a private tracker.
-    """
 
 
 class SharedArena:
@@ -232,7 +137,7 @@ class SharedArena:
         """Allocate a zero-filled block; returns ``(name, ndarray view)``."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        shm = _alloc_block(self.prefix, self._seq, nbytes)
+        shm = alloc_block(self.prefix, self._seq, nbytes)
         self._seq += 1
         self._names.append(shm.name)
         return shm.name, np.ndarray(shape, dtype=dtype, buffer=shm.buf)
@@ -245,7 +150,7 @@ class SharedArena:
             return
         self.released = True
         for name in self._names:
-            _unlink_block(name)
+            unlink_block(name)
 
     def __enter__(self) -> "SharedArena":
         return self
@@ -256,7 +161,7 @@ class SharedArena:
 
 def live_arena_blocks() -> list[str]:
     """Names of not-yet-released arena blocks (leak tests)."""
-    return [n for n in _LIVE_BLOCKS if "_arena_" in n]
+    return [n for n in live_blocks() if "_arena_" in n]
 
 
 class SharedData(dict):
@@ -397,9 +302,7 @@ class _TrackingDict(dict):
 def _worker_view(state: dict, name: str, shape, dtype) -> np.ndarray:
     shm = state["shms"].get(name)
     if shm is None:
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        state["shms"][name] = shm
+        shm = state["shms"][name] = attach_block(name)
     return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
 
 
@@ -413,7 +316,7 @@ def _worker_setup(state: dict, setup: dict) -> None:
     # the mappings are reclaimed when those views are garbage collected
     state["shms"], old = {}, state.get("shms", {})
     for shm in old.values():
-        _defuse(shm)
+        defuse(shm)
     for path in setup["kernel_files"]:
         load_kernel_module(path)
     kwargs = dict(setup["config"])
@@ -568,95 +471,26 @@ def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -
     return {"n": nev, "values": reduce_values, "sets": data.sets, "bufs": bufs}
 
 
-def _worker_main(rank: int, conn, lock, ctrl_name: str, nworkers: int) -> None:
-    """Pool worker: serve setup/region messages until shutdown."""
+def _procs_worker(rank: int, bufs: list, lock, nworkers: int):
+    """The request handler of one pool worker: ``setup`` (re)builds the
+    shadow context, ``region`` runs this worker's share of a loop."""
     state: dict[str, Any] = {"shms": {}}
-    ctrl_shm = shared_memory.SharedMemory(name=ctrl_name)
-    _untrack(ctrl_shm)
     # layout: [queue cursor, steal count, per-worker deques (2 each),
     #          per-worker telemetry-ring write counts (1 each)]
-    ctrl = np.ndarray((2 + 3 * nworkers,), dtype=np.int64, buffer=ctrl_shm.buf)
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, KeyboardInterrupt):  # pragma: no cover
-                return
-            tag = msg[0]
-            if tag == "shutdown":
-                return
-            try:
-                if tag == "setup":
-                    _worker_setup(state, msg[1])
-                    conn.send(("ready", rank, msg[2]))
-                elif tag == "region":
-                    out = _worker_region(state, lock, ctrl, rank, nworkers, msg[1])
-                    conn.send(("done", rank, msg[2], out))
-                elif tag == "ping":
-                    conn.send(("pong", rank, msg[2]))
-            except Exception as exc:  # surface, do not die
-                detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-                try:
-                    conn.send(("error", rank, msg[2], detail))
-                except Exception:  # pragma: no cover - master went away
-                    return
-    finally:
-        _defuse(ctrl_shm)
+    ctrl = np.ndarray((2 + 3 * nworkers,), dtype=np.int64, buffer=bufs[0])
+
+    def handle(tag: str, payload: dict) -> tuple[str, Any]:
+        if tag == "setup":
+            _worker_setup(state, payload)
+            return "ready", None
+        return "done", _worker_region(state, lock, ctrl, rank, nworkers, payload)
+
+    return handle
 
 
 # --------------------------------------------------------------------------
 # Master side
 # --------------------------------------------------------------------------
-
-
-@contextmanager
-def _no_main_reimport():
-    """Spawn workers without re-importing the caller's ``__main__``.
-
-    forkserver/spawn children normally re-run the main module (that is
-    why multiprocessing demands the ``if __name__ == "__main__"`` guard
-    — an unguarded student script would recursively re-execute itself,
-    or crash outright when main is ``<stdin>``).  Our workers live
-    entirely in this importable module, so the re-import is pure risk
-    with no benefit: temporarily hiding ``__main__``'s ``__file__`` and
-    ``__spec__`` makes ``spawn.get_preparation_data`` skip it.
-    """
-    main = sys.modules.get("__main__")
-    sentinel = object()
-    saved_file = getattr(main, "__file__", sentinel)
-    saved_spec = getattr(main, "__spec__", sentinel)
-    try:
-        if main is not None:
-            if saved_file is not sentinel:
-                del main.__file__
-            main.__spec__ = None
-        yield
-    finally:
-        if main is not None:
-            if saved_file is not sentinel:
-                main.__file__ = saved_file
-            if saved_spec is not sentinel:
-                main.__spec__ = saved_spec
-
-
-def _mp_context():
-    import multiprocessing as mp
-
-    available = mp.get_all_start_methods()
-    for method in START_METHODS:
-        if method in available:
-            ctx = mp.get_context(method)
-            if method == "forkserver":
-                # preload the framework once in the fork server: workers
-                # then fork with repro + numpy already imported
-                try:
-                    ctx.set_forkserver_preload(["repro.omp.procs"])
-                except Exception:  # pragma: no cover
-                    pass
-            return ctx
-    raise ExecutionError(  # pragma: no cover - POSIX always has one
-        f"no usable multiprocessing start method among {START_METHODS}"
-    )
 
 
 class _GrowBlock:
@@ -673,20 +507,15 @@ class _GrowBlock:
         needed = int(np.prod(shape, dtype=np.int64)) * self.dtype.itemsize
         if self.arr is None or self.arr.nbytes < needed:
             if self.name is not None:
-                _unlink_block(self.name)
+                unlink_block(self.name)
             cap = max(needed, 1024)
-            shm = _alloc_block(f"{self.prefix}{self.tag}g{self._gen}_", 0, cap)
+            shm = alloc_block(f"{self.prefix}{self.tag}g{self._gen}_", 0, cap)
             self._gen += 1
             self.name = shm.name
             self.arr = np.ndarray((cap // self.dtype.itemsize,), dtype=self.dtype,
                                   buffer=shm.buf)
         flat = int(np.prod(shape, dtype=np.int64))
         return self.arr[:flat].reshape(shape)
-
-    def release(self) -> None:
-        if self.name is not None:
-            _unlink_block(self.name)
-            self.name, self.arr = None, None
 
 
 def _chunk_plan(policy: SchedulePolicy, n: int, nworkers: int) -> dict:
@@ -720,16 +549,15 @@ def _chunk_plan(policy: SchedulePolicy, n: int, nworkers: int) -> dict:
     raise ScheduleError(f"unsupported policy {policy!r}")  # pragma: no cover
 
 
-class ProcPool:
+class ProcPool(WorkerPool):
     """A persistent team of worker processes (one per virtual CPU)."""
 
+    label = "procs"
+
     def __init__(self, nworkers: int):
-        self.nworkers = nworkers
-        self.prefix = f"ezpap_pool_{os.getpid()}_{os.urandom(3).hex()}_"
-        self._mp = _mp_context()
+        super().__init__("ezpap_pool_", nworkers)
         self.lock = self._mp.Lock()
-        ctrl_shm = _alloc_block(self.prefix + "ctrl_", 0, (2 + 3 * nworkers) * 8)
-        self._ctrl_name = ctrl_shm.name
+        ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, (2 + 3 * nworkers) * 8)
         self.ctrl = np.ndarray((2 + 3 * nworkers,), dtype=np.int64, buffer=ctrl_shm.buf)
         self._chunks = _GrowBlock(self.prefix, "chunks_", np.int64)
         self._items = _GrowBlock(self.prefix, "items_", np.int64)
@@ -739,80 +567,12 @@ class ProcPool:
         self._ring = _GrowBlock(self.prefix, "ring_", np.float64)
         self._ring_consumed = [0] * nworkers
         self.session: int | None = None
-        self.epoch = 0
-        self.broken = False
-        self.conns = []
-        self.procs = []
-        with _no_main_reimport():
-            for rank in range(nworkers):
-                parent, child = self._mp.Pipe()
-                p = self._mp.Process(
-                    target=_worker_main,
-                    args=(rank, child, self.lock, self._ctrl_name, nworkers),
-                    daemon=True,
-                    name=f"easypap-procs-{rank}",
-                )
-                p.start()
-                child.close()
-                self.conns.append(parent)
-                self.procs.append(p)
-
-    # -- liveness / lifecycle -------------------------------------------------
-    def healthy(self) -> bool:
-        return not self.broken and all(p.is_alive() for p in self.procs)
-
-    def worker_pids(self) -> list[int]:
-        return [p.pid for p in self.procs]
-
-    def shutdown(self) -> None:
-        """Stop workers (bounded join, then terminate/kill) and unlink
-        every pool-scoped shared block."""
-        self.broken = True
-        for conn in self.conns:
-            try:
-                conn.send(("shutdown",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for p in self.procs:
-            p.join(timeout=max(deadline - time.monotonic(), 0.05))
-        for p in self.procs:
-            if p.is_alive():
-                p.terminate()
-        for p in self.procs:
-            p.join(timeout=1.0)
-            if p.is_alive():  # pragma: no cover - terminate() sufficed so far
-                p.kill()
-                p.join(timeout=1.0)
-        for conn in self.conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        _unlink_block(self._ctrl_name)
-        for block in (self._chunks, self._items, self._ring):
-            block.release()
-
-    def _fail(self, why: str) -> "ExecutionError":
-        self.shutdown()
-        _POOLS.pop(self.nworkers, None)
-        return ExecutionError(why)
-
-    # -- message plumbing -----------------------------------------------------
-    def _drain_stale(self) -> None:
-        """Drop replies from abandoned epochs (a timed-out or interrupted
-        region) so the next dispatch starts from a clean stream."""
-        for conn in self.conns:
-            try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
+        self._spawn(_procs_worker, [ctrl_shm.name], self.lock, nworkers)
 
     def _collect(self, want: str, epoch: int, timeout: float | None) -> list:
         """One reply of kind ``want``/``epoch`` per worker, with liveness
-        checks and a bounded wait; raises ExecutionError on dead workers,
-        worker exceptions, or timeout."""
+        checks and an optional bounded wait; raises ExecutionError on
+        dead workers, worker exceptions, or timeout."""
         pending = set(range(self.nworkers))
         replies: list = [None] * self.nworkers
         errors: list[str] = []
@@ -835,7 +595,7 @@ class ProcPool:
                     errors.append(f"worker {rank}: {msg[3]}")
                     pending.discard(rank)
                 elif msg[0] == want and msg[2] == epoch:
-                    replies[rank] = msg[3] if len(msg) > 3 else None
+                    replies[rank] = msg[3]
                     pending.discard(rank)
                 # anything else: stale reply from an abandoned epoch — drop
             if not progressed:
@@ -868,11 +628,7 @@ class ProcPool:
             "dim_y": ctx.dim_y,
             "kernel_files": loaded_kernel_files(),
         }
-        self.epoch += 1
-        self._drain_stale()
-        for conn in self.conns:
-            conn.send(("setup", setup, self.epoch))
-        self._collect("ready", self.epoch, SETUP_TIMEOUT)
+        self._collect("ready", self._dispatch("setup", setup), SETUP_TIMEOUT)
         self.session = ctx.procs_session
 
     def run_region(
@@ -935,7 +691,6 @@ class ProcPool:
                 self.ctrl[3 + 2 * rank] = t
 
         arrays, scalars = ctx.data.manifest()
-        self.epoch += 1
         msg = {
             "body": spec,
             "iteration": ctx.iteration,
@@ -955,11 +710,8 @@ class ProcPool:
             "steal_half": plan.get("steal_half", False),
             "reduce": reduce,
         }
-        self._drain_stale()
         t0 = time.perf_counter()
-        for conn in self.conns:
-            conn.send(("region", msg, self.epoch))
-        replies = self._collect("done", self.epoch, REGION_TIMEOUT or None)
+        replies = self._collect("done", self._dispatch("region", msg), None)
         elapsed = time.perf_counter() - t0
 
         total = sum(r["n"] for r in replies)
@@ -1027,30 +779,11 @@ class ProcPool:
         }
 
 
-# --------------------------------------------------------------------------
-# Pool registry
-# --------------------------------------------------------------------------
+#: the persistent pool for a team size (respawned if broken)
+get_pool = ProcPool.get
 
-_POOLS: dict[int, ProcPool] = {}
-
-
-def get_pool(nworkers: int) -> ProcPool:
-    """The persistent pool for a team size (respawned if broken)."""
-    _ensure_exit_finalizer()
-    pool = _POOLS.get(nworkers)
-    if pool is not None and not pool.healthy():
-        pool.shutdown()
-        pool = None
-    if pool is None:
-        pool = ProcPool(nworkers)
-        _POOLS[nworkers] = pool
-    return pool
-
-
-def shutdown_pools() -> None:
-    """Stop every pool and unlink their shared blocks (tests, atexit)."""
-    for key in list(_POOLS):
-        _POOLS.pop(key).shutdown()
+#: stop every procs pool and unlink their shared blocks (tests, exit)
+shutdown_pools = ProcPool.shutdown_all
 
 
 # --------------------------------------------------------------------------

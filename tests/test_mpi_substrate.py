@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -215,14 +217,6 @@ def test_big_messages_chunk_through_small_lanes(monkeypatch):
     assert out == [(1, 200_000), (0, 200_000)]
 
 
-def test_pool_is_persistent_across_worlds():
-    pool = get_mpi_pool(2)
-    pids = pool.worker_pids()
-    run_world_procs(2, _prog_barrier)
-    run_world_procs(2, _prog_allreduce)
-    assert get_mpi_pool(2).worker_pids() == pids
-
-
 # --------------------------------------------------------------------------
 # deadlock analysis against the process substrate
 # --------------------------------------------------------------------------
@@ -289,6 +283,19 @@ def test_sigkilled_rank_bounded_abort_no_leaks():
     # (other, healthy persistent pools may legitimately still be live)
     assert not [b for b in live_mpi_blocks() if b.startswith(pool.prefix)]
     # and the next world transparently respawns the pool
+    assert run_world_procs(2, _prog_allreduce) == [1, 1]
+
+
+def test_undecodable_world_function_is_an_error_not_a_dead_pool(monkeypatch):
+    # the master can pickle ghost.prog by reference, but its module exists
+    # only in the master's sys.modules: every rank fails to unpickle it
+    ghost = types.ModuleType("repro_ghost_world")
+    exec("def prog(comm, rank):\n    return rank\n", ghost.__dict__)
+    monkeypatch.setitem(sys.modules, ghost.__name__, ghost)
+    pids = get_mpi_pool(2).worker_pids()
+    with pytest.raises(MpiError, match="ModuleNotFoundError"):
+        run_world_procs(2, ghost.prog)
+    assert get_mpi_pool(2).worker_pids() == pids
     assert run_world_procs(2, _prog_allreduce) == [1, 1]
 
 

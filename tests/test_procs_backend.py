@@ -165,18 +165,9 @@ def test_sim_trace_meta_untouched():
 
 
 # --------------------------------------------------------------------------
-# Pool lifecycle: reuse, worker death, respawn
+# Worker death mid-region (reuse and respawn between runs are held for
+# both pool kinds in tests/test_worker_pool.py)
 # --------------------------------------------------------------------------
-
-
-def test_pool_persists_across_runs():
-    run_backend("procs", kernel="invert")
-    pool = procs_mod.get_pool(NW)
-    pids = pool.worker_pids()
-    run_backend("procs", kernel="mandel")
-    assert procs_mod.get_pool(NW) is pool
-    assert pool.worker_pids() == pids
-    assert pool.healthy()
 
 
 def test_sigkill_mid_region_raises_clean_execution_error():
@@ -213,19 +204,6 @@ def test_sigkill_mid_region_raises_clean_execution_error():
     res = run_backend("procs", kernel="invert", iterations=1)
     assert res.completed_iterations == 1
     assert procs_mod.get_pool(NW).worker_pids() != old_pids
-
-
-def test_pool_respawned_after_worker_death_between_runs():
-    run_backend("procs", kernel="invert", iterations=1)
-    pool = procs_mod.get_pool(NW)
-    os.kill(pool.worker_pids()[-1], signal.SIGKILL)
-    deadline = time.monotonic() + 10.0
-    while pool.healthy() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not pool.healthy()
-    res = run_backend("procs", kernel="invert", iterations=1)
-    assert res.completed_iterations == 1
-    assert procs_mod.get_pool(NW).healthy()
 
 
 # --------------------------------------------------------------------------
