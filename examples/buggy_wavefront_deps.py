@@ -67,9 +67,11 @@ class BuggyWavefrontKernel(HeatKernel):
         return 0
 
 
-# Structured ground truth about the seeded bug, consumed by both the
-# dynamic race sweep (``python -m repro.analyze --load ...``) and the
-# static-check CI matrix (``python -m repro.staticcheck ... --expect``).
+# Structured ground truth about the seeded bug, read by one matcher
+# (``repro.staticcheck.expectation_problems``): the variant sweep
+# (``python -m repro.analyze --load ...``) checks the static race and a
+# dynamic race on the buffer, ``python -m repro.staticcheck ... --expect``
+# the static fields alone.
 # Keys are (kernel, variant); variants not listed here (the ones
 # inherited unchanged from HeatKernel) must NOT be flagged.
 EXPECTED_VERDICTS = {

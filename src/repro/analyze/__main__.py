@@ -1,14 +1,15 @@
-"""``python -m repro.analyze`` — lint every built-in kernel variant.
+"""``python -m repro.analyze`` — one verdict for every kernel variant.
 
-The CI gate: runs the static + dynamic lint (including the race
-detector) over each registered kernel/variant at a small deterministic
-size, and exits nonzero if any *error*-level finding shows up.  Built-in
-variants must come out clean.  The seeded-buggy examples under
-``examples/`` can join the sweep via ``--load``: their
-``EXPECTED_VERDICTS`` annotations flip the polarity, so an annotated
-variant *must* produce a matching error finding (the seeded bug is
-confirmed) and then counts as OK, while a missing detection fails the
-sweep.
+The CI gate: gives each registered kernel/variant its verdict
+(:func:`repro.analyze.lint.lint_variant`: the static proof, a traced
+run at a small deterministic size, and cross-validation) and exits
+nonzero if any *error*-level finding shows up.  Built-in variants must
+come out clean.  The seeded-buggy examples under ``examples/`` can join
+the sweep via ``--load``: their ``EXPECTED_VERDICTS`` annotations flip
+the polarity, so an annotated variant *must* match its annotation — the
+static race (kind, buffer, construct, lines, advice) and a dynamic
+error naming the buffer — and then counts as a confirmed seeded bug,
+while any mismatch fails the sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from repro.analyze.lint import lint_variant
 from repro.core.kernel import get_kernel, list_kernels, load_kernel_module
 from repro.errors import EasypapError, UnknownKernelError
+from repro.staticcheck import expectation_problems, expected_verdicts
 
 #: variants that need an MPI world, with the process count to use
 MPI_VARIANTS = {"mpi_omp": 2, "mpi_2d": 4}
@@ -49,25 +51,16 @@ def sweep(
             nchecked += 1
             nwarnings += len(result.warnings)
             exp = expected.get((kname, vname))
-            if exp and exp.get("verdict") == "race":
-                buf = exp.get("buffer", "")
-                matched = [
-                    f for f in result.errors
-                    if not buf or f"'{buf}'" in f.message
-                ]
-                if matched:
+            if exp and exp.get("verdict", "race") == "race":
+                dynamic = [f.message for f in result.errors if f.check == "race"]
+                problems = expectation_problems(exp, result.static, dynamic)
+                nerrors += len(problems)
+                for problem in problems:
+                    print(problem)
+                if not problems:
                     nconfirmed += 1
                     if verbose:
-                        print(
-                            f"{kname}/{vname}: seeded bug confirmed "
-                            f"({len(matched)} matching error finding(s))"
-                        )
-                else:
-                    nerrors += 1
-                    print(
-                        f"{kname}/{vname}: EXPECTED_VERDICTS announces a race "
-                        f"on buffer {buf!r}, but the dynamic sweep found none"
-                    )
+                        print(f"{kname}/{vname}: seeded bug confirmed")
                 continue
             nerrors += len(result.errors)
             if verbose or not result.clean:
@@ -83,7 +76,7 @@ def sweep(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
-        description="lint + race-check built-in kernel variants",
+        description="one verdict (static proof + traced run) per kernel variant",
     )
     parser.add_argument("-k", "--kernel", action="append", help="restrict to kernel(s)")
     parser.add_argument("-s", "--size", type=int, default=64, help="image size")
@@ -95,17 +88,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
-    expected: dict = {}
-    for path in args.load:
-        try:
-            module = load_kernel_module(path)
-        except EasypapError as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-        expected.update(getattr(module, "EXPECTED_VERDICTS", {}) or {})
+    try:
+        modules = [load_kernel_module(path) for path in args.load]
+    except EasypapError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     return sweep(
         args.kernel, dim=args.size, tile=args.tile, verbose=args.verbose,
-        expected=expected,
+        expected=expected_verdicts(modules),
     )
 
 

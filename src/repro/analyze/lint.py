@@ -1,32 +1,33 @@
-"""Kernel-variant lint: parallel-correctness checks beyond races.
+"""One verdict per kernel variant: the static proof, confirmed by a run.
 
-``lint_variant`` drives a *short* instrumented run (two iterations at a
-small size — not the kernel's real workload) and checks:
+:func:`lint_results` gives each variant its verdict in three steps:
 
-* **tile-partition completeness/disjointness** — within one region, the
-  tiles processed must not overlap (disjointness is an error: the same
-  pixels computed twice) and, unless the variant is declared lazy,
-  must cover the whole image (a gap is a warning: pixels never
-  computed);
-* **double-buffer discipline** — a variant whose tasks write a buffer
-  that concurrent tasks of the same region read (the classic "wrote
-  ``cur`` instead of ``next``" bug) — derived from the race detector's
-  read-write conflicts;
-* **shared-accumulator misuse** — a purely static AST pass over the
-  variant's source: a ``parallel_for`` body that mutates a captured
-  variable (``nonlocal``/``global`` declarations, augmented assignment
-  to a free name) races in real OpenMP; the fix is
-  ``ctx.parallel_reduce``.
+1. **static proof** — :func:`repro.staticcheck.check_variant`, the only
+   source-level pass: symbolic footprints, proven races, and the
+   eligibility findings (shared state mutated from a parallel region is
+   an error);
+2. **traced run** — a short instrumented run (two iterations at a small
+   size, not the kernel's real workload) with footprints always
+   recorded, checked for
 
-Race reports themselves are folded in as error findings, so one lint
-call gives the complete verdict for a variant.
+   * *tile-partition completeness/disjointness* — within one region,
+     the tiles processed must not overlap (an error: the same pixels
+     computed twice) and, unless the variant is declared lazy, must
+     cover the whole image (a gap is a warning);
+   * *happens-before races* (:mod:`repro.analyze.races`), each an error;
+   * *double-buffer discipline* — tasks writing a buffer that concurrent
+     tasks of the same region read (the "wrote ``cur`` instead of
+     ``next``" bug), derived from the read-write races;
+3. **cross-validation** — :func:`repro.staticcheck.cross_validate` on
+   each rank's trace: a dynamic access outside the static envelope is
+   an error.
+
+The verdict is ``race`` if any step found an error, otherwise the
+static verdict (``clean`` or ``unknown``).
 """
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.analyze.footprint import tasks_by_region
 from repro.analyze.races import RaceCheckResult, check_races
 from repro.core.config import RunConfig
 from repro.core.kernel import Kernel, get_kernel
+from repro.staticcheck import Finding, VariantReport, check_variant, cross_validate
 from repro.trace.events import Trace
 
 __all__ = [
@@ -42,31 +44,21 @@ __all__ = [
     "LintResult",
     "lint_variant",
     "lint_results",
-    "lint_trace",
-    "static_findings",
 ]
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint diagnostic."""
-
-    level: str  # "error" | "warning"
-    check: str  # e.g. "partition-overlap", "double-buffer", "race"
-    message: str
-
-    def describe(self) -> str:
-        return f"[{self.level}] {self.check}: {self.message}"
 
 
 @dataclass
 class LintResult:
-    """All findings for one kernel variant."""
+    """The verdict for one kernel variant and the findings behind it."""
 
     kernel: str
     variant: str
+    static: VariantReport
     findings: list[Finding] = field(default_factory=list)
     race_results: list[RaceCheckResult] = field(default_factory=list)
+    #: one line per traced rank and step: the race and cross-validation
+    #: summaries
+    summaries: list[str] = field(default_factory=list)
 
     @property
     def errors(self) -> list[Finding]:
@@ -80,13 +72,19 @@ class LintResult:
     def clean(self) -> bool:
         return not self.findings
 
+    @property
+    def verdict(self) -> str:
+        return "race" if self.errors else self.static.verdict
+
     def describe(self) -> str:
-        head = f"{self.kernel}/{self.variant}: "
-        if self.clean:
-            return head + "ok"
-        return head + f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)\n" + "\n".join(
-            "  " + f.describe() for f in self.findings
+        status = "ok" if self.clean else (
+            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
         )
+        out = [f"{self.kernel}/{self.variant}: {status} (verdict: {self.verdict})"]
+        out.extend(f"  static: unknown — {reason}" for reason in self.static.unknowns)
+        out.extend("  " + line for line in self.summaries)
+        out.extend("  " + f.describe() for f in self.findings)
+        return "\n".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -187,99 +185,6 @@ def race_findings(rr: RaceCheckResult) -> list[Finding]:
     return findings
 
 
-def lint_trace(trace: Trace, *, lazy: bool = False) -> list[Finding]:
-    """Dynamic lint of one recorded trace (partition + races)."""
-    rr = check_races(trace)
-    return partition_findings(trace, lazy=lazy) + race_findings(rr)
-
-
-# --------------------------------------------------------------------------
-# Static checks (over the variant's AST)
-# --------------------------------------------------------------------------
-
-
-def static_findings(kernel: Kernel, variant_name: str) -> list[Finding]:
-    """AST pass over the variant's source: shared-accumulator misuse."""
-    fn = kernel.variants.get(variant_name)
-    if fn is None:
-        return []
-    try:
-        src = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(src)
-    except (OSError, TypeError, SyntaxError):
-        return []
-    func = tree.body[0]
-    if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return []
-    nested = {
-        n.name: n for n in ast.walk(func) if isinstance(n, ast.FunctionDef)
-    }
-    findings: list[Finding] = []
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("parallel_for", "parallel_reduce")
-        ):
-            continue
-        construct = node.func.attr
-        for arg in node.args[:1]:
-            body = None
-            if isinstance(arg, ast.Lambda):
-                body = arg
-            elif isinstance(arg, ast.Name):
-                body = nested.get(arg.id)
-            if body is not None:
-                findings.extend(
-                    _accumulator_findings(body, construct, variant_name)
-                )
-    return findings
-
-
-def _accumulator_findings(
-    body: ast.Lambda | ast.FunctionDef, construct: str, variant_name: str
-) -> list[Finding]:
-    bound = {a.arg for a in body.args.args}
-    bound |= {a.arg for a in body.args.kwonlyargs}
-    # names assigned inside the body are locals, not captured state
-    for n in ast.walk(body):
-        if isinstance(n, ast.Assign):
-            for t in n.targets:
-                if isinstance(t, ast.Name):
-                    bound.add(t.id)
-        elif isinstance(n, (ast.For, ast.comprehension)):
-            t = n.target
-            if isinstance(t, ast.Name):
-                bound.add(t.id)
-    findings = []
-    for n in ast.walk(body):
-        shared = None
-        if isinstance(n, (ast.Nonlocal, ast.Global)):
-            shared = ", ".join(n.names)
-        elif (
-            isinstance(n, ast.AugAssign)
-            and isinstance(n.target, ast.Name)
-            and n.target.id not in bound
-        ):
-            shared = n.target.id
-        if shared is None:
-            continue
-        if construct == "parallel_for":
-            msg = (
-                f"variant {variant_name!r}: the parallel_for body mutates "
-                f"the shared variable(s) {shared} — in OpenMP this is a data "
-                "race; accumulate with ctx.parallel_reduce instead"
-            )
-        else:
-            msg = (
-                f"variant {variant_name!r}: the parallel_reduce body mutates "
-                f"the shared variable(s) {shared} — reduction bodies must "
-                "return their value, not mutate captured state"
-            )
-        findings.append(Finding("error", "shared-accumulator", msg))
-    return findings
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -291,19 +196,33 @@ def lint_results(
     results,
     *,
     mpi_np: int = 0,
+    static: VariantReport | None = None,
 ) -> LintResult:
-    """Lint already-recorded run results (one per traced rank): the AST
-    pass plus the dynamic partition + race checks on each trace."""
-    result = LintResult(kernel=kernel.name, variant=variant_name)
-    result.findings.extend(static_findings(kernel, variant_name))
+    """The verdict over already-recorded run results (one per traced
+    rank): the static proof (``static``, computed here when not given),
+    then the partition, race and cross-validation checks on each trace."""
+    if static is None:
+        static = check_variant(kernel, variant_name)
+    result = LintResult(kernel=kernel.name, variant=variant_name, static=static)
+    result.findings.extend(
+        Finding("error", "static-race", race.describe()) for race in static.races
+    )
+    result.findings.extend(f for f in static.findings if f.level != "info")
     lazy = variant_name in kernel.lazy_variants or mpi_np > 0
     for r in results:
         if r.trace is None:
             continue
+        prefix = f"[{r.trace.meta.label}] " if mpi_np else ""
         result.findings.extend(partition_findings(r.trace, lazy=lazy))
         rr = check_races(r.trace)
         result.race_results.append(rr)
         result.findings.extend(race_findings(rr))
+        cv = cross_validate(static, r.trace)
+        result.findings.extend(
+            Finding("error", "crossval", v.describe()) for v in cv.violations
+        )
+        result.summaries.append(prefix + rr.describe().splitlines()[0].rstrip(":"))
+        result.summaries.append(prefix + cv.describe().splitlines()[0])
     return result
 
 
@@ -321,7 +240,7 @@ def lint_variant(
     seed: int | None = 42,
     model=None,
 ) -> LintResult:
-    """Full lint of one variant: a short instrumented run + AST pass.
+    """The verdict of one variant: static proof + a short traced run.
 
     MPI variants run with every rank traced (``--debug M``) and each
     rank's trace is analyzed; gap warnings are suppressed because a rank

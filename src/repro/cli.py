@@ -153,22 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", action="append", default=[], metavar="FILE",
                    help="Python file registering extra kernels (repeatable)")
     p.add_argument("--check-races", action="store_true",
-                   help="record footprints and run the happens-before race "
-                   "detector on the run (exit 1 if races are found)")
-    p.add_argument("--lint", action="store_true",
-                   help="full parallel-correctness lint: races + tile "
-                   "partition + double-buffer + shared-accumulator checks")
-    p.add_argument("--static-check", action="store_true",
-                   help="AST-based static analysis of the selected variant "
-                   "(race proof, backend eligibility, inferred halos) "
-                   "without executing it; alone, exits after the report "
-                   "(1 on a race verdict) — with --check-races, a race "
-                   "fails fast and a clean verdict skips dynamic footprint "
-                   "recording")
-    p.add_argument("--strict-races", action="store_true",
-                   help="fail (exit 1) when the race verdict is based on a "
-                   "lossy ring (telemetry events were dropped); implies "
-                   "--check-races")
+                   help="one verdict for the variant: the static proof first "
+                   "(a proven race exits 1 without running the kernel), then "
+                   "a traced run checked for races, tile partition, "
+                   "double-buffer discipline and the static envelope; exit 1 "
+                   "on any error or if the telemetry ring dropped events")
     return p
 
 
@@ -227,41 +216,24 @@ def config_from_args(args: argparse.Namespace, env: dict | None = None) -> RunCo
     )
 
 
-def _run_analysis(args, config, result, static_clean: bool = False) -> int:
-    """The ``--check-races`` / ``--lint`` report over a finished run."""
-    from repro.analyze import check_races, lint_results
+def _run_analysis(config, result, static_report) -> int:
+    """The ``--check-races`` verdict over a finished run."""
+    from repro.analyze import lint_results
 
-    kernel = get_kernel(config.kernel)
     results = [
         r for r in (result.rank_results or [result]) if r.trace is not None
     ]
-    status = 0
-    if args.lint:
-        lr = lint_results(kernel, config.variant, results, mpi_np=config.mpi_np)
-        print(lr.describe())
-        if lr.errors:
-            status = 1
-    elif static_clean:
-        print("race check: statically proven clean — dynamic footprint "
-              "recording was skipped (static envelope trusted)")
-    else:
-        for r in results:
-            if r.dropped_events:
-                print(
-                    f"easypap: warning: {r.dropped_events} telemetry event(s) "
-                    "dropped by the ring buffer — the race verdict may be "
-                    f"incomplete (raise ${RING_CAP_ENV})",
-                    file=sys.stderr,
-                )
-            rr = check_races(r.trace)
-            prefix = f"[{r.trace.meta.label}] " if config.mpi_np else ""
-            print(prefix + rr.describe())
-            if not rr.clean:
-                status = 1
-    if args.strict_races and any(r.dropped_events for r in results):
+    lr = lint_results(
+        get_kernel(config.kernel), config.variant, results,
+        mpi_np=config.mpi_np, static=static_report,
+    )
+    print(lr.describe())
+    status = 1 if lr.errors else 0
+    dropped = sum(r.dropped_events for r in results)
+    if dropped:
         print(
-            "easypap: --strict-races: refusing the verdict — the telemetry "
-            "ring dropped events, so the happens-before analysis is "
+            f"easypap: refusing the verdict — the telemetry ring dropped "
+            f"{dropped} event(s), so the happens-before analysis is "
             f"incomplete (raise ${RING_CAP_ENV})",
             file=sys.stderr,
         )
@@ -289,11 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except EasypapError as exc:
         print(f"easypap: {exc}", file=sys.stderr)
         return 2
-    if args.strict_races:
-        args.check_races = True
 
     static_report = None
-    if args.static_check:
+    if args.check_races:
         from repro.staticcheck import check_variant
 
         try:
@@ -301,36 +271,19 @@ def main(argv: list[str] | None = None) -> int:
         except EasypapError as exc:
             print(f"easypap: {exc}", file=sys.stderr)
             return 2
-        print(static_report.describe())
-        for line in static_report.footprint_lines():
-            print(f"  {line}")
         if static_report.verdict == "race":
+            print(static_report.describe())
             print(
                 "easypap: static race verdict — the kernel was not executed",
                 file=sys.stderr,
             )
             return 1
-        if not (args.check_races or args.lint):
-            return 0  # static-only mode: report and stop, no execution
-
-    # a clean static verdict is a trusted input to the dynamic analysis:
-    # the race detector can skip footprint recording entirely (the
-    # static envelope already proved the accesses disjoint); ``unknown``
-    # falls through to the full dynamic path
-    static_clean = (
-        static_report is not None
-        and static_report.verdict == "clean"
-        and not args.lint
-    )
-    if args.check_races or args.lint:
-        # the analyses need every rank traced with footprints attached
+        # the dynamic half needs every rank traced with footprints attached
         debug = config.debug
         if config.mpi_np and "M" not in debug:
             debug += "M"
         try:
-            config = config.with_(
-                trace=True, footprints=not static_clean, debug=debug
-            )
+            config = config.with_(trace=True, footprints=True, debug=debug)
         except EasypapError as exc:
             print(f"easypap: {exc}", file=sys.stderr)
             return 2
@@ -356,15 +309,13 @@ def main(argv: list[str] | None = None) -> int:
     if result.early_stop:
         print(f"stabilized at iteration {result.early_stop}")
 
-    if static_report is not None:
-        result.counters["staticcheck_ms"] = round(static_report.elapsed_ms, 3)
-
     # races make the run fail (exit 1) but only after the remaining
     # outputs (trace, dumps, CSV) are produced — the trace is what
     # easyview --races replays
     analysis_status = 0
-    if args.check_races or args.lint:
-        analysis_status = _run_analysis(args, config, result, static_clean)
+    if static_report is not None:
+        result.counters["staticcheck_ms"] = round(static_report.elapsed_ms, 3)
+        analysis_status = _run_analysis(config, result, static_report)
 
     if args.check and config.variant != "seq":
         # students' safety net: replay the run with the reference variant

@@ -245,8 +245,9 @@ class HeatKernel(Kernel):
                     temp[y0 : y0 + h, x0 - 1] = ghost
                 else:
                     temp[y0 : y0 + h, x0 + w] = ghost
-            ctx.data["max_delta"] = 0.0
-            ctx.parallel_for(ctx.body(self.do_tile), tiles)
+            _, ctx.data["max_delta"] = ctx.parallel_reduce(
+                ctx.body(self.do_tile_delta), tiles, combine=max, init=0.0
+            )
             ctx.data["temp"], ctx.data["next"] = ctx.data["next"], ctx.data["temp"]
             temp = ctx.data["temp"]
             global_delta = comm.allreduce(ctx.data["max_delta"], op=max)

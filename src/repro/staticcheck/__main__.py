@@ -23,7 +23,11 @@ from pathlib import Path
 
 from repro.core.kernel import Kernel, get_kernel, list_kernels, load_kernel_module
 from repro.errors import EasypapError
-from repro.staticcheck.check import check_kernels
+from repro.staticcheck.check import (
+    check_kernels,
+    expectation_problems,
+    expected_verdicts,
+)
 from repro.staticcheck.crossval import cross_validate
 from repro.trace.format import load_trace
 
@@ -99,67 +103,22 @@ def _resolve_targets(targets):
     return kernels, modules
 
 
-def _expectations(modules) -> dict:
-    expected = {}
-    for module in modules:
-        expected.update(getattr(module, "EXPECTED_VERDICTS", {}) or {})
-    return expected
-
-
-def check_expectations(report, expected: dict, annotated_kernels: set) -> list:
-    """Compare a StaticCheckReport against EXPECTED_VERDICTS annotations.
-
-    Returns a list of human-readable problems (empty = all matched)."""
+def check_expectations(report, expected: dict) -> list:
+    """Compare a StaticCheckReport against ``EXPECTED_VERDICTS``
+    annotations.  Variants of an annotated kernel that carry no
+    annotation must not be races.  Returns a list of human-readable
+    problems (empty = all matched)."""
+    annotated = {k for (k, _v) in expected}
     problems = []
-    for (kname, vname), exp in expected.items():
-        vr = report.find(kname, vname)
-        if vr is None:
-            continue  # variant not part of this run
-        want = exp.get("verdict", "race")
-        if vr.verdict != want:
-            problems.append(
-                f"{kname}/{vname}: expected verdict {want!r}, got {vr.verdict!r}"
-            )
-            continue
-        if want != "race":
-            continue
-        match = None
-        for race in vr.races:
-            if exp.get("kind") and race.kind != exp["kind"]:
-                continue
-            if exp.get("buffer") and race.buf != exp["buffer"]:
-                continue
-            if exp.get("construct") and race.construct != exp["construct"]:
-                continue
-            match = race
-            break
-        if match is None:
-            problems.append(
-                f"{kname}/{vname}: no {exp.get('kind', 'any')} race on buffer "
-                f"{exp.get('buffer')!r} was reported"
-            )
-            continue
-        want_lines = set(exp.get("lines", []))
-        got_lines = set()
-        for race in vr.races:
-            got_lines.update(race.lines)
-        if want_lines and not want_lines <= got_lines:
-            problems.append(
-                f"{kname}/{vname}: expected conflicting lines "
-                f"{sorted(want_lines)}, reported {sorted(got_lines)}"
-            )
-        advice = exp.get("advice")
-        if advice and not any(advice in race.advice for race in vr.races):
-            problems.append(
-                f"{kname}/{vname}: advice does not mention {advice!r}"
-            )
     for vr in report.reports:
-        if vr.verdict == "race" and (vr.kernel, vr.variant) not in expected:
-            if vr.kernel in annotated_kernels:
-                problems.append(
-                    f"{vr.kernel}/{vr.variant}: unexpected race verdict "
-                    "(no EXPECTED_VERDICTS annotation)"
-                )
+        exp = expected.get((vr.kernel, vr.variant))
+        if exp is not None:
+            problems.extend(expectation_problems(exp, vr))
+        elif vr.verdict == "race" and vr.kernel in annotated:
+            problems.append(
+                f"{vr.name}: unexpected race verdict (no EXPECTED_VERDICTS "
+                "annotation)"
+            )
     return problems
 
 
@@ -222,9 +181,8 @@ def main(argv=None) -> int:
             status = 1
 
     if args.expect:
-        expected = _expectations(modules)
-        annotated = {k for (k, _v) in expected}
-        problems = check_expectations(report, expected, annotated)
+        expected = expected_verdicts(modules)
+        problems = check_expectations(report, expected)
         for problem in problems:
             print(f"staticcheck: expectation mismatch: {problem}",
                   file=sys.stderr)

@@ -1,15 +1,17 @@
 """Static-vs-dynamic footprint cross-validation.
 
 The static envelope is only trustworthy if every access the runtime
-*actually performs* falls inside it — this is the contract that lets
-``repro.analyze`` skip dynamic footprint recording when the static
-verdict is ``clean``.  :func:`cross_validate` replays a recorded trace
-against a variant's symbolic footprints: each dynamic footprint region
-is substituted into the tile symbols (``TX = event.x`` ...) and must be
-contained in at least one static rectangle of the same buffer and
-access mode.  Unknown (TOP) static bounds contain everything — an
-unmodeled region constrains nothing, so the check can fail only where
-the analyzer claimed knowledge.
+*actually performs* falls inside it — the third step of the variant
+verdict in :mod:`repro.analyze.lint`, where a violation is an error.
+:func:`cross_validate` replays a recorded trace against a variant's
+symbolic footprints: each dynamic footprint region is substituted into
+the tile symbols (``TX = event.x`` ...) and must be contained in at
+least one static rectangle of the same buffer and access mode.
+Unknown (TOP) static bounds contain everything — an unmodeled region
+constrains nothing, so the check can fail only where the analyzer
+claimed knowledge.  The analyzer has no z axis: a 3D footprint
+``(buf, x, y, w, h, z, d)`` is checked through its ``(x, y, w, h)``
+projection.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def cross_validate(report, trace) -> CrossValResult:
                 for fp in region.footprints
                 for rect in fp.rects(mode)
             ]
-            for buf, x, y, w, h in dyn:
+            for buf, x, y, w, h, *_depth in dyn:
                 result.regions_checked += 1
                 rects = [s for s in static_rects if s.buf == buf]
                 if any(s.contains_numeric(x, y, w, h, env) for s in rects):

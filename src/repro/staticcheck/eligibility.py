@@ -1,7 +1,12 @@
 """Backend-eligibility lint over extracted regions.
 
-These findings do not change the race verdict — they flag patterns
-that break or degrade specific backends before any run:
+These findings flag patterns that break or degrade specific backends
+before any run.  Two of them are *errors* inside a parallel region
+(``par``, ``reduce`` or ``dag``) and make the verdict ``race``: a lost
+update on shared state is a data race in real OpenMP even though the
+``sim`` backend, running tile bodies one after another, never shows it.
+The others are warnings or info and leave the verdict alone (see the
+severity table in ``docs/staticcheck.md``):
 
 ``procs-body``
     a worksharing body is an inline closure; the procs pool needs a
@@ -14,10 +19,11 @@ that break or degrade specific backends before any run:
     a tile body mutates ``self`` — per-process kernel instances in the
     procs backend diverge silently, and threads race on the shared one.
 ``captured-state``
-    ``global`` / ``nonlocal`` mutation from a tile body.
+    ``global`` / ``nonlocal`` mutation from a tile body (an error in a
+    parallel region, a warning in a sequential one).
 ``shared-accumulator``
-    read-modify-write of a ``ctx.data`` scalar inside a parallel
-    region; express it as a ``ctx.parallel_reduce`` instead.
+    (error) read-modify-write of a ``ctx.data`` scalar inside a
+    parallel region; express it as a ``ctx.parallel_reduce`` instead.
 ``scalar-merge``
     (info) a plain scalar store in a parallel region — valid under the
     documented procs merge contract *only* when idempotent.
@@ -34,15 +40,17 @@ from dataclasses import dataclass
 from repro.staticcheck.extract import RegionModel
 from repro.staticcheck.sym import always_ge
 
-__all__ = ["StaticFinding", "eligibility_findings"]
+__all__ = ["Finding", "eligibility_findings"]
 
 
 @dataclass(frozen=True)
-class StaticFinding:
-    level: str       # "warning" | "info"
-    check: str
+class Finding:
+    """One diagnostic, static or dynamic (``repro.analyze`` reuses it)."""
+
+    level: str       # "error" | "warning" | "info"
+    check: str       # e.g. "captured-state", "race", "partition-overlap"
     message: str
-    line: int = 0
+    line: int = 0    # source line, 0 when the finding has none
 
     def describe(self) -> str:
         return f"[{self.level}] {self.check}: {self.message}"
@@ -61,7 +69,7 @@ def _frame_alias(region: RegionModel, fp) -> list:
             inside = (always_ge(r.x0, w.x0) and always_ge(r.y0, w.y0)
                       and always_ge(w.x1, r.x1) and always_ge(w.y1, r.y1))
             if not inside:
-                out.append(StaticFinding(
+                out.append(Finding(
                     "warning", "fastpath-alias",
                     f"frame= region reads {r.describe()} beyond its own "
                     f"write {w.describe()} on the same buffer — the "
@@ -76,7 +84,7 @@ def eligibility_findings(regions: list) -> list:
     findings: list = []
     seen = set()
 
-    def add(f: StaticFinding):
+    def add(f: Finding):
         key = (f.check, f.message)
         if key not in seen:
             seen.add(key)
@@ -87,7 +95,7 @@ def eligibility_findings(regions: list) -> list:
         bodies = list(region.bodies) + [t.body for t in region.tasks if t.body]
         for body, fp in zip(bodies, region.footprints):
             if parallel and body.is_lambda and region.construct in ("par", "reduce"):
-                add(StaticFinding(
+                add(Finding(
                     "warning", "procs-body",
                     f"{region.construct} body at line {body.line} is an inline "
                     "closure; the procs backend needs a picklable "
@@ -95,14 +103,14 @@ def eligibility_findings(regions: list) -> list:
                     line=body.line,
                 ))
             for what, line in fp.nondet:
-                add(StaticFinding(
+                add(Finding(
                     "warning", "nondeterminism",
                     f"{what}() called in a tile body (line {line}) makes the "
                     "result schedule-dependent; use the seeded RNG utilities",
                     line=line,
                 ))
             for line in fp.self_stores:
-                add(StaticFinding(
+                add(Finding(
                     "warning", "kernel-state",
                     f"tile body mutates self at line {line}; kernel instances "
                     "are shared across threads and duplicated across procs "
@@ -110,8 +118,8 @@ def eligibility_findings(regions: list) -> list:
                     line=line,
                 ))
             for name, line in fp.captured:
-                add(StaticFinding(
-                    "warning", "captured-state",
+                add(Finding(
+                    "error" if parallel else "warning", "captured-state",
                     f"tile body mutates captured variable {name!r} at line "
                     f"{line}; use ctx.parallel_reduce or ctx.data",
                     line=line,
@@ -119,15 +127,15 @@ def eligibility_findings(regions: list) -> list:
             if parallel:
                 for key, rmw, line in fp.data_stores:
                     if rmw:
-                        add(StaticFinding(
-                            "warning", "shared-accumulator",
+                        add(Finding(
+                            "error", "shared-accumulator",
                             f"ctx.data[{key!r}] is read-modify-written at line "
                             f"{line} inside a parallel region; lost updates are "
                             "possible — express it as a ctx.parallel_reduce",
                             line=line,
                         ))
                     else:
-                        add(StaticFinding(
+                        add(Finding(
                             "info", "scalar-merge",
                             f"ctx.data[{key!r}] is assigned at line {line} in a "
                             "parallel region; valid under the procs scalar-merge "

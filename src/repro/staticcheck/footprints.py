@@ -701,6 +701,17 @@ class BodyAnalyzer:
     def _region_of(self, item, line) -> SymRect | None:
         if isinstance(item, RegionVal):
             return item.rect
+        if (isinstance(item, TupleVal) and len(item.items) == 7
+                and isinstance(item.items[0], str)):
+            # a 3D region: without a z axis only the whole buffer is a
+            # sound envelope (its x/y projection would prove false races
+            # between z-disjoint slabs)
+            self.fp.unknown.append(
+                f"3D region on buffer {item.items[0]!r} in declare_access "
+                f"at line {line} (the analyzer has no z axis)"
+            )
+            return SymRect(item.items[0], x0=TOP, y0=TOP, x1=TOP, y1=TOP,
+                           line=line, conditional=self._cond > 0)
         if isinstance(item, TupleVal) and len(item.items) == 5:
             buf, x, y, w, h = item.items
             if not isinstance(buf, str):

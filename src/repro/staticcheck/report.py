@@ -24,7 +24,7 @@ class VariantReport:
     variant: str
     verdict: str                     # "clean" | "race" | "unknown"
     races: list = field(default_factory=list)      # [StaticRace]
-    findings: list = field(default_factory=list)   # [StaticFinding]
+    findings: list = field(default_factory=list)   # [Finding]
     unknowns: list = field(default_factory=list)   # [reason]
     regions: list = field(default_factory=list)    # [RegionModel] (analyzed)
     file: str = ""

@@ -1,12 +1,17 @@
-"""Tests for the kernel-variant lint (partition, double-buffer, AST)."""
+"""Tests for the variant verdict: static proof, partition and
+double-buffer checks, cross-validation."""
+
+import dataclasses
 
 from repro.analyze.lint import (
+    lint_results,
     lint_variant,
     partition_findings,
-    static_findings,
 )
-from repro.core.kernel import Kernel, get_kernel
+from repro.core.engine import run
+from repro.core.kernel import get_kernel
 from repro.trace.events import Trace, TraceEvent, TraceMeta
+from tests.conftest import make_config
 
 
 def region_trace(tiles, dim=32, rmode="par"):
@@ -58,92 +63,15 @@ class TestPartitionChecks:
 
 
 class TestSharedAccumulatorAst:
-    def test_parallel_for_nonlocal_flagged(self):
-        class BadKernel(Kernel):
-            name = "bad-acc"
-
-            def compute_omp(self, ctx, nb_iter):
-                total = 0
-
-                def body(t):
-                    nonlocal total
-                    total += t.area
-                    return t.area
-
-                ctx.parallel_for(body)
-                return 0
-
-            compute_omp._variant_name = "omp"
-
-        findings = static_findings(BadKernel(), "omp")
-        assert [f.check for f in findings] == ["shared-accumulator"] * len(findings)
-        assert findings
-        assert "parallel_reduce" in findings[0].message
-
-    def test_augassign_on_free_name_flagged(self):
-        class BadKernel2(Kernel):
-            name = "bad-acc2"
-
-            def compute_omp(self, ctx, nb_iter):
-                ctx.parallel_for(lambda t: acc.__iadd__(1))  # noqa: F821
-                best = [0]
-
-                def body(t):
-                    best += [t]  # AugAssign on captured name
-                    return 0.0
-
-                ctx.parallel_for(body)
-                return 0
-
-            compute_omp._variant_name = "omp"
-
-        findings = static_findings(BadKernel2(), "omp")
-        assert any("best" in f.message for f in findings)
-
-    def test_body_local_accumulator_not_flagged(self):
-        class GoodKernel(Kernel):
-            name = "good-acc"
-
-            def compute_omp(self, ctx, nb_iter):
-                def body(t):
-                    acc = 0
-                    for v in range(4):
-                        acc += v  # local: bound by assignment above
-                    return float(acc)
-
-                ctx.parallel_for(body)
-                return 0
-
-            compute_omp._variant_name = "omp"
-
-        assert static_findings(GoodKernel(), "omp") == []
-
-    def test_parallel_reduce_mutation_message(self):
-        class BadReduce(Kernel):
-            name = "bad-reduce"
-
-            def compute_omp(self, ctx, nb_iter):
-                state = 0
-
-                def body(t):
-                    nonlocal state
-                    state += 1
-                    return state
-
-                ctx.parallel_reduce(body, list(ctx.grid), 0.0, max)
-                return 0
-
-            compute_omp._variant_name = "omp"
-
-        findings = static_findings(BadReduce(), "omp")
-        assert findings
-        assert "must" in findings[0].message and "return" in findings[0].message
+    """The lint's static half is the staticcheck pass; its
+    shared-accumulator cases live in tests/test_staticcheck.py."""
 
     def test_builtin_variants_pass_static_lint(self):
         for name in ("mandel", "blur", "life", "spin", "heat"):
             kernel = get_kernel(name)
             for v in kernel.variant_names():
-                assert static_findings(kernel, v) == [], (name, v)
+                # no traced results: only the static proof runs
+                assert lint_results(kernel, v, []).errors == [], (name, v)
 
 
 class TestLintVariantDriver:
@@ -160,3 +88,25 @@ class TestLintVariantDriver:
     def test_lazy_variant_no_gap_warnings(self):
         result = lint_variant("life", "lazy", iterations=4)
         assert result.warnings == []
+
+    def test_verdict_is_static_when_no_error(self):
+        assert lint_variant("mandel", "omp_tiled").verdict == "clean"
+        # the dynamic half is clean, but the static proof is incomplete
+        result = lint_variant("lu_wavefront", "omp_tiled")
+        assert result.errors == []
+        assert result.verdict == "unknown"
+        assert "static: unknown" in result.describe()
+
+    def test_crossval_violation_is_an_error(self):
+        r = run(make_config(kernel="blur", variant="omp_tiled", trace=True,
+                            footprints=True))
+        # pretend one tile wrote a buffer the variant never touches:
+        # outside the static envelope, yet no task reads it (no race)
+        i, e = next((i, e) for i, e in enumerate(r.trace.events) if e.writes)
+        r.trace.events[i] = dataclasses.replace(
+            e, writes=(("scratch",) + tuple(e.writes[0][1:]),)
+        )
+        result = lint_results(get_kernel("blur"), "omp_tiled", [r])
+        assert result.verdict == "race"
+        assert [f.check for f in result.errors] == ["crossval"]
+        assert "outside the static envelope" in result.errors[0].message

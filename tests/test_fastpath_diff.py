@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run
+from repro.kernels.blur import blur_frame, blur_rect_vectorized
 from tests.conftest import make_config
 
 SCHEDULES = ["static", "static,3", "dynamic", "dynamic,2", "guided",
@@ -98,6 +99,38 @@ class TestDifferentialMatrix:
         # dim not a multiple of the tile size: ragged edge tiles
         fast, ref = run_pair(kernel="mandel", variant="omp_tiled", dim=72,
                              tile_w=16, tile_h=16, iterations=2)
+        assert fast.fastpath_regions > 0
+        assert_identical(fast, ref)
+
+
+class TestBlurFrame:
+    """The whole-frame blur (separable ``uint16`` sums mapped through a
+    ``(count, sum)`` table) writes exactly the bytes of the vectorized
+    per-rectangle blur, on odd, non-square and degenerate frames."""
+
+    @pytest.mark.parametrize("shape", [
+        (97, 97), (33, 70), (64, 17), (3, 3), (2, 2), (1, 5), (5, 1), (1, 1),
+    ])
+    def test_matches_vectorized_blur(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * 1000 + w)
+        frames = [
+            rng.integers(0, 2**32, size=shape, dtype=np.uint64).astype(np.uint32),
+            np.full(shape, 0xFFFFFFFF, dtype=np.uint32),  # largest sums
+            np.zeros(shape, dtype=np.uint32),
+        ]
+        for src in frames:
+            ref = np.zeros_like(src)
+            blur_rect_vectorized(src, ref, 0, 0, w, h)
+            out = np.zeros_like(src)
+            blur_frame(src, out)
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("variant", ["omp_tiled", "omp_tiled_opt"])
+    @pytest.mark.parametrize("dim,tile", [(97, 16), (33, 8)])
+    def test_odd_frames(self, variant, dim, tile):
+        fast, ref = run_pair(kernel="blur", variant=variant, dim=dim,
+                             tile_w=tile, tile_h=tile, iterations=3)
         assert fast.fastpath_regions > 0
         assert_identical(fast, ref)
 

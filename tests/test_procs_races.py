@@ -75,7 +75,9 @@ def test_threads_backend_same_verdict():
 
 def test_cli_check_races_on_procs(capsys):
     """End-to-end: ``easypap --check-races`` exits 1 on the buggy kernel
-    and 0 on the corrected one, with backend=procs."""
+    (the static proof fails it before the pool runs anything; the
+    procs dynamic verdict is compared above) and 0 on the corrected
+    one, with backend=procs."""
     from repro.cli import main
 
     buggy = str(EXAMPLES / "buggy_blur_writes_cur.py")
@@ -84,7 +86,7 @@ def test_cli_check_races_on_procs(capsys):
             "--backend", "procs", "--check-races"]
     assert main(base) == 1
     out = capsys.readouterr().out
-    assert "data race" in out
+    assert "read-write race on buffer 'cur'" in out
     ok = ["-k", "blur", "-v", "omp_tiled", "-s", "64", "-ts", "16", "-i", "1",
           "--nb-threads", str(NW), "--backend", "procs", "--check-races"]
     assert main(ok) == 0

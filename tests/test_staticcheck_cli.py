@@ -1,5 +1,5 @@
 """CLI surfaces of the static checker: ``python -m repro.staticcheck``,
-``easypap --static-check`` and ``easyview --halos``."""
+``easypap --check-races`` and ``easyview --halos``."""
 
 import json
 from pathlib import Path
@@ -71,16 +71,19 @@ class TestStaticcheckModuleCli:
 
 
 class TestEasypapStaticCheck:
+    """``easypap --check-races`` runs the static proof first; the
+    static-only, no-execution check is ``python -m repro.staticcheck``."""
+
     ARGS = ["-k", "blur", "-v", "omp_tiled", "-s", "64", "-ts", "16", "-i", "2"]
 
     def test_static_only_does_not_execute(self, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.core.engine as engine
 
         def boom(*args, **kwargs):
-            raise AssertionError("--static-check alone must not run")
+            raise AssertionError("the static-only check must not run")
 
-        monkeypatch.setattr(cli, "run", boom)
-        rc = easypap_main([*self.ARGS, "--static-check"])
+        monkeypatch.setattr(engine, "run", boom)
+        rc = staticcheck_main(["blur", "-V", "omp_tiled", "-v"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "blur/omp_tiled: clean" in out
@@ -95,31 +98,43 @@ class TestEasypapStaticCheck:
         monkeypatch.setattr(cli, "run", boom)
         rc = easypap_main(
             ["--load", BUGGY_BLUR, "-k", "blur_buggy", "-v", "omp_tiled",
-             "-s", "64", "-ts", "16", "--static-check", "--check-races"]
+             "-s", "64", "-ts", "16", "--check-races"]
         )
         assert rc == 1
         captured = capsys.readouterr()
         assert "RACE" in captured.out
         assert "was not executed" in captured.err
 
-    def test_clean_verdict_skips_dynamic_footprints(self, tmp_path, capsys):
-        trace = tmp_path / "trusted.evt"
+    def test_clean_verdict_is_confirmed_by_a_traced_run(self, tmp_path, capsys):
+        # a clean static proof is not trusted blindly: footprints are
+        # recorded and checked against the static envelope
+        trace = tmp_path / "confirmed.evt"
         rc = easypap_main(
-            [*self.ARGS, "--static-check", "--check-races", "-t",
-             "--trace-file", str(trace)]
+            [*self.ARGS, "--check-races", "-t", "--trace-file", str(trace)]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "statically proven clean" in out
-        # the trust path really skipped footprint recording
+        assert "blur/omp_tiled: ok (verdict: clean)" in out
+        assert "cross-validation blur/omp_tiled: ok" in out
         from repro.trace.format import load_trace
 
         loaded = load_trace(trace)
-        assert all(not e.reads and not e.writes for e in loaded.events)
+        assert any(e.reads and e.writes for e in loaded.events)
 
-    def test_static_counter_merged_into_telemetry(self, capsys):
-        rc = easypap_main([*self.ARGS, "--static-check", "--check-races"])
+    def test_static_counter_merged_into_telemetry(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        real_run = cli.run
+        results = []
+
+        def spy(config, **kwargs):
+            results.append(real_run(config, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", spy)
+        rc = easypap_main([*self.ARGS, "--check-races"])
         assert rc == 0
+        assert results[0].counters["staticcheck_ms"] > 0
 
 
 class TestEasyviewHalos:

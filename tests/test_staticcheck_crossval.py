@@ -50,6 +50,24 @@ def test_fresh_trace_inside_static_envelope(tmp_path, kernel, variant, capsys):
     assert cv.regions_checked > 0
 
 
+@pytest.mark.parametrize("variant", ["seq", "omp_tiled"])
+def test_3d_footprints_checked_through_xy_projection(tmp_path, variant, capsys):
+    # slab footprints are 7-tuples (buf, x, y, w, h, z, d); the analyzer
+    # has no z axis, so it checks their (x, y, w, h) projection
+    trace_path = tmp_path / "heat3d.evt"
+    rc = easypap_main(
+        ["-k", "heat3d", "-v", variant, "-s", "32", "-ts", "16", "-i", "1",
+         "--check-races", "-t", "--trace-file", str(trace_path)]
+    )
+    assert rc == 0
+    trace = load_trace(trace_path)
+    assert any(len(reg) == 7 for e in trace.events for reg in e.reads)
+    vr = check_variant(get_kernel("heat3d"), variant)
+    cv = cross_validate(vr, trace)
+    assert cv.ok, cv.describe()
+    assert cv.events > 0
+
+
 @pytest.mark.parametrize("fixture", GOLDEN, ids=lambda p: p.stem)
 def test_golden_fixtures_pass_vacuously(fixture):
     trace = load_trace(fixture)
