@@ -30,9 +30,7 @@ from repro.core.config import BACKENDS, DOMAINS, MPI_BACKENDS, RunConfig
 from repro.core.engine import run
 from repro.core.kernel import get_kernel, list_kernels, load_kernel_module
 from repro.errors import ConfigError, EasypapError
-from repro.mpi.launcher import parse_mpirun_args
 from repro.omp.icv import resolve_icvs
-from repro.telemetry.ring import RING_CAP_ENV
 
 __all__ = ["build_parser", "parse_args", "parse_args_strict", "config_from_args", "main"]
 
@@ -177,7 +175,11 @@ def config_from_args(args: argparse.Namespace, env: dict | None = None) -> RunCo
         tile_w = min(RunConfig.tile_w, dim)
     if tile_h is None:
         tile_h = min(RunConfig.tile_h, dim)
-    mpi_np = parse_mpirun_args(args.mpirun) if args.mpirun else 0
+    mpi_np = 0
+    if args.mpirun:
+        from repro.mpi.launcher import parse_mpirun_args
+
+        mpi_np = parse_mpirun_args(args.mpirun)
     domain = getattr(args, "domain", None)
     if domain is None:
         # resolve the kernel's declared domain *before* validation, so
@@ -219,6 +221,7 @@ def config_from_args(args: argparse.Namespace, env: dict | None = None) -> RunCo
 def _run_analysis(config, result, static_report) -> int:
     """The ``--check-races`` verdict over a finished run."""
     from repro.analyze import lint_results
+    from repro.telemetry.ring import RING_CAP_ENV
 
     results = [
         r for r in (result.rank_results or [result]) if r.trace is not None
@@ -253,7 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(list_kernels()))
         return 0
     if args.list_variants:
-        kernel = get_kernel(args.kernel)
+        try:
+            kernel = get_kernel(args.kernel)
+        except EasypapError as exc:
+            print(f"easypap: {exc}", file=sys.stderr)
+            return 1
         print("\n".join(kernel.variant_names()))
         return 0
     try:

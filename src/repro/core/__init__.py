@@ -1,25 +1,1 @@
 """Core framework: images, tiling, kernels, configuration, engine."""
-
-from repro.core.config import RunConfig
-from repro.core.context import ExecutionContext
-from repro.core.engine import RunResult, run
-from repro.core.image import Img2D, rgb, rgba
-from repro.core.kernel import Kernel, get_kernel, list_kernels, register_kernel, variant
-from repro.core.tiling import Tile, TileGrid
-
-__all__ = [
-    "RunConfig",
-    "ExecutionContext",
-    "RunResult",
-    "run",
-    "Img2D",
-    "rgb",
-    "rgba",
-    "Kernel",
-    "get_kernel",
-    "list_kernels",
-    "register_kernel",
-    "variant",
-    "Tile",
-    "TileGrid",
-]

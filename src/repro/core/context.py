@@ -11,6 +11,7 @@ parallel constructs (``parallel_for``, ``task_region``) documented in
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core import access
 from repro.core.config import RunConfig
 from repro.core.domains import make_domain
 from repro.core.image import Img2D
+from repro.core.kernel import TileBody
 from repro.core.tiling import Tile, TileGrid
 from repro.monitor.activity import Monitor
 from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -86,8 +88,6 @@ class ExecutionContext:
             else base_model
         )
         self.backend = config.backend
-        self.rng = make_rng(config.seed)
-        self.jitter_rng = make_jitter_rng(config.seed, config.run_index)
         self.arg = config.arg
         #: free-form kernel state (life grids, mandel viewport, ...);
         #: under ``procs`` every NumPy array is mirrored into shared
@@ -121,6 +121,18 @@ class ExecutionContext:
         self.region_seq = 0
         #: number of regions the whole-frame fast path executed this run
         self.fastpath_regions = 0
+
+    # -- random streams --------------------------------------------------------
+    # built on first draw: a run that never draws never imports numpy.random
+    @cached_property
+    def rng(self):
+        """The run's data generator (synthetic pictures, random grids)."""
+        return make_rng(self.config.seed)
+
+    @cached_property
+    def jitter_rng(self):
+        """The system-noise stream of ``--jitter`` (see :func:`make_jitter_rng`)."""
+        return make_jitter_rng(self.config.seed, self.config.run_index)
 
     # -- telemetry ------------------------------------------------------------
     def _ensure_consumers(self) -> None:
@@ -266,8 +278,6 @@ class ExecutionContext:
         of ``backend="procs"`` (workers re-resolve the kernel method by
         name).  Kernels should prefer it for every tile body.
         """
-        from repro.omp.procs import TileBody
-
         return TileBody(self, method)
 
     def close(self) -> None:

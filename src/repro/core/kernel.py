@@ -20,11 +20,12 @@ import re
 import sys
 from typing import Callable, Type
 
-from repro.errors import KernelError, UnknownKernelError, UnknownVariantError
+from repro.errors import ExecutionError, KernelError, UnknownKernelError, UnknownVariantError
 
 __all__ = [
     "Kernel",
     "variant",
+    "TileBody",
     "register_kernel",
     "get_kernel",
     "list_kernels",
@@ -33,6 +34,24 @@ __all__ = [
 ]
 
 _KERNELS: dict[str, Type["Kernel"]] = {}
+
+#: built-in kernel name -> the module whose import registers it
+_BUILTIN_KERNELS: dict[str, str] = {
+    "blur": "repro.kernels.blur",
+    "cc": "repro.kernels.connected",
+    "heat": "repro.kernels.heat",
+    "heat3d": "repro.kernels.heat3d",
+    "invert": "repro.kernels.simple",
+    "life": "repro.kernels.life",
+    "lu_wavefront": "repro.kernels.lu_wavefront",
+    "mandel": "repro.kernels.mandel",
+    "none": "repro.kernels.simple",
+    "pixelize": "repro.kernels.simple",
+    "sandpile": "repro.kernels.sandpile",
+    "scrollup": "repro.kernels.scrollup",
+    "spin": "repro.kernels.spin",
+    "transpose": "repro.kernels.simple",
+}
 
 #: absolute paths given to ``load_kernel_module``, in load order — the
 #: ``procs`` backend replays them in pool workers so ``--load``-ed
@@ -146,13 +165,43 @@ class Kernel:
         return fn.__get__(self, type(self))
 
 
+class TileBody:
+    """A tile body that can cross a process boundary.
+
+    Wraps a *bound kernel method* with signature ``method(ctx, item)``;
+    locally it behaves like the closure it replaces, and its ``spec``
+    (kernel name, method name) lets pool workers re-resolve the same
+    method against their own kernel instance and shadow context.
+    """
+
+    __slots__ = ("ctx", "method", "spec")
+
+    def __init__(self, ctx, method):
+        kernel = getattr(method, "__self__", None)
+        name = getattr(kernel, "name", None)
+        if not name or name == "?":
+            raise ExecutionError(
+                "ctx.body() needs a bound method of a registered kernel "
+                f"(got {method!r})"
+            )
+        self.ctx = ctx
+        self.method = method
+        self.spec = (name, method.__func__.__name__)
+
+    def __call__(self, item):
+        return self.method(self.ctx, item)
+
+
 def register_kernel(cls: Type[Kernel]) -> Type[Kernel]:
     """Class decorator adding a kernel to the registry."""
     if not issubclass(cls, Kernel):
         raise KernelError(f"{cls!r} is not a Kernel subclass")
     if cls.name in (None, "?", ""):
         raise KernelError(f"kernel class {cls.__name__} must set a name")
-    if cls.name in _KERNELS and _KERNELS[cls.name] is not cls:
+    # a built-in name belongs to its module, imported yet or not
+    if _KERNELS.get(cls.name, cls) is not cls or (
+        _BUILTIN_KERNELS.get(cls.name, cls.__module__) != cls.__module__
+    ):
         raise KernelError(f"kernel {cls.name!r} already registered")
     _KERNELS[cls.name] = cls
     return cls
@@ -160,12 +209,14 @@ def register_kernel(cls: Type[Kernel]) -> Type[Kernel]:
 
 def get_kernel(name: str) -> Kernel:
     """Instantiate a registered kernel (kernels are stateless between runs:
-    per-run state lives in ``ctx.data``)."""
-    _ensure_builtin_kernels()
+    per-run state lives in ``ctx.data``).  A built-in kernel's module is
+    imported on first request; no other kernel module is."""
+    if name not in _KERNELS and name in _BUILTIN_KERNELS:
+        importlib.import_module(_BUILTIN_KERNELS[name])
     try:
         cls = _KERNELS[name]
     except KeyError:
-        raise UnknownKernelError(name, list(_KERNELS)) from None
+        raise UnknownKernelError(name, list(_BUILTIN_KERNELS.keys() | _KERNELS.keys())) from None
     return cls()
 
 
@@ -175,8 +226,9 @@ def list_kernels() -> list[str]:
 
 
 def _ensure_builtin_kernels() -> None:
-    """Import the built-in kernel package once (registers via decorator)."""
-    import repro.kernels  # noqa: F401  (import side effect)
+    """Import every built-in kernel module (each registers its kernels)."""
+    for module in _BUILTIN_KERNELS.values():
+        importlib.import_module(module)
 
 
 def load_kernel_module(path: str):
@@ -184,9 +236,10 @@ def load_kernel_module(path: str):
 
     The module is cached in ``sys.modules`` under a name derived from its
     absolute path, so loading the same file twice (e.g. several CLI runs
-    in one process, or tests) does not re-register its kernels.
+    in one process, or tests) does not re-register its kernels.  No
+    built-in kernel module is imported: a file claiming a built-in name
+    is rejected by the name table alone.
     """
-    _ensure_builtin_kernels()
     path = os.path.abspath(path)
     if not os.path.isfile(path):
         raise KernelError(f"kernel file not found: {path}")

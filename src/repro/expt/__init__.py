@@ -1,66 +1,1 @@
 """Experiment tools: expTools sweeps, the results CSV, easyplot."""
-
-from repro.expt.csvdb import (
-    PROVENANCE_COLUMNS,
-    append_rows,
-    filter_rows,
-    locked,
-    read_header,
-    read_rows,
-    strip_provenance,
-    unique_values,
-)
-from repro.expt.easyplot import PlotFacet, PlotSeries, PlotSpec, build_plot
-from repro.expt.executors import (
-    EXECUTOR_NAMES,
-    Executor,
-    LocalProcsExecutor,
-    SerialExecutor,
-    SocketExecutor,
-    make_executor,
-    run_worker,
-)
-from repro.expt.exptools import (
-    SweepTimeout,
-    completed_points,
-    execute,
-    point_key,
-    sweep_configs,
-    sweep_points,
-)
-from repro.expt.plotting import render_ascii_chart, render_svg, render_text
-from repro.expt.replay import WorkProfileCache, capture_log, replay_log
-
-__all__ = [
-    "PROVENANCE_COLUMNS",
-    "append_rows",
-    "filter_rows",
-    "locked",
-    "read_header",
-    "read_rows",
-    "strip_provenance",
-    "unique_values",
-    "EXECUTOR_NAMES",
-    "Executor",
-    "SerialExecutor",
-    "LocalProcsExecutor",
-    "SocketExecutor",
-    "make_executor",
-    "run_worker",
-    "PlotFacet",
-    "PlotSeries",
-    "PlotSpec",
-    "build_plot",
-    "SweepTimeout",
-    "completed_points",
-    "execute",
-    "point_key",
-    "sweep_configs",
-    "sweep_points",
-    "render_ascii_chart",
-    "render_svg",
-    "render_text",
-    "WorkProfileCache",
-    "capture_log",
-    "replay_log",
-]

@@ -1,5 +1,9 @@
 """Pluggable sweep executors: serial, local-procs, socket.
 
+Each executor lives in its own module; the process-pool and socket
+executors are imported by :func:`make_executor` when a sweep selects
+them.
+
 ``exptools.execute`` drives any of these through the same four calls
 (``configure`` / ``submit`` / ``drain`` / ``close``); see
 :mod:`repro.expt.executors.base` for the contract and
@@ -9,36 +13,10 @@
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.expt.executors.base import (
-    Executor,
-    RunOptions,
-    SweepJob,
-    SweepTimeout,
-    error_row,
-    run_point,
-    worker_identity,
-)
-from repro.expt.executors.localprocs import LocalProcsExecutor, pool_chunksize
+from repro.expt.executors.base import Executor
 from repro.expt.executors.serial import SerialExecutor
-from repro.expt.executors.socketexec import SocketExecutor, parse_address, run_worker
 
-__all__ = [
-    "Executor",
-    "RunOptions",
-    "SweepJob",
-    "SweepTimeout",
-    "error_row",
-    "run_point",
-    "worker_identity",
-    "SerialExecutor",
-    "LocalProcsExecutor",
-    "pool_chunksize",
-    "SocketExecutor",
-    "run_worker",
-    "parse_address",
-    "EXECUTOR_NAMES",
-    "make_executor",
-]
+__all__ = ["EXECUTOR_NAMES", "make_executor"]
 
 #: the executor names, in documentation order; drives CLI choices and
 #: ``make_executor`` validation
@@ -63,8 +41,12 @@ def make_executor(
     if name == "serial":
         return SerialExecutor()
     if name == "local-procs":
+        from repro.expt.executors.localprocs import LocalProcsExecutor
+
         return LocalProcsExecutor(workers)
     if name == "socket":
+        from repro.expt.executors.socketexec import SocketExecutor, parse_address
+
         host, port = parse_address(bind) if bind else ("127.0.0.1", 0)
         return SocketExecutor(
             host, port,

@@ -31,8 +31,8 @@ executors, including remote socket workers.
 from __future__ import annotations
 
 import os
+import platform
 import signal
-import socket as _socket
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -89,7 +89,7 @@ class RunOptions:
 
 def worker_identity() -> str:
     """Provenance label of the executing process (``host-pid``)."""
-    return f"{_socket.gethostname()}-{os.getpid()}"
+    return f"{platform.node()}-{os.getpid()}"
 
 
 # -- running one point --------------------------------------------------------

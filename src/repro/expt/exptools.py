@@ -75,13 +75,8 @@ from repro.cli import build_parser, config_from_args, parse_args_strict
 from repro.core.config import RunConfig
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_header, read_rows
-from repro.expt.executors import (
-    Executor,
-    RunOptions,
-    SweepJob,
-    SweepTimeout,
-    make_executor,
-)
+from repro.expt.executors import make_executor
+from repro.expt.executors.base import Executor, RunOptions, SweepJob, SweepTimeout
 
 __all__ = [
     "execute",

@@ -33,7 +33,7 @@ import argparse
 import sys
 
 from repro.errors import EasypapError
-from repro.expt.executors import EXECUTOR_NAMES, make_executor, parse_address, run_worker
+from repro.expt.executors import EXECUTOR_NAMES, make_executor
 from repro.expt.exptools import DEFAULT_CSV, execute
 
 __all__ = ["build_sweep_parser", "build_worker_parser", "main"]
@@ -168,6 +168,8 @@ def _grid(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _worker_main(argv: list[str]) -> int:
+    from repro.expt.executors.socketexec import parse_address, run_worker
+
     args = build_worker_parser().parse_args(argv)
     try:
         host, port = parse_address(args.connect)

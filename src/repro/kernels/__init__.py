@@ -1,54 +1,7 @@
-"""Built-in kernels.
+"""Built-in kernels, one module each.
 
-Importing this package registers every predefined kernel (the EASYPAP
-distribution model: kernels are discovered at build time; here, at
-import time).  Use :func:`repro.core.kernel.list_kernels` to enumerate
-them and :func:`repro.core.kernel.get_kernel` to instantiate one.
+A kernel registers itself when its module is imported.
+:func:`repro.core.kernel.get_kernel` imports only the module of the
+kernel it is asked for; :func:`repro.core.kernel.list_kernels` imports
+them all.
 """
-
-from repro.kernels import (  # noqa: F401  (import side effect: registration)
-    blur,
-    connected,
-    heat,
-    heat3d,
-    life,
-    lu_wavefront,
-    mandel,
-    sandpile,
-    scrollup,
-    simple,
-    spin,
-)
-from repro.kernels.blur import BlurKernel
-from repro.kernels.connected import ConnectedKernel
-from repro.kernels.heat import HeatKernel
-from repro.kernels.heat3d import Heat3DKernel
-from repro.kernels.life import LifeKernel
-from repro.kernels.lu_wavefront import LuWavefrontKernel
-from repro.kernels.mandel import MandelKernel
-from repro.kernels.sandpile import SandpileKernel
-from repro.kernels.scrollup import ScrollupKernel
-from repro.kernels.simple import (
-    InvertKernel,
-    NoneKernel,
-    PixelizeKernel,
-    TransposeKernel,
-)
-from repro.kernels.spin import SpinKernel
-
-__all__ = [
-    "BlurKernel",
-    "ConnectedKernel",
-    "HeatKernel",
-    "Heat3DKernel",
-    "LuWavefrontKernel",
-    "ScrollupKernel",
-    "SpinKernel",
-    "LifeKernel",
-    "MandelKernel",
-    "SandpileKernel",
-    "InvertKernel",
-    "NoneKernel",
-    "PixelizeKernel",
-    "TransposeKernel",
-]

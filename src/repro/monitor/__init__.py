@@ -1,23 +1,1 @@
 """Monitoring: per-CPU activity, tiling windows, heat maps, cache model."""
-
-from repro.monitor.activity import Monitor
-from repro.monitor.cache import (
-    CacheCounters,
-    CacheSpec,
-    LruCache,
-    simulate_trace_cache,
-    stencil_access_pattern,
-    transpose_access_pattern,
-)
-from repro.monitor.records import IterationRecord
-
-__all__ = [
-    "Monitor",
-    "IterationRecord",
-    "CacheCounters",
-    "CacheSpec",
-    "LruCache",
-    "simulate_trace_cache",
-    "stencil_access_pattern",
-    "transpose_access_pattern",
-]

@@ -4,51 +4,3 @@ Two rank substrates share one :class:`~repro.mpi.comm.CommBase` API:
 the threaded in-process world (:mod:`repro.mpi.comm`) and the
 real-process shared-memory world (:mod:`repro.mpi.substrate`).
 """
-
-from repro.mpi.comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Comm,
-    CommBase,
-    CommStats,
-    MpiWorld,
-    Request,
-    run_world,
-)
-from repro.mpi.decomposition import band_of, bands, block_of, grid_shape
-from repro.mpi.launcher import mpi_run, parse_mpirun_args
-from repro.mpi.proc import MpiProcessContext, RankContextSnapshot, StatsOnlyComm
-from repro.mpi.substrate import (
-    MpiPool,
-    ProcComm,
-    get_mpi_pool,
-    live_mpi_blocks,
-    run_world_procs,
-    shutdown_mpi_pools,
-)
-
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Comm",
-    "CommBase",
-    "CommStats",
-    "MpiWorld",
-    "Request",
-    "run_world",
-    "band_of",
-    "bands",
-    "block_of",
-    "grid_shape",
-    "mpi_run",
-    "parse_mpirun_args",
-    "MpiProcessContext",
-    "RankContextSnapshot",
-    "StatsOnlyComm",
-    "MpiPool",
-    "ProcComm",
-    "get_mpi_pool",
-    "live_mpi_blocks",
-    "run_world_procs",
-    "shutdown_mpi_pools",
-]

@@ -24,7 +24,7 @@ Architecture
     key — zero-copy.  Non-array values stay plain and are shipped to
     workers per region (they are small: flags, viewport floats).
 
-``TileBody``
+``TileBody`` (:mod:`repro.core.kernel`)
     The picklable tile-body contract.  Closures cannot cross a process
     boundary, so kernels wrap their bound tile methods with
     ``ctx.body(self.do_tile)``; workers re-resolve ``(kernel_name,
@@ -68,6 +68,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core import access
+from repro.core.kernel import TileBody
 from repro.errors import ExecutionError, ScheduleError
 from repro.sched.policies import (
     DynamicSchedule,
@@ -99,7 +100,6 @@ from repro.util.workerpool import (
 __all__ = [
     "SharedArena",
     "SharedData",
-    "TileBody",
     "ProcPool",
     "get_pool",
     "shutdown_pools",
@@ -238,33 +238,6 @@ class SharedData(dict):
 # --------------------------------------------------------------------------
 # The picklable tile-body contract
 # --------------------------------------------------------------------------
-
-
-class TileBody:
-    """A tile body that can cross a process boundary.
-
-    Wraps a *bound kernel method* with signature ``method(ctx, item)``;
-    locally it behaves like the closure it replaces, and its ``spec``
-    (kernel name, method name) lets pool workers re-resolve the same
-    method against their own kernel instance and shadow context.
-    """
-
-    __slots__ = ("ctx", "method", "spec")
-
-    def __init__(self, ctx, method):
-        kernel = getattr(method, "__self__", None)
-        name = getattr(kernel, "name", None)
-        if not name or name == "?":
-            raise ExecutionError(
-                "ctx.body() needs a bound method of a registered kernel "
-                f"(got {method!r})"
-            )
-        self.ctx = ctx
-        self.method = method
-        self.spec = (name, method.__func__.__name__)
-
-    def __call__(self, item):
-        return self.method(self.ctx, item)
 
 
 def _require_tile_body(body, ctx) -> tuple[str, str]:

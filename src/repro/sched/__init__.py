@@ -1,34 +1,1 @@
 """Scheduling substrate: policies, simulator, task graphs, timelines."""
-
-from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.sched.dag_sim import simulate_dag
-from repro.sched.policies import (
-    DynamicSchedule,
-    GuidedSchedule,
-    NonMonotonicDynamic,
-    SchedulePolicy,
-    StaticSchedule,
-    parse_schedule,
-)
-from repro.sched.simulator import ChunkGrab, SimResult, simulate
-from repro.sched.taskgraph import TaskGraph, TaskNode
-from repro.sched.timeline import TaskExec, Timeline
-
-__all__ = [
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "simulate_dag",
-    "SchedulePolicy",
-    "StaticSchedule",
-    "DynamicSchedule",
-    "GuidedSchedule",
-    "NonMonotonicDynamic",
-    "parse_schedule",
-    "simulate",
-    "SimResult",
-    "ChunkGrab",
-    "TaskGraph",
-    "TaskNode",
-    "TaskExec",
-    "Timeline",
-]

@@ -5,25 +5,3 @@ See :mod:`repro.telemetry.events` for the event protocol,
 API, :mod:`repro.telemetry.ring` for the shared-memory channel procs
 workers write, and ``docs/observability.md`` for the full picture.
 """
-
-from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.events import (
-    MASTER_PRODUCER,
-    AnnotationEvent,
-    CounterEvent,
-    FootprintEvent,
-    IterationMarkEvent,
-    TelemetryEvent,
-    TileExecEvent,
-)
-
-__all__ = [
-    "TelemetryBus",
-    "MASTER_PRODUCER",
-    "TelemetryEvent",
-    "TileExecEvent",
-    "FootprintEvent",
-    "CounterEvent",
-    "IterationMarkEvent",
-    "AnnotationEvent",
-]

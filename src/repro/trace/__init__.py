@@ -1,52 +1,1 @@
 """Tracing: event model, recorder, .evt file format, EASYVIEW analysis."""
-
-from repro.trace.analysis import (
-    IterationAnalysis,
-    analyze_iterations,
-    bottleneck_report,
-    critical_tasks,
-    efficiency,
-)
-from repro.trace.chrome import save_chrome_trace, to_chrome_events
-from repro.trace.compare import TraceComparison, match_tiles
-from repro.trace.coverage import coverage_counts, coverage_mask, locality_score, mean_spread
-from repro.trace.events import Trace, TraceEvent, TraceMeta
-from repro.trace.format import default_trace_path, load_trace, save_trace
-from repro.trace.gantt import GanttChart
-from repro.trace.recorder import TraceRecorder
-from repro.trace.stats import (
-    DurationStats,
-    duration_stats,
-    iteration_spans,
-    per_cpu_busy,
-    task_imbalance,
-)
-
-__all__ = [
-    "IterationAnalysis",
-    "analyze_iterations",
-    "bottleneck_report",
-    "critical_tasks",
-    "efficiency",
-    "save_chrome_trace",
-    "to_chrome_events",
-    "Trace",
-    "TraceEvent",
-    "TraceMeta",
-    "load_trace",
-    "save_trace",
-    "default_trace_path",
-    "TraceRecorder",
-    "GanttChart",
-    "TraceComparison",
-    "match_tiles",
-    "coverage_mask",
-    "coverage_counts",
-    "locality_score",
-    "mean_spread",
-    "DurationStats",
-    "duration_stats",
-    "iteration_spans",
-    "per_cpu_busy",
-    "task_imbalance",
-]

@@ -1,12 +1,1 @@
 """Small shared utilities (timing, RNG, validation helpers)."""
-
-from repro.util.timing import Stopwatch, format_duration
-from repro.util.validation import check_positive, check_power_of_two, check_range
-
-__all__ = [
-    "Stopwatch",
-    "format_duration",
-    "check_positive",
-    "check_power_of_two",
-    "check_range",
-]

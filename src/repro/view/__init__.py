@@ -1,42 +1,2 @@
 """Rendering: terminal (ASCII), SVG and PPM output of the monitoring
 windows and trace views — the SDL-window replacement."""
-
-from repro.view.ascii import (
-    render_activity,
-    render_heatmap,
-    render_idleness_history,
-    render_tiling,
-)
-from repro.view.colors import cpu_color, cpu_palette, heat_color, heat_image
-from repro.view.domains import (
-    divergence_map_svg,
-    tiling_map_svg,
-    wave_depths,
-    wavefront_gantt_svg,
-)
-from repro.view.ppm import load_ppm, packed_to_rgb, save_pgm, save_ppm
-from repro.view.svg import SvgCanvas
-from repro.view.thumbnail import heat_tile_image, thumbnail, tiling_image
-
-__all__ = [
-    "divergence_map_svg",
-    "tiling_map_svg",
-    "wave_depths",
-    "wavefront_gantt_svg",
-    "render_activity",
-    "render_heatmap",
-    "render_idleness_history",
-    "render_tiling",
-    "cpu_color",
-    "cpu_palette",
-    "heat_color",
-    "heat_image",
-    "load_ppm",
-    "packed_to_rgb",
-    "save_pgm",
-    "save_ppm",
-    "SvgCanvas",
-    "heat_tile_image",
-    "thumbnail",
-    "tiling_image",
-]

@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import RunConfig
 from repro.sched.costmodel import CostModel
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter, from the repository root.
+
+    pytest's own process has imported every module by now, so what a
+    command imports, and whether it imports what it needs, only shows
+    in a fresh interpreter.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=REPO_ROOT,
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 @pytest.fixture(autouse=True)

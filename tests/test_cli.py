@@ -121,6 +121,13 @@ class TestMain:
         assert rc == 1
         assert "easypap:" in capsys.readouterr().err
 
+    def test_list_variants_of_unknown_kernel_is_clean_error(self, capsys):
+        rc = main(["--kernel", "nosuch", "--list-variants"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("easypap: unknown kernel 'nosuch'")
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_config_is_usage_error(self, capsys):
         rc = main(["--kernel", "mandel", "--size", "8", "--tile-size", "64"])
         assert rc == 2

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
-from repro.expt.executors import EXECUTOR_NAMES, SocketExecutor
+from repro.expt.executors import EXECUTOR_NAMES
+from repro.expt.executors.socketexec import SocketExecutor
 from repro.expt.exptools import completed_points, execute, point_key, sweep_points
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.expt.csvdb import read_rows
-from repro.expt.executors import SocketExecutor, run_worker
+from repro.expt.executors.socketexec import SocketExecutor, run_worker
 from repro.expt.executors.protocol import (
     JOB,
     REQUEST_JOB,

@@ -102,3 +102,39 @@ class TestJitteredRuns:
         spec = build_plot(read_rows(csv), x="threads")
         series = spec.facets[0].series[0]
         assert all(e > 0 for e in series.yerr)  # real error bars now
+
+
+class TestLazyStreams:
+    """``ctx.rng`` and ``ctx.jitter_rng`` are built on first draw; the
+    draws, and so the clocks and images, are the ones eager streams
+    gave (values pinned from the eager implementation)."""
+
+    @pytest.mark.parametrize("kernel,variant,clock", [
+        ("blur", "seq", "0x1.a5566cf093c58p-10"),
+        ("blur", "omp_tiled", "0x1.bdd92f358a608p-12"),
+        ("mandel", "seq", "0x1.4006a76d20cc4p-10"),
+        ("mandel", "omp_tiled", "0x1.4a5081198e10ap-11"),
+    ])
+    def test_jittered_clock_unchanged(self, kernel, variant, clock):
+        res = run(make_config(kernel=kernel, variant=variant, jitter=0.05, run_index=1))
+        assert res.virtual_time.hex() == clock
+
+    def test_unjittered_run_never_builds_the_noise_stream(self):
+        res = run(make_config(kernel="mandel", variant="omp_tiled"))
+        assert "jitter_rng" not in vars(res.context)
+        assert "rng" not in vars(res.context)
+
+    def test_jittered_reuse_work_sweep_equals_live_sweep(self, tmp_path):
+        from repro.expt.exptools import execute
+
+        times = {}
+        for reuse in (False, True):
+            rows = execute(
+                "easypap",
+                {"OMP_NUM_THREADS=": [2, 3]},
+                {"--kernel ": ["blur"], "--variant ": ["omp_tiled"], "--size ": [64],
+                 "--grain ": [16], "--iterations ": [2], "--jitter ": [0.05]},
+                runs=2, csv_path=tmp_path / f"{reuse}.csv", reuse_work=reuse,
+            )
+            times[reuse] = sorted((r["threads"], r["run"], r["time_us"]) for r in rows)
+        assert times[True] == times[False]

@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.core.kernel import Kernel, get_kernel, list_kernels, register_kernel, variant
+from repro.core.kernel import (
+    _BUILTIN_KERNELS,
+    _KERNELS,
+    Kernel,
+    _ensure_builtin_kernels,
+    get_kernel,
+    list_kernels,
+    register_kernel,
+    variant,
+)
 from repro.errors import KernelError, UnknownKernelError, UnknownVariantError
+from tests.conftest import fresh_python
 
 
 class TestRegistry:
@@ -102,3 +112,88 @@ class TestRegistration:
                 return 2
 
         assert B.variants["v"] is B.__dict__["compute_v2"]
+
+
+BUILTIN_NAMES = [
+    "blur", "cc", "heat", "heat3d", "invert", "life", "lu_wavefront", "mandel",
+    "none", "pixelize", "sandpile", "scrollup", "spin", "transpose",
+]
+
+
+class TestLoadByName:
+    """``get_kernel`` imports one kernel module; the name table keeps
+    listing, hints and duplicate checks complete without importing the
+    others.  Cases that depend on what is *not* imported yet run in a
+    fresh interpreter."""
+
+    def test_table_and_registry_agree(self):
+        _ensure_builtin_kernels()
+        for name, module in _BUILTIN_KERNELS.items():
+            assert _KERNELS[name].__module__ == module
+        builtin = {n for n, cls in _KERNELS.items() if cls.__module__.startswith("repro.kernels.")}
+        assert builtin == set(_BUILTIN_KERNELS)
+
+    def test_list_kernels_has_every_builtin(self):
+        assert sorted(_BUILTIN_KERNELS) == BUILTIN_NAMES
+        proc = fresh_python("-c", "from repro.core.kernel import list_kernels; "
+                                  "print(' '.join(list_kernels()))")
+        assert proc.stdout.split() == BUILTIN_NAMES, proc.stderr
+
+    def test_get_kernel_registers_only_that_kernel(self):
+        proc = fresh_python("-c", "import sys\n"
+                                  "from repro.core.kernel import _KERNELS, get_kernel\n"
+                                  "get_kernel('mandel')\n"
+                                  "print(' '.join(_KERNELS))\n"
+                                  "print(' '.join(m for m in sys.modules "
+                                  "if m.startswith('repro.kernels.')))")
+        registered, modules = proc.stdout.splitlines()
+        assert registered.split() == ["mandel"], proc.stderr
+        assert modules.split() == ["repro.kernels.mandel"]
+
+    def test_unknown_kernel_hint_names_every_builtin(self):
+        proc = fresh_python("-c", "from repro.core.kernel import get_kernel\n"
+                                  "from repro.errors import UnknownKernelError\n"
+                                  "try:\n    get_kernel('nosuch')\n"
+                                  "except UnknownKernelError as exc:\n    print(exc.known)")
+        assert proc.stdout.strip() == str(BUILTIN_NAMES), proc.stderr
+
+    def test_loaded_file_cannot_claim_a_builtin_name(self, tmp_path):
+        ext = tmp_path / "fake_mandel.py"
+        ext.write_text(
+            "from repro.core.kernel import Kernel, register_kernel\n\n"
+            "@register_kernel\nclass Fake(Kernel):\n    name = 'mandel'\n"
+        )
+        proc = fresh_python("-c", "import sys\n"
+                                  "from repro.core.kernel import load_kernel_module\n"
+                                  "from repro.errors import KernelError\n"
+                                  "try:\n    load_kernel_module(sys.argv[1])\n"
+                                  "except KernelError as exc:\n    print('rejected:', exc)\n"
+                                  "print('repro.kernels.mandel' in sys.modules)",
+                            str(ext))
+        assert proc.stdout.splitlines() == [
+            "rejected: kernel 'mandel' already registered", "False"
+        ], proc.stderr
+
+    def test_procs_workers_resolve_builtin_and_loaded_kernels(self, tmp_path):
+        ext = tmp_path / "ext_invert.py"
+        ext.write_text(
+            "from repro.core.kernel import register_kernel\n"
+            "from repro.kernels.simple import InvertKernel\n\n"
+            "@register_kernel\nclass ExtInvert(InvertKernel):\n    name = 'ext_invert'\n"
+        )
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.core.engine import run\n"
+            "from repro.core.kernel import load_kernel_module\n"
+            "from repro.omp.procs import shutdown_pools\n"
+            "from tests.conftest import make_config\n"
+            "load_kernel_module(sys.argv[1])\n"
+            "for k in ('invert', 'ext_invert'):\n"
+            "    a = run(make_config(kernel=k, backend='procs', nthreads=2)).image\n"
+            "    b = run(make_config(kernel=k)).image\n"
+            "    print(k, np.array_equal(a, b))\n"
+            "shutdown_pools()\n"
+        )
+        proc = fresh_python("-c", script, str(ext))
+        assert proc.stdout.splitlines() == ["invert True", "ext_invert True"], proc.stderr

@@ -10,6 +10,7 @@ runs.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import threading
@@ -70,6 +71,24 @@ def test_procs_matches_sim(kernel, variant, schedule):
     assert np.array_equal(res["sim"].image, res["procs"].image)
     assert res["sim"].early_stop == res["procs"].early_stop
     assert res["sim"].completed_iterations == res["procs"].completed_iterations
+
+
+# sha256 prefixes of the final images, pinned from the implementation
+# that built ``ctx.rng`` eagerly: kernels drawing a synthetic picture or
+# a random matrix from it must keep their pixels on both backends
+DRAWN_DIGESTS = {
+    "blur": "d1404330c096829a",
+    "scrollup": "7c2041de88248b26",
+    "invert": "c3bc6949ced0c773",
+    "lu_wavefront": "56a54fac52c5ab25",
+}
+
+
+@pytest.mark.parametrize("backend", ["sim", "procs"])
+@pytest.mark.parametrize("kernel", sorted(DRAWN_DIGESTS))
+def test_rng_drawn_images_unchanged(kernel, backend):
+    image = run_backend(backend, kernel=kernel, variant="omp_tiled").image
+    assert hashlib.sha256(image.tobytes()).hexdigest()[:16] == DRAWN_DIGESTS[kernel]
 
 
 FULL_KERNELS = [

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
-from repro.expt.executors import pool_chunksize
+from repro.expt.executors.localprocs import pool_chunksize
 from repro.expt.exptools import (
     IDENTITY_COLUMNS,
     completed_points,

@@ -14,12 +14,12 @@ import pytest
 from repro.core.access import Footprint
 from repro.core.engine import run
 from repro.sched.timeline import TaskExec, Timeline
-from repro.telemetry import (
+from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.events import (
     MASTER_PRODUCER,
     AnnotationEvent,
     CounterEvent,
     IterationMarkEvent,
-    TelemetryBus,
     TileExecEvent,
 )
 from tests.conftest import make_config
