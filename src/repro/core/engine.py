@@ -86,11 +86,7 @@ def run(
 
     kernel = kernel if kernel is not None else get_kernel(config.kernel)
     compute = kernel.compute_fn(config.variant)
-    want = kernel.domain_for(config.variant)
-    if want != "grid" and config.domain == "grid":
-        # the kernel's iteration space is not the tile grid; honor its
-        # declared domain unless the user forced one explicitly
-        config = config.with_(domain=want)
+    config = kernel.run_config(config)
     ctx = ExecutionContext(config, model=model)
     try:
         ctx.frame_hook = frame_hook

@@ -20,7 +20,13 @@ import re
 import sys
 from typing import Callable, Type
 
-from repro.errors import ExecutionError, KernelError, UnknownKernelError, UnknownVariantError
+from repro.errors import (
+    ConfigError,
+    ExecutionError,
+    KernelError,
+    UnknownKernelError,
+    UnknownVariantError,
+)
 
 __all__ = [
     "Kernel",
@@ -112,7 +118,8 @@ class Kernel:
     #: ``--domain`` at its default ("grid"); kernels whose iteration
     #: space is not the tile grid (wavefront factorizations, 3D
     #: stencils) set it so plain ``easypap -k <kernel>`` just works.
-    #: An explicit non-grid ``--domain`` always wins.
+    #: A grid kernel runs under any explicit ``--domain``; a kernel that
+    #: declares its own rejects the others (see :meth:`run_config`).
     default_domain: str = "grid"
 
     #: per-variant overrides of ``default_domain`` (e.g. a quadtree
@@ -123,6 +130,26 @@ class Kernel:
     def domain_for(cls, variant_name: str) -> str:
         """The domain kind this kernel/variant pair wants by default."""
         return cls.variant_domains.get(variant_name, cls.default_domain)
+
+    @classmethod
+    def run_config(cls, config):
+        """``config`` on the domain this variant iterates.
+
+        A ``grid`` config gets the variant's declared domain.  Any
+        decomposition of the plane runs a grid kernel's per-rect bodies,
+        so an explicit domain is kept for those; a variant that declares
+        its own domain needs that domain's items (wavefront steps, depth
+        slabs) and rejects any other with :class:`ConfigError`.
+        """
+        want = cls.domain_for(config.variant)
+        if want == "grid" or config.domain == want:
+            return config
+        if config.domain == "grid":
+            return config.with_(domain=want)
+        raise ConfigError(
+            f"{cls.name}/{config.variant} runs on the {want!r} domain, "
+            f"not {config.domain!r}"
+        )
 
     #: variant name -> unbound method, filled by ``__init_subclass__``
     variants: dict[str, Callable]

@@ -53,15 +53,10 @@ def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel]:
 
     if config.mpi_np:
         raise ConfigError("work-profile replay does not support MPI runs")
-    capture_cfg = config.with_(monitoring=False, trace=False)
     log: RegionLog = []
-    kernel = get_kernel(capture_cfg.kernel)
-    compute = kernel.compute_fn(capture_cfg.variant)
-    want = kernel.domain_for(capture_cfg.variant)
-    if want != "grid" and capture_cfg.domain == "grid":
-        # mirror engine.run: kernels with a non-grid iteration space
-        # get their declared domain unless one was forced explicitly
-        capture_cfg = capture_cfg.with_(domain=want)
+    kernel = get_kernel(config.kernel)
+    compute = kernel.compute_fn(config.variant)
+    capture_cfg = kernel.run_config(config.with_(monitoring=False, trace=False))
     ctx = ExecutionContext(capture_cfg)
     ctx.region_log = log
     kernel.init(ctx)
@@ -144,7 +139,8 @@ def replay_log(
 #: region logs may carry "dagp" entries
 #: 4: ``config.fastpath`` replaced the resolved execution tier in the
 #: workload key
-CACHE_FORMAT = 4
+#: 5: profile and memo files share one payload layout (``value``)
+CACHE_FORMAT = 5
 
 
 @dataclass
@@ -167,21 +163,18 @@ class WorkProfileCache:
     replay would produce — the replay is deterministic, that is the
     whole premise of this module — and the hit/miss tally is exposed in
     :attr:`counters` (surfaced as sweep telemetry) with the last
-    outcome in :attr:`last_memo` (the ``memo`` CSV column).
+    outcome in :attr:`last_memo` (the ``memo`` CSV column).  A fresh
+    instance's first call for a point is a miss, i.e. a fresh replay.
     """
 
     cache_dir: str | os.PathLike | None = None
-    #: schedule-result memoization on/off (tests of the raw replay path
-    #: and A/B measurements switch it off)
-    memoize: bool = True
     _cache: dict[tuple, tuple[RegionLog, CostModel]] = field(default_factory=dict)
     #: workload key -> {(threads, schedule, jitter, run_index): elapsed}
     _memo: dict[tuple, dict[tuple, float]] = field(default_factory=dict)
     counters: dict[str, int] = field(
         default_factory=lambda: {"memo_hits": 0, "memo_misses": 0}
     )
-    #: outcome of the most recent :meth:`simulate` call: "hit", "miss",
-    #: or "" (memoization disabled)
+    #: outcome of the most recent :meth:`simulate` call: "hit" or "miss"
     last_memo: str = ""
 
     @staticmethod
@@ -212,83 +205,48 @@ class WorkProfileCache:
             config.dim_z,
         )
 
-    def _disk_path(self, key: tuple) -> Path:
+    # -- disk persistence ----------------------------------------------------
+    def _path(self, kind: str, key: tuple) -> Path:
         digest = hashlib.sha256(repr((CACHE_FORMAT, key)).encode()).hexdigest()
-        return Path(self.cache_dir) / f"profile-{digest[:40]}.pkl"
+        return Path(self.cache_dir) / f"{kind}-{digest[:40]}.pkl"
 
-    def _load_disk(self, path: Path, key: tuple):
+    def _read(self, kind: str, key: tuple):
+        """The ``kind`` value stored for ``key``; None when the file is
+        missing, corrupt, of another format or for another key."""
         try:
-            with path.open("rb") as fh:
+            with self._path(kind, key).open("rb") as fh:
                 payload = pickle.load(fh)
-            if payload.get("format") != CACHE_FORMAT or payload.get("key") != key:
-                return None
-            return payload["log"], payload["model"]
+            if payload.get("format") == CACHE_FORMAT and payload.get("key") == key:
+                return payload["value"]
         except Exception:
-            return None
+            pass
+        return None
 
-    def _store_disk(self, path: Path, key: tuple, profile) -> None:
-        log, model = profile
-        payload = {"format": CACHE_FORMAT, "key": key, "log": log, "model": model}
+    def _write(self, kind: str, key: tuple, value) -> None:
+        """Atomically replace the ``kind`` file of ``key`` (tmp +
+        ``os.replace``); the cache is an optimization, never fatal."""
+        path = self._path(kind, key)
+        payload = {"format": CACHE_FORMAT, "key": key, "value": value}
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
             with tmp.open("wb") as fh:
                 pickle.dump(payload, fh)
             os.replace(tmp, path)
-        except OSError:  # the cache is an optimization, never fatal
+        except OSError:
             tmp.unlink(missing_ok=True)
 
     def profile(self, config: RunConfig) -> tuple[RegionLog, CostModel]:
         key = self.workload_key(config)
         if key in self._cache:
             return self._cache[key]
-        if self.cache_dir is not None:
-            path = self._disk_path(key)
-            cached = self._load_disk(path, key)
-            if cached is not None:
-                self._cache[key] = cached
-                return cached
-        profile = capture_log(config)
+        profile = self._read("profile", key) if self.cache_dir is not None else None
+        if profile is None:
+            profile = capture_log(config)
+            if self.cache_dir is not None:
+                self._write("profile", key, profile)
         self._cache[key] = profile
-        if self.cache_dir is not None:
-            self._store_disk(self._disk_path(key), key, profile)
         return profile
-
-    # -- schedule-result memo ------------------------------------------------
-    def _memo_path(self, key: tuple) -> Path:
-        digest = hashlib.sha256(repr((CACHE_FORMAT, key)).encode()).hexdigest()
-        return Path(self.cache_dir) / f"memo-{digest[:40]}.pkl"
-
-    def _load_memo_disk(self, key: tuple) -> dict[tuple, float]:
-        try:
-            with self._memo_path(key).open("rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("format") != CACHE_FORMAT or payload.get("key") != key:
-                return {}
-            return dict(payload["memo"])
-        except Exception:
-            return {}
-
-    def _store_memo_disk(self, key: tuple, memo: dict[tuple, float]) -> None:
-        """Merge-and-replace the on-disk memo for ``key``.
-
-        Concurrent writers merge with what is on disk at write time;
-        a lost update between racing workers costs one extra replay
-        later, never a wrong value (all writers compute the same
-        deterministic floats).
-        """
-        merged = self._load_memo_disk(key)
-        merged.update(memo)
-        path = self._memo_path(key)
-        payload = {"format": CACHE_FORMAT, "key": key, "memo": merged}
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as fh:
-                pickle.dump(payload, fh)
-            os.replace(tmp, path)
-        except OSError:  # the memo is an optimization, never fatal
-            tmp.unlink(missing_ok=True)
 
     def _replay(self, config: RunConfig) -> float:
         from repro.util.rng import make_jitter_rng
@@ -306,20 +264,16 @@ class WorkProfileCache:
     def simulate(self, config: RunConfig) -> float:
         """Elapsed virtual seconds of ``config`` (captures on first use).
 
-        With :attr:`memoize` on (the default), the result is served from
-        the schedule-result memo when the identical point was replayed
-        before — by this instance, another worker sharing ``cache_dir``,
-        or an earlier invocation.
+        Served from the schedule-result memo when the identical point
+        was replayed before — by this instance, another worker sharing
+        ``cache_dir``, or an earlier invocation.
         """
-        if not self.memoize:
-            self.last_memo = ""
-            return self._replay(config)
         key = self.workload_key(config)
         subkey = (config.nthreads, config.schedule, config.jitter, config.run_index)
         memo = self._memo.get(key)
         if memo is None:
-            memo = self._load_memo_disk(key) if self.cache_dir is not None else {}
-            self._memo[key] = memo
+            disk = self._read("memo", key) if self.cache_dir is not None else None
+            memo = self._memo[key] = dict(disk or {})
         if subkey in memo:
             self.counters["memo_hits"] += 1
             self.last_memo = "hit"
@@ -329,5 +283,7 @@ class WorkProfileCache:
         self.counters["memo_misses"] += 1
         self.last_memo = "miss"
         if self.cache_dir is not None:
-            self._store_memo_disk(key, memo)
+            # merge with what concurrent writers stored meanwhile; a lost
+            # update costs one extra replay later, never a wrong value
+            self._write("memo", key, {**(self._read("memo", key) or {}), **memo})
         return elapsed

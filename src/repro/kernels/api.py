@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 
 __all__ = [
+    "require_square",
     "split_channels",
     "merge_channels",
     "clipped_halo",
@@ -42,6 +44,19 @@ SCALAR_PIXEL_WORK = 40.0
 #: work units per pixel through a branch-free, auto-vectorized path —
 #: the x8 AVX2 factor the paper measures on inner blur tiles (§III-B).
 VECTOR_PIXEL_WORK = SCALAR_PIXEL_WORK / 8.0
+
+
+def require_square(ctx) -> None:
+    """Reject a non-square image: the kernel's state is ``dim x dim``.
+
+    Called first thing in ``init``, so the fast and the reference path
+    (and every MPI rank) refuse the same configs the same way.
+    """
+    if ctx.dim_y != ctx.dim:
+        raise ConfigError(
+            f"kernel {ctx.config.kernel!r} needs a square image, "
+            f"got {ctx.dim}x{ctx.dim_y} (drop --size-y)"
+        )
 
 
 def tile_works(tiles, per_pixel_work: float) -> np.ndarray:

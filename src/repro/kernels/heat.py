@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
-from repro.kernels.api import halo_region, tile_works
+from repro.kernels.api import halo_region, require_square, tile_works
 
 __all__ = ["HeatKernel", "jacobi_step_rect"]
 
@@ -88,6 +88,7 @@ class HeatKernel(Kernel):
     name = "heat"
 
     def init(self, ctx) -> None:
+        require_square(ctx)
         temp, sources = _make_field(ctx.arg or "corners", ctx.dim)
         ctx.data["temp"] = temp
         ctx.data["next"] = temp.copy()

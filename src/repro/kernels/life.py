@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
-from repro.kernels.api import halo_region, tile_works
+from repro.kernels.api import halo_region, require_square, tile_works
 from repro.util.rng import make_rng
 
 __all__ = ["LifeKernel", "life_step_rect", "make_dataset", "GLIDER"]
@@ -125,6 +125,7 @@ class LifeKernel(Kernel):
     lazy_variants = frozenset({"lazy", "mpi_omp"})
 
     def init(self, ctx) -> None:
+        require_square(ctx)
         if ctx.mpi is not None:
             self._init_mpi(ctx)
             return
@@ -151,7 +152,9 @@ class LifeKernel(Kernel):
         changed = life_step_rect(
             ctx.data["cells"], ctx.data["next"], tile.y, tile.x, tile.h, tile.w
         )
-        ctx.data["changes"][tile.row, tile.col] = changed > 0
+        if changed:
+            # set-only: quadtree children share their parent's (row, col)
+            ctx.data["changes"][tile.row, tile.col] = True
         return tile.area * CELL_WORK
 
     # -- whole-frame fast path (perf mode) ----------------------------------
@@ -166,8 +169,8 @@ class LifeKernel(Kernel):
         step write the same bytes as computing only the subset, and
         leaves those tiles' change flags False either way.
         """
-        if ctx.mpi is not None:
-            return None
+        if ctx.mpi is not None or ctx.domain is not ctx.grid:
+            return None  # other domains' items are not grid tiles
         if len(tiles) != len(ctx.grid):
             dirty = ctx.data.get("dirty")
             if dirty is None:
@@ -336,7 +339,8 @@ class LifeKernel(Kernel):
         changed = life_step_rect(
             ctx.data["cells"], ctx.data["next"], tile.y - y0 + 1, tile.x, tile.h, tile.w
         )
-        ctx.data["changes"][tile.row, tile.col] = changed > 0
+        if changed:
+            ctx.data["changes"][tile.row, tile.col] = True
         return tile.area * CELL_WORK
 
     @variant("mpi_omp")

@@ -423,14 +423,15 @@ class MandelKernel(Kernel):
         """OpenCL-style execution on the SIMT device simulator: one
         work-group per tile, lockstep lanes — with profiling events,
         the extension the paper lists as future work (§V)."""
+        from repro.errors import ConfigError
         from repro.gpu.device import DeviceSpec, GpuDevice
 
-        if ctx.dim % ctx.grid.tile_w or ctx.dim % ctx.grid.tile_h:
-            raise ValueError("ocl variant needs tile sizes dividing the image")
+        if ctx.dim % ctx.grid.tile_w or ctx.dim_y % ctx.grid.tile_h:
+            raise ConfigError("ocl variant needs tile sizes dividing the image")
         device = GpuDevice(DeviceSpec(num_cus=ctx.nthreads), model=ctx.model)
         max_iter = ctx.data["max_iter"]
         for _ in ctx.iterations(nb_iter):
-            cr, ci = self._coords(ctx, 0, 0, ctx.dim, ctx.dim)
+            cr, ci = self._coords(ctx, 0, 0, ctx.dim, ctx.dim_y)
             counts, _ = mandel_counts(
                 cr, ci, max_iter, julia_c=ctx.data.get("julia_c")
             )
@@ -442,7 +443,7 @@ class MandelKernel(Kernel):
                 items=list(ctx.grid),
                 start_time=ctx.vclock,
                 meta={"iteration": ctx.iteration, "kind": "ocl"},
-                transfer_out_bytes=ctx.dim * ctx.dim * 4,  # the frame back
+                transfer_out_bytes=ctx.dim * ctx.dim_y * 4,  # the frame back
             )
             ctx.data["transfer_fraction"] = launch.transfer_fraction
             ctx.data["divergence"] = launch.divergence_penalty

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
-from repro.kernels.api import halo_region, tile_works
+from repro.kernels.api import halo_region, require_square, tile_works
 
 __all__ = ["SandpileKernel", "sandpile_step_rect"]
 
@@ -64,6 +64,7 @@ class SandpileKernel(Kernel):
     variant_domains = {"omp_quadtree": "quadtree"}
 
     def init(self, ctx) -> None:
+        require_square(ctx)
         dataset = (ctx.arg or "uniform5").lower()
         grains = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
         if dataset == "uniform5":

@@ -239,27 +239,13 @@ def _world_totals(all_stats) -> dict:
 def _mpi_run_procs(config: RunConfig, debug_all: bool):
     """Dispatch the kernel to the process substrate's rank pool."""
     from repro.core.kernel import loaded_kernel_files
-    from repro.mpi.substrate import MPI_COUNTERS, run_world_procs
-    from repro.telemetry.bus import TelemetryBus
+    from repro.mpi.substrate import run_world_procs
 
     job = {
         "config": config,
         "kernel_files": loaded_kernel_files(),
         "debug_all": debug_all,
     }
-    # the master drains each rank's comm-volume ring lane into this bus
-    # while the world runs — the same live pipeline procs tile events use
-    bus = TelemetryBus()
-    payloads = run_world_procs(
-        config.mpi_np, functools.partial(_kernel_rank_main, job), bus=bus
-    )
+    payloads = run_world_procs(config.mpi_np, functools.partial(_kernel_rank_main, job))
     results = [_to_result(p, remote=True) for p in payloads]
-    # reconcile: ring lanes drop oldest under pressure, the per-rank
-    # CommStats are authoritative — publish any missing remainder so the
-    # bus totals match exactly, then expose them as world counters
-    totals = _world_totals(p["stats"] for p in payloads)
-    for name in MPI_COUNTERS:
-        missing = totals[f"{name}_world"] - bus.counters.get(name, 0)
-        if missing > 0:
-            bus.counter(name, missing)
-    return results, totals
+    return results, _world_totals(p["stats"] for p in payloads)

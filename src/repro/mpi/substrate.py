@@ -26,9 +26,9 @@ outright — SIGKILL included) flips the abort word; every blocked peer
 notices within a poll interval and unwinds, the master reaps the world
 and raises a clean :class:`~repro.errors.ExecutionError` instead of
 letting the survivors sit out the 60 s recv backstop.  Message counts
-and byte volumes stream over per-rank telemetry ring lanes
-(``KIND_COUNTER`` records) that the master drains into its bus exactly
-like procs tile events.
+and byte volumes are each rank's :class:`~repro.mpi.comm.CommStats`,
+returned with its result; the launcher sums them into the ``*_world``
+counters.
 
 ``shared_window()`` gives kernels the pyuvsim ``shared_mem_bcast``
 pattern: the root allocates one shared block, peers attach read-only
@@ -58,7 +58,6 @@ from repro.mpi.comm import (
     RecvTimeout,
     default_recv_timeout,
 )
-from repro.telemetry.ring import KIND_COUNTER, RECORD_WIDTH, RingWriter, drain_lane
 from repro.util.workerpool import WorkerPool, alloc_block, attach_block, defuse, live_blocks
 
 __all__ = [
@@ -68,20 +67,12 @@ __all__ = [
     "get_mpi_pool",
     "shutdown_mpi_pools",
     "live_mpi_blocks",
-    "MPI_COUNTERS",
     "LANE_CAP_ENV",
 ]
 
 #: env override for the per-(src,dst) lane capacity in bytes
 LANE_CAP_ENV = "REPRO_MPI_LANE_CAP"
 _DEFAULT_LANE_CAP = 1 << 20
-
-#: comm-volume counters streamed over the ring (f0 = index here)
-MPI_COUNTERS = ("mpi_msgs_sent", "mpi_bytes_sent", "mpi_msgs_recv", "mpi_collectives")
-
-#: per-rank telemetry ring slots (records); enough for thousands of
-#: messages between master drains, and drops are reconciled at the end
-_RING_CAP = 4096
 
 _FRAME = struct.Struct("<qq")  # (tag, payload_length) framing header
 
@@ -103,9 +94,13 @@ _ACTIVE, _BLOCKED, _FINISHED = 0, 1, 2
 
 
 def lane_capacity() -> int:
+    """Lane bytes: ``REPRO_MPI_LANE_CAP`` (at least 64) or 1 MiB."""
     env = os.environ.get(LANE_CAP_ENV)
     if env:
-        return max(64, int(env))
+        try:
+            return max(64, int(env))
+        except ValueError:
+            raise MpiError(f"{LANE_CAP_ENV}={env!r} is not an integer") from None
     return _DEFAULT_LANE_CAP
 
 
@@ -123,7 +118,6 @@ class ProcComm(CommBase):
         ctrl: np.ndarray,
         lane_hdr: np.ndarray,
         lane_buf: np.ndarray,
-        ring: RingWriter | None,
         recv_timeout: float,
         window_prefix: str = "",
     ):
@@ -134,7 +128,6 @@ class ProcComm(CommBase):
         self._hdr = lane_hdr  # (size*size, 2) int64: [write_count, read_count]
         self._buf = lane_buf  # (size*size, cap) uint8 payload rings
         self._cap = lane_buf.shape[1]
-        self._ring = ring
         self._recv_timeout = recv_timeout
         self._window_prefix = window_prefix
         self._window_seq = 0
@@ -168,27 +161,9 @@ class ProcComm(CommBase):
                 f"MPI world aborted (by rank {int(self._ctrl[_ABORT_RANK])})"
             )
 
-    # -- stats + comm-volume telemetry ---------------------------------------
     @property
     def stats(self) -> CommStats:
         return self._stats
-
-    def _emit(self, counter: int, delta: float) -> None:
-        if self._ring is not None:
-            self._ring.emit(KIND_COUNTER, counter, delta)
-
-    def _count_sent(self, nbytes: int) -> None:
-        super()._count_sent(nbytes)
-        self._emit(0, 1)
-        self._emit(1, nbytes)
-
-    def _count_recv(self) -> None:
-        super()._count_recv()
-        self._emit(2, 1)
-
-    def _count_collective(self) -> None:
-        super()._count_collective()
-        self._emit(3, 1)
 
     # -- lane transport ------------------------------------------------------
     def _lane(self, src: int, dst: int) -> int:
@@ -455,19 +430,16 @@ class ProcComm(CommBase):
 # --------------------------------------------------------------------------
 
 
-def _rank_worker(rank: int, bufs: list, size: int, lane_cap: int, ring_cap: int):
+def _rank_worker(rank: int, bufs: list, size: int, lane_cap: int):
     """The request handler of one rank process: each request is one
     world, ``(fn, recv_timeout, window_prefix)``."""
-    ctrl_mem, lane_mem, ring_mem = bufs
+    ctrl_mem, lane_mem = bufs
     nlanes = size * size
-    ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size + size,), dtype=np.int64,
+    ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size,), dtype=np.int64,
                       buffer=ctrl_mem)
     lane_hdr = np.ndarray((nlanes, 2), dtype=np.int64, buffer=lane_mem)
     lane_buf = np.ndarray((nlanes, lane_cap), dtype=np.uint8,
                           buffer=lane_mem, offset=nlanes * 16)
-    ring_counts = ctrl[_CTRL_HEAD + _REG_WORDS * size:]
-    ring_buf = np.ndarray((size, ring_cap, RECORD_WIDTH), dtype=np.float64,
-                          buffer=ring_mem)
 
     # pyuvsim-style excepthook: anything escaping a thread of this rank
     # (not just the serve loop) must take the whole world down with it
@@ -481,9 +453,8 @@ def _rank_worker(rank: int, bufs: list, size: int, lane_cap: int, ring_cap: int)
     def handle(tag: str, payload: tuple) -> tuple[str, Any]:
         fn, recv_timeout, window_prefix = payload
         comm = ProcComm(
-            rank, size, ctrl, lane_hdr, lane_buf,
-            RingWriter(ring_counts, ring_buf, rank),
-            recv_timeout, window_prefix=window_prefix,
+            rank, size, ctrl, lane_hdr, lane_buf, recv_timeout,
+            window_prefix=window_prefix,
         )
         try:
             result = fn(comm, rank)
@@ -521,46 +492,15 @@ class MpiPool(WorkerPool):
         super().__init__("ezmpi_", size)
         self.size = size
         self.lane_cap = lane_capacity()
-        self.ring_cap = _RING_CAP
         nlanes = size * size
-        ctrl_shm = alloc_block(
-            self.prefix + "ctrl_", 0,
-            (_CTRL_HEAD + _REG_WORDS * size + size) * 8,
-        )
-        self.ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size + size,),
+        ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, (_CTRL_HEAD + _REG_WORDS * size) * 8)
+        self.ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size,),
                                dtype=np.int64, buffer=ctrl_shm.buf)
         lane_shm = alloc_block(
             self.prefix + "lanes_", 0, nlanes * 16 + nlanes * self.lane_cap
         )
         self.lane_hdr = np.ndarray((nlanes, 2), dtype=np.int64, buffer=lane_shm.buf)
-        ring_shm = alloc_block(
-            self.prefix + "ring_", 0,
-            size * self.ring_cap * RECORD_WIDTH * 8,
-        )
-        self.ring_buf = np.ndarray((size, self.ring_cap, RECORD_WIDTH),
-                                   dtype=np.float64, buffer=ring_shm.buf)
-        self._ring_consumed = [0] * size
-        self._spawn(_rank_worker, [ctrl_shm.name, lane_shm.name, ring_shm.name],
-                    size, self.lane_cap, self.ring_cap)
-
-    # -- telemetry ------------------------------------------------------------
-    def _drain_counters(self, bus) -> None:
-        """Publish drained KIND_COUNTER records on ``bus`` (per-rank
-        producers), mirroring how the procs master drains tile events."""
-        ring_counts = self.ctrl[_CTRL_HEAD + _REG_WORDS * self.size:]
-        for rank in range(self.size):
-            records, self._ring_consumed[rank], dropped = drain_lane(
-                ring_counts, self.ring_buf, rank, self._ring_consumed[rank]
-            )
-            if bus is None:
-                continue
-            for rec in records:
-                if int(rec[0]) == KIND_COUNTER:
-                    idx = int(rec[2])
-                    if 0 <= idx < len(MPI_COUNTERS):
-                        bus.counter(MPI_COUNTERS[idx], rec[3], producer=rank)
-            if dropped:
-                bus.record_dropped(dropped)
+        self._spawn(_rank_worker, [ctrl_shm.name, lane_shm.name], size, self.lane_cap)
 
     # -- running a world ------------------------------------------------------
     def run(
@@ -568,15 +508,13 @@ class MpiPool(WorkerPool):
         fn: Callable[[ProcComm, int], Any],
         *,
         recv_timeout: float | None = None,
-        bus=None,
     ) -> list[Any]:
         """Dispatch ``fn(comm, rank)`` to every rank; collect in order.
 
         Liveness is supervised: a rank that dies flips the abort word so
         its peers unwind promptly, then the pool is torn down and a
         clean :class:`ExecutionError` raised — bounded, never the recv
-        backstop.  ``bus`` (when given) receives the live comm-volume
-        CounterEvents drained from the rank ring lanes.
+        backstop.
         """
         timeout = default_recv_timeout() if recv_timeout is None else recv_timeout
         if not self.healthy():
@@ -585,7 +523,6 @@ class MpiPool(WorkerPool):
         # their reply, so zeroing here races with nothing
         self.ctrl[:] = 0
         self.lane_hdr[:] = 0
-        self._ring_consumed = [0] * self.size
         try:
             # window names carry the epoch _dispatch is about to assign
             epoch = self._dispatch(
@@ -600,7 +537,6 @@ class MpiPool(WorkerPool):
         grace_deadline: float | None = None
         dead_ranks: list[int] = []
         while pending:
-            self._drain_counters(bus)
             for rank in sorted(pending):
                 conn = self.conns[rank]
                 try:
@@ -635,7 +571,6 @@ class MpiPool(WorkerPool):
                     f"MPI rank(s) {dead_ranks} died; peers did not unwind "
                     "within the abort grace period"
                 )
-        self._drain_counters(bus)
         if dead_ranks:
             raise self._fail(
                 f"MPI rank {dead_ranks[0]} died "
@@ -669,7 +604,6 @@ def run_world_procs(
     fn: Callable[[ProcComm, int], Any],
     *,
     recv_timeout: float | None = None,
-    bus=None,
 ) -> list[Any]:
     """Run ``fn(comm, rank)`` on every rank of the process world.
 
@@ -678,4 +612,4 @@ def run_world_procs(
     ``functools.partial`` over one).  Raises :class:`MpiError` when
     ranks fail, :class:`ExecutionError` when one dies outright.
     """
-    return get_mpi_pool(size).run(fn, recv_timeout=recv_timeout, bus=bus)
+    return get_mpi_pool(size).run(fn, recv_timeout=recv_timeout)

@@ -11,7 +11,7 @@ Three run-free verdicts over every kernel variant (see
    kernel-state mutation, shared scalar accumulators, fastpath
    aliasing (shared state mutated from a parallel region is an error
    and makes the verdict ``race``);
-3. **contract cross-validation** — dynamic ``FootprintEvent`` regions
+3. **contract cross-validation** — dynamic footprint regions
    from a recorded trace must fall inside the static envelope.
 
 Soundness contract: a variant is reported ``clean`` only when every

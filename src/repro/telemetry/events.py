@@ -30,7 +30,6 @@ __all__ = [
     "MASTER_PRODUCER",
     "TelemetryEvent",
     "TileExecEvent",
-    "FootprintEvent",
     "CounterEvent",
     "IterationMarkEvent",
     "AnnotationEvent",
@@ -64,15 +63,6 @@ class TileExecEvent(TelemetryEvent):
 
     exec: TaskExec = None  # type: ignore[assignment]
     footprint: Footprint | None = None
-
-
-@dataclass
-class FootprintEvent(TelemetryEvent):
-    """A task footprint travelling separately from its execution event
-    (the ring channel ships footprints region by region)."""
-
-    index: int = -1
-    footprint: Footprint = None  # type: ignore[assignment]
 
 
 @dataclass

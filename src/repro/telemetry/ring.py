@@ -19,7 +19,6 @@ ordinary arrays.  Record layout (10 float64 lanes)::
     kind EXEC      f0=pos   f1=start  f2=end     (wall-clock, region-relative)
     kind FP_READ   f0=pos   f1=buf_id f2=x f3=y f4=w f5=h f6=z f7=d
     kind FP_WRITE  f0=pos   f1=buf_id f2=x f3=y f4=w f5=h f6=z f7=d
-    kind COUNTER   f0=counter_id  f1=delta       (bus CounterEvent deltas)
 
 ``(z, d)`` is the optional depth extent of 3D footprint regions (see
 :mod:`repro.core.access`); 2D regions ship the ``(0, 1)`` default.
@@ -35,12 +34,13 @@ import os
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = [
     "RECORD_WIDTH",
     "KIND_EXEC",
     "KIND_FP_READ",
     "KIND_FP_WRITE",
-    "KIND_COUNTER",
     "RING_CAP_ENV",
     "RING_MAX",
     "ring_capacity",
@@ -52,7 +52,6 @@ RECORD_WIDTH = 10
 KIND_EXEC = 1
 KIND_FP_READ = 2
 KIND_FP_WRITE = 3
-KIND_COUNTER = 4  # e.g. per-rank MPI comm-volume deltas (repro.mpi.substrate)
 
 #: env override for the per-worker ring capacity (records); tests use a
 #: tiny value to force overflow deterministically
@@ -71,7 +70,10 @@ def ring_capacity(n_items: int, footprints: bool) -> int:
     """
     env = os.environ.get(RING_CAP_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{RING_CAP_ENV}={env!r} is not an integer") from None
     per_task = 65 if footprints else 1
     return max(1024, min(n_items * per_task, RING_MAX))
 

@@ -1,1 +1,1 @@
-"""Small shared utilities (timing, RNG, validation helpers)."""
+"""Small shared utilities (timing, RNG, the worker pool)."""

@@ -7,7 +7,6 @@ import pytest
 from repro import errors
 from repro.util.rng import DEFAULT_SEED, derive_rng, make_rng
 from repro.util.timing import Stopwatch, format_duration
-from repro.util.validation import check_positive, check_power_of_two, check_range
 
 
 class TestErrors:
@@ -91,20 +90,3 @@ class TestRng:
         b = derive_rng(make_rng(1), 3).random()
         assert a == b
 
-
-class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(errors.ConfigError, match="x"):
-            check_positive("x", 0)
-
-    def test_check_range(self):
-        check_range("y", 5, 0, 10)
-        with pytest.raises(errors.ConfigError):
-            check_range("y", 11, 0, 10)
-
-    def test_check_power_of_two(self):
-        check_power_of_two("z", 16)
-        for bad in (0, -4, 3, 12):
-            with pytest.raises(errors.ConfigError):
-                check_power_of_two("z", bad)

@@ -84,7 +84,7 @@ class TestMandelOcl:
         from repro.core.engine import run
         from tests.conftest import make_config
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="dividing"):
             run(make_config(kernel="mandel", variant="ocl", dim=60, tile_w=16,
                             tile_h=16, iterations=1))
 

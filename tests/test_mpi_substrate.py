@@ -23,6 +23,8 @@ from repro.core.engine import run
 from repro.errors import ExecutionError, MpiError
 from repro.mpi.comm import run_world
 from repro.mpi.substrate import (
+    LANE_CAP_ENV,
+    MpiPool,
     get_mpi_pool,
     live_mpi_blocks,
     run_world_procs,
@@ -215,6 +217,13 @@ def test_big_messages_chunk_through_small_lanes(monkeypatch):
     finally:
         shutdown_mpi_pools()
     assert out == [(1, 200_000), (0, 200_000)]
+
+
+def test_junk_lane_capacity_is_rejected_by_name(monkeypatch):
+    monkeypatch.setenv(LANE_CAP_ENV, "xyz")
+    with pytest.raises(MpiError, match=LANE_CAP_ENV):
+        MpiPool(2)
+    assert live_mpi_blocks() == []
 
 
 # --------------------------------------------------------------------------

@@ -107,17 +107,9 @@ class TestMemo:
         assert cache.last_memo == "miss"
         again = cache.simulate(cfg)
         assert cache.last_memo == "hit"
-        fresh = WorkProfileCache(memoize=False).simulate(cfg)
+        fresh = WorkProfileCache().simulate(cfg)  # a first call replays
         assert first == again == fresh
         assert cache.counters == {"memo_hits": 1, "memo_misses": 1}
-
-    def test_memoize_off_never_counts(self):
-        cfg = make_config(iterations=1)
-        cache = WorkProfileCache(memoize=False)
-        cache.simulate(cfg)
-        cache.simulate(cfg)
-        assert cache.last_memo == ""
-        assert cache.counters == {"memo_hits": 0, "memo_misses": 0}
 
     def test_distinct_points_do_not_collide(self):
         cache = WorkProfileCache()
@@ -173,6 +165,6 @@ def test_memoized_equals_fresh_for_every_schedule(nthreads, schedule, run_index)
     memo_cache = WorkProfileCache()
     first = memo_cache.simulate(cfg)
     hit = memo_cache.simulate(cfg)
-    fresh = WorkProfileCache(memoize=False).simulate(cfg)
+    fresh = WorkProfileCache().simulate(cfg)  # a first call replays
     assert first == hit == fresh
     assert memo_cache.counters["memo_hits"] >= 1

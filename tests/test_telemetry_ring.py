@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run
+from repro.errors import ConfigError
 from repro.omp import procs as procs_mod
 from repro.telemetry.ring import (
     KIND_EXEC,
@@ -149,6 +150,10 @@ class TestBackpressureEndToEnd:
         assert time.monotonic() - t0 < 60.0  # bounded: drop-oldest, no wait
         assert res.completed_iterations == 2
         assert res.dropped_events > 0
+
+    def test_junk_capacity_is_rejected_by_name(self, monkeypatch):
+        with pytest.raises(ConfigError, match=RING_CAP_ENV):
+            self.run_tiny_ring(monkeypatch, cap="abc", kernel="mandel")
 
     def test_default_capacity_drops_nothing(self):
         res = run(make_config(backend="procs", nthreads=NW, trace=True))
