@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import fmt_table, report
+from _common import fmt_table, gate_skip_reason, report
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.mpi.substrate import shutdown_mpi_pools
@@ -171,8 +171,9 @@ def render(payload: dict) -> str:
 
 def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
     """Return a list of failures (empty == pass)."""
-    if measured["cpu_count"] < 2:
-        print("mpi perf gate skipped: host has a single CPU "
+    skip = gate_skip_reason(measured, needs_cpus=2)
+    if skip is not None:
+        print(f"mpi perf gate skipped: {skip} "
               "(no real parallelism to measure)")
         return []
     failures = []
@@ -184,8 +185,9 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
             f"({measured['cpu_count']} CPUs)"
         )
     baseline = json.loads(baseline_path.read_text())
-    if baseline.get("cpu_count", 1) < 2:
-        print(f"baseline {baseline_path} was measured on a single-CPU host; "
+    base_skip = gate_skip_reason(baseline, needs_cpus=2)
+    if base_skip is not None:
+        print(f"baseline {baseline_path}: {base_skip}; "
               "ratio comparison skipped")
         return failures
     base = baseline["results"]

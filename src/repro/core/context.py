@@ -22,17 +22,15 @@ from repro.core.domains import make_domain
 from repro.core.image import Img2D
 from repro.core.kernel import TileBody
 from repro.core.tiling import Tile, TileGrid
-from repro.monitor.activity import Monitor
 from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sched.policies import SchedulePolicy
-from repro.sched.timeline import Timeline
 from repro.telemetry.bus import TelemetryBus
-from repro.trace.events import TraceMeta
-from repro.trace.recorder import TraceRecorder
 from repro.util.rng import make_jitter_rng, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.monitor.activity import Monitor
     from repro.mpi.proc import MpiProcessContext
+    from repro.trace.recorder import TraceRecorder
 
 __all__ = ["ExecutionContext"]
 
@@ -102,8 +100,8 @@ class ExecutionContext:
         self.iteration = 0
         self.completed_iterations = 0
         #: the telemetry bus: producers publish here, consumers (monitor,
-        #: trace recorder, analyzer feeds) are attached lazily on first
-        #: use — nothing is constructed when instrumentation is off
+        #: trace recorder) are attached lazily on first use — nothing
+        #: is constructed or imported when instrumentation is off
         self._bus = TelemetryBus()
         self._consumers_attached = False
         self._monitor: Monitor | None = None
@@ -149,8 +147,13 @@ class ExecutionContext:
         self._consumers_attached = True
         config = self.config
         if config.monitoring:
+            from repro.monitor.activity import Monitor
+
             self._monitor = self._bus.attach(Monitor(config.nthreads, self.domain))
         if config.trace:
+            from repro.trace.events import TraceMeta
+            from repro.trace.recorder import TraceRecorder
+
             self._tracer = self._bus.attach(
                 TraceRecorder(
                     TraceMeta(
@@ -299,10 +302,6 @@ class ExecutionContext:
         if dt < 0:
             raise ValueError(f"cannot move the clock backwards ({dt})")
         self.vclock += dt
-
-    def record_timeline(self, timeline: Timeline, *, footprints=None) -> None:
-        """Publish one executed region to the telemetry bus."""
-        self.bus.publish_region(timeline, footprints=footprints)
 
     def next_region(self) -> int:
         """Allocate the id of a new parallel/sequential region."""

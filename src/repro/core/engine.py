@@ -9,17 +9,19 @@ image, monitoring records and the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.context import ExecutionContext
 from repro.core.kernel import Kernel, get_kernel
-from repro.monitor.activity import Monitor
 from repro.sched.costmodel import CostModel
-from repro.trace.events import Trace
 from repro.util.timing import Stopwatch, format_duration
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.monitor.activity import Monitor
+    from repro.trace.events import Trace
 
 __all__ = ["run", "RunResult"]
 

@@ -301,7 +301,7 @@ class BlurKernel(Kernel):
             ctx.bus.counter("gpu_lane_work", launch.total_lane_work)
             ctx.bus.counter("gpu_lockstep_work", launch.total_lockstep_work)
             ctx.vclock = max(launch.makespan, ctx.vclock) + ctx.model.fork_join_overhead
-            ctx.record_timeline(launch.timeline)
+            ctx.bus.publish_region(launch.timeline)
             ctx.swap_images()
         return 0
 

@@ -450,6 +450,6 @@ class MandelKernel(Kernel):
             ctx.bus.counter("gpu_lane_work", launch.total_lane_work)
             ctx.bus.counter("gpu_lockstep_work", launch.total_lockstep_work)
             ctx.vclock = max(launch.makespan, ctx.vclock) + ctx.model.fork_join_overhead
-            ctx.record_timeline(launch.timeline)
+            ctx.bus.publish_region(launch.timeline)
             self.zoom(ctx)
         return 0

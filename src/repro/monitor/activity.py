@@ -32,18 +32,15 @@ class Monitor:
         self._iter_start: float = 0.0
 
     # -- telemetry-bus consumer hooks ----------------------------------------
-    def on_region_end(self, timeline: Timeline) -> None:
+    def on_region(self, timeline: Timeline, footprints) -> None:
         self.record_timeline(timeline)
 
-    def on_iteration_mark(self, event) -> None:
-        self.end_iteration(event.iteration, event.now)
+    def on_iteration_mark(self, iteration: int, now: float) -> None:
+        self.end_iteration(iteration, now)
 
     # -- feeding ------------------------------------------------------------
     def record_timeline(self, timeline: Timeline) -> None:
         self._pending.extend(timeline.execs)
-
-    def record_exec(self, e: TaskExec) -> None:
-        self._pending.append(e)
 
     def end_iteration(self, iteration: int, now: float) -> IterationRecord:
         """Close the current iteration, which spans [previous now, now)."""

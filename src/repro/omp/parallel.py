@@ -265,7 +265,7 @@ def publish_region(ctx, timeline: Timeline | None, steals: int = 0, footprints=N
     if timeline is None:
         ctx.bus.count_region()
     else:
-        ctx.record_timeline(timeline, footprints=footprints)
+        ctx.bus.publish_region(timeline, footprints)
 
 
 def _costs(ctx, works):

@@ -1,9 +1,8 @@
-"""Trace recorder: turns telemetry events into trace events."""
+"""Trace recorder: turns published regions into trace events."""
 
 from __future__ import annotations
 
 from repro.core.tiling import Tile
-from repro.sched.timeline import TaskExec
 from repro.trace.events import Trace, TraceEvent, TraceMeta
 
 __all__ = ["TraceRecorder"]
@@ -12,19 +11,19 @@ __all__ = ["TraceRecorder"]
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` s during a run.
 
-    A consumer on the telemetry bus: the bus feeds it one
-    ``TileExecEvent`` per executed task (with its footprint already
-    paired in) plus run annotations; the engine stamps metadata and
-    hands the final :class:`Trace` to the writer (``--trace``) or
-    directly to EASYVIEW.
+    A consumer on the telemetry bus: the bus hands it every executed
+    region (with the region's footprints, when collected) plus run
+    annotations; the engine hands the final :class:`Trace` to the
+    writer (``--trace``) or directly to EASYVIEW.
     """
 
     def __init__(self, meta: TraceMeta | None = None):
         self.meta = meta or TraceMeta()
         self.events: list[TraceEvent] = []
-        self.enabled = True
 
-    def annotate(self, **info) -> None:
+    # -- telemetry-bus consumer hooks ---------------------------------------
+
+    def on_annotation(self, data: dict) -> None:
         """Attach free-form metadata to the trace (``meta.extra``).
 
         The real backends tag their traces with ``clock="wall"`` +
@@ -32,62 +31,50 @@ class TraceRecorder:
         charts from simulated ones; sim runs leave ``extra`` untouched,
         keeping their ``.evt`` files byte-identical to golden fixtures.
         """
-        self.meta.extra.update(info)
+        self.meta.extra.update(data)
 
-    # -- telemetry-bus consumer hooks ---------------------------------------
+    def on_region(self, timeline, footprints) -> None:
+        """Record one trace event per exec of the region.
 
-    def on_tile_exec(self, event) -> None:
-        self.record_exec(event.exec, footprint=event.footprint)
-
-    def on_annotation(self, event) -> None:
-        self.annotate(**event.data)
-
-    # -- recording ----------------------------------------------------------
-
-    def record_exec(self, e: TaskExec, *, kind: str = "tile", footprint=None) -> None:
-        if not self.enabled:
-            return
-        item = e.item
-        if isinstance(item, Tile):
-            x, y, w, h = item.as_rect()
-        else:
-            x = y = w = h = -1
-        if footprint is None:
-            footprint = e.meta.get("footprint")
-        extra = {
-            k: v
-            for k, v in e.meta.items()
-            if k not in ("iteration", "kind", "footprint")
-        }
-        self.events.append(
-            TraceEvent(
-                iteration=int(e.meta.get("iteration", 0)),
-                cpu=e.cpu,
-                start=e.start,
-                end=e.end,
-                x=x,
-                y=y,
-                w=w,
-                h=h,
-                kind=str(e.meta.get("kind", kind)),
-                extra=extra,
-                reads=footprint.reads if footprint is not None else (),
-                writes=footprint.writes if footprint is not None else (),
+        A worksharing region's ``footprints`` are indexed by each
+        exec's ``meta["index"]`` (the per-region task index, as the
+        schedulers number tasks); a task-DAG exec carries its own in
+        ``meta["footprint"]``.
+        """
+        for e in timeline:
+            fp = None
+            if footprints is not None:
+                idx = e.meta.get("index")
+                if idx is not None and idx < len(footprints):
+                    fp = footprints[idx]
+            if fp is None:
+                fp = e.meta.get("footprint")
+            item = e.item
+            if isinstance(item, Tile):
+                x, y, w, h = item.as_rect()
+            else:
+                x = y = w = h = -1
+            extra = {
+                k: v
+                for k, v in e.meta.items()
+                if k not in ("iteration", "kind", "footprint")
+            }
+            self.events.append(
+                TraceEvent(
+                    iteration=int(e.meta.get("iteration", 0)),
+                    cpu=e.cpu,
+                    start=e.start,
+                    end=e.end,
+                    x=x,
+                    y=y,
+                    w=w,
+                    h=h,
+                    kind=str(e.meta.get("kind", "tile")),
+                    extra=extra,
+                    reads=fp.reads if fp is not None else (),
+                    writes=fp.writes if fp is not None else (),
+                )
             )
-        )
-
-    def record_section(
-        self, iteration: int, cpu: int, start: float, end: float, kind: str
-    ) -> None:
-        """Record a non-tile instrumented section (e.g. ghost exchange)."""
-        if not self.enabled:
-            return
-        self.events.append(
-            TraceEvent(iteration=iteration, cpu=cpu, start=start, end=end, kind=kind)
-        )
 
     def to_trace(self) -> Trace:
         return Trace(self.meta, sorted(self.events, key=lambda e: (e.start, e.cpu)))
-
-    def clear(self) -> None:
-        self.events.clear()

@@ -45,6 +45,10 @@ FORBIDDEN = (
     "numpy.random",
 )
 
+#: the telemetry consumers: a run builds (and imports) them only when
+#: --monitoring or --trace selects them
+CONSUMERS = ("repro.monitor", "repro.trace")
+
 SIM_RUN = ["repro.cli", "-k", "mandel", "-v", "omp_tiled", "-s", "64", "-i", "1", "-n"]
 
 
@@ -66,7 +70,7 @@ def offenders(modules: set[str], forbidden=FORBIDDEN) -> list[str]:
 
 def test_sim_perf_run_loads_only_its_layers(tmp_path):
     modules = loaded(tmp_path, *SIM_RUN)
-    assert offenders(modules) == []
+    assert offenders(modules, FORBIDDEN + CONSUMERS) == []
     assert sorted(m for m in modules if m.startswith("repro.kernels.")) == [
         "repro.kernels.mandel"
     ]

@@ -6,32 +6,9 @@ import pytest
 from repro.core.context import ExecutionContext
 from repro.core.engine import run
 from repro.sched.costmodel import CostModel
-from repro.trace.recorder import TraceRecorder
 from tests.conftest import make_config
 
 ZERO = CostModel(1.0, 0.0, 0.0, 0.0)
-
-
-class TestTraceRecorderSections:
-    def test_record_section(self):
-        rec = TraceRecorder()
-        rec.record_section(iteration=2, cpu=1, start=0.5, end=0.7, kind="ghost")
-        trace = rec.to_trace()
-        e = trace.events[0]
-        assert e.kind == "ghost" and not e.has_tile
-        assert e.duration == pytest.approx(0.2)
-
-    def test_disabled_recorder_drops_everything(self):
-        rec = TraceRecorder()
-        rec.enabled = False
-        rec.record_section(1, 0, 0.0, 1.0, "x")
-        assert len(rec.to_trace()) == 0
-
-    def test_clear(self):
-        rec = TraceRecorder()
-        rec.record_section(1, 0, 0.0, 1.0, "x")
-        rec.clear()
-        assert rec.events == []
 
 
 class TestContextMisc:

@@ -1,8 +1,9 @@
-"""The telemetry bus: event protocol, dispatch, lazy consumer attachment.
+"""The telemetry bus: consumer hooks, counters, lazy consumer attachment.
 
-Covers the ISSUE-5 tentpole contract: per-producer sequence numbers,
-region publication with footprint pairing, counter aggregation, and
-the single-place fastpath-eligibility decision (consumers are attached
+Covers the bus contract: a region reaches ``on_region`` whole (the
+trace recorder pairs its footprints), iteration marks and annotations
+reach their hooks, counters aggregate without dispatch, and the
+single-place fastpath-eligibility decision (consumers are attached
 lazily; an uninstrumented run constructs neither Monitor nor
 TraceRecorder).
 """
@@ -15,13 +16,7 @@ from repro.core.access import Footprint
 from repro.core.engine import run
 from repro.sched.timeline import TaskExec, Timeline
 from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.events import (
-    MASTER_PRODUCER,
-    AnnotationEvent,
-    CounterEvent,
-    IterationMarkEvent,
-    TileExecEvent,
-)
+from repro.trace.recorder import TraceRecorder
 from tests.conftest import make_config
 
 
@@ -29,26 +24,18 @@ class Sink:
     """A consumer implementing every hook, recording what it sees."""
 
     def __init__(self):
-        self.execs = []
         self.regions = []
         self.marks = []
         self.annos = []
-        self.counts = []
 
-    def on_tile_exec(self, ev):
-        self.execs.append(ev)
+    def on_region(self, tl, footprints):
+        self.regions.append((tl, footprints))
 
-    def on_region_end(self, tl):
-        self.regions.append(tl)
+    def on_iteration_mark(self, iteration, now):
+        self.marks.append((iteration, now))
 
-    def on_iteration_mark(self, ev):
-        self.marks.append(ev)
-
-    def on_annotation(self, ev):
-        self.annos.append(ev)
-
-    def on_counter(self, ev):
-        self.counts.append(ev)
+    def on_annotation(self, data):
+        self.annos.append(data)
 
 
 def timeline_of(n: int, region: int = 0) -> Timeline:
@@ -60,71 +47,46 @@ def timeline_of(n: int, region: int = 0) -> Timeline:
 
 
 class TestDispatch:
-    def test_per_producer_sequence_numbers(self):
-        bus = TelemetryBus()
-        sink = bus.attach(Sink())
-        bus.publish_region(timeline_of(3))
-        bus.publish_region(timeline_of(2), producer=7)
-        by_prod = {}
-        for ev in sink.execs:
-            by_prod.setdefault(ev.producer, []).append(ev.seq)
-        assert by_prod[MASTER_PRODUCER] == [0, 1, 2]
-        assert by_prod[7] == [0, 1]
-
-    def test_sequences_interleave_independently(self):
-        bus = TelemetryBus()
-        sink = bus.attach(Sink())
-        for producer in (0, 1, 0, 1, 0):
-            bus.publish(TileExecEvent(exec=timeline_of(1).execs[0]), producer)
-        seqs = [(e.producer, e.seq) for e in sink.execs]
-        assert seqs == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]
-
     def test_region_end_sees_whole_timeline(self):
         bus = TelemetryBus()
         sink = bus.attach(Sink())
         tl = timeline_of(4)
-        bus.publish_region(tl)
-        assert sink.regions == [tl]
-        assert len(sink.execs) == 4
+        fps = [None] * 4
+        bus.publish_region(tl, fps)
+        assert sink.regions == [(tl, fps)]
 
     def test_footprint_pairing_by_index(self):
         bus = TelemetryBus()
-        sink = bus.attach(Sink())
+        rec = bus.attach(TraceRecorder())
         fps = [
             Footprint(writes=(("cur", i, 0, 1, 1),)) for i in range(3)
         ]
-        bus.publish_region(timeline_of(3), footprints=fps)
-        got = [ev.footprint.writes[0][1] for ev in sink.execs]
-        assert got == [0, 1, 2]
+        # the recorder pairs by meta["index"], not by position
+        tl = timeline_of(3)
+        tl.execs.reverse()
+        bus.publish_region(tl, footprints=fps)
+        got = [(ev.extra["index"], ev.writes[0][1]) for ev in rec.events]
+        assert got == [(2, 2), (1, 1), (0, 0)]
 
     def test_inline_meta_footprint_fallback(self):
         # DAG regions attach the footprint in the exec meta instead
         bus = TelemetryBus()
-        sink = bus.attach(Sink())
+        rec = bus.attach(TraceRecorder())
         fp = Footprint(reads=(("cur", 0, 0, 4, 4),))
         tl = Timeline(ncpus=1)
         tl.append(TaskExec("t", 0, 0.0, 1.0, {"kind": "task", "footprint": fp}))
         bus.publish_region(tl)
-        assert sink.execs[0].footprint is fp
+        (ev,) = rec.events
+        assert ev.reads == fp.reads and ev.writes == ()
+        assert "footprint" not in ev.extra
 
     def test_iteration_mark_and_annotation(self):
         bus = TelemetryBus()
         sink = bus.attach(Sink())
         bus.iteration_mark(3, 1.5)
         bus.annotate(clock="wall", backend="procs")
-        (mark,) = sink.marks
-        assert isinstance(mark, IterationMarkEvent)
-        assert (mark.iteration, mark.now) == (3, 1.5)
-        (anno,) = sink.annos
-        assert isinstance(anno, AnnotationEvent)
-        assert anno.data == {"clock": "wall", "backend": "procs"}
-
-    def test_detach(self):
-        bus = TelemetryBus()
-        sink = bus.attach(Sink())
-        bus.detach(sink)
-        bus.publish_region(timeline_of(2))
-        assert sink.execs == []
+        assert sink.marks == [(3, 1.5)]
+        assert sink.annos == [{"clock": "wall", "backend": "procs"}]
 
 
 class TestCounters:
@@ -133,14 +95,6 @@ class TestCounters:
         bus.counter("steals", 3)
         bus.counter("steals", 2)
         assert bus.counters["steals"] == 5
-
-    def test_counter_events_reach_consumers(self):
-        bus = TelemetryBus()
-        sink = bus.attach(Sink())
-        bus.counter("steals", 4)
-        (ev,) = sink.counts
-        assert isinstance(ev, CounterEvent)
-        assert (ev.name, ev.value) == ("steals", 4)
 
     def test_dropped_events_accounting(self):
         bus = TelemetryBus()
@@ -168,7 +122,7 @@ class TestLazyAttachment:
         assert res.trace is None
         assert res.context._monitor is None
         assert res.context._tracer is None
-        assert res.context.bus.consumers == ()
+        assert res.context.bus._consumers == []
 
     def test_uninstrumented_sim_run_uses_fastpath(self):
         res = run(make_config(kernel="mandel", variant="omp_tiled"))
@@ -205,17 +159,18 @@ class TestLazyAttachment:
         assert ctx.instrumented()
         assert not ctx.fastpath_active()
         ctx.sequential_for(lambda item: 1.0, items=["a", "b"])
-        assert len(sink.execs) == 2
+        ((tl, _fps),) = sink.regions
+        assert [e.item for e in tl] == ["a", "b"]
 
     def test_observer_without_exec_hooks_keeps_fastpath(self):
         from repro.core.context import ExecutionContext
 
-        class CounterOnly:
-            def on_counter(self, ev):
+        class AnnotationsOnly:
+            def on_annotation(self, data):
                 pass
 
         ctx = ExecutionContext(make_config())
-        ctx.bus.attach(CounterOnly())
+        ctx.bus.attach(AnnotationsOnly())
         assert not ctx.instrumented()
         assert ctx.fastpath_active()
 
@@ -250,3 +205,36 @@ class TestGoldenCompat:
         assert "region" in e.extra and "rmode" in e.extra and "index" in e.extra
         assert "footprint" not in e.extra
         assert res.trace.meta.extra == {}
+
+
+class TestFootprintPairingEndToEnd:
+    """The trace recorder pairs each task with its own footprint on every
+    backend: worksharing regions by ``meta["index"]``, task regions by the
+    footprint inlined in the exec meta."""
+
+    @pytest.mark.parametrize("backend", ["sim", "threads", "procs"])
+    def test_blur_tiles_write_own_rect_and_read_own_halo(self, backend):
+        dim = 64
+        res = run(make_config(
+            kernel="blur", variant="omp_tiled", dim=dim, tile_w=16, tile_h=16,
+            iterations=1, footprints=True, trace=True, backend=backend,
+        ))
+        events = [e for e in res.trace.events if e.kind == "tile"]
+        assert len(events) == (dim // 16) ** 2
+        for e in events:
+            x0, y0 = max(e.x - 1, 0), max(e.y - 1, 0)
+            x1, y1 = min(e.x + e.w + 1, dim), min(e.y + e.h + 1, dim)
+            assert e.writes == (("next", e.x, e.y, e.w, e.h),)
+            assert e.reads == (("cur", x0, y0, x1 - x0, y1 - y0),)
+
+    def test_task_region_events_carry_their_footprints(self):
+        res = run(make_config(
+            kernel="cc", variant="omp_task", dim=64, tile_w=16, tile_h=16,
+            iterations=1, footprints=True, trace=True,
+        ))
+        events = res.trace.events
+        assert events and all(e.has_tile for e in events)
+        for e in events:
+            # each task writes exactly its own tile
+            assert e.writes == (("cur", e.x, e.y, e.w, e.h),)
+            assert e.reads and e.reads[0] == ("cur", e.x, e.y, e.w, e.h)
