@@ -52,14 +52,25 @@ class TraceEvent:
         return self.x >= 0 and self.y >= 0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if not d["extra"]:
-            del d["extra"]
-        for key in ("reads", "writes"):
-            if d[key]:
-                d[key] = [list(r) for r in d[key]]
-            else:
-                del d[key]
+        """The event as a JSON-ready dict, keys in field order.
+
+        Empty ``extra``/``reads``/``writes`` are omitted and regions
+        become lists.  ``extra`` is copied one level deep, so editing
+        the result cannot edit this (frozen) event; its values are
+        handed to the encoder as they are.
+        """
+        d = {
+            "iteration": self.iteration, "cpu": self.cpu,
+            "start": self.start, "end": self.end,
+            "x": self.x, "y": self.y, "w": self.w, "h": self.h,
+            "kind": self.kind,
+        }
+        if self.extra:
+            d["extra"] = dict(self.extra)
+        if self.reads:
+            d["reads"] = [list(r) for r in self.reads]
+        if self.writes:
+            d["writes"] = [list(r) for r in self.writes]
         return d
 
     @classmethod

@@ -26,18 +26,30 @@ def default_trace_path(directory: str | os.PathLike = "traces", label: str = "cu
 
 
 def save_trace(trace: Trace, path: str | os.PathLike) -> Path:
-    """Write ``trace`` to ``path`` (parent directories are created)."""
+    """Write ``trace`` to ``path`` (parent directories are created).
+
+    The whole file is encoded before ``path`` is opened: a header or
+    event holding a value JSON cannot encode raises :class:`TraceError`
+    and leaves the file system untouched.
+    """
+    encode = json.JSONEncoder().encode  # json.dumps's default settings
+    header = {
+        "easypap_trace": TRACE_FORMAT_VERSION,
+        "meta": trace.meta.to_dict(),
+        "nevents": len(trace.events),
+    }
+    lines: list[str] = []
+    try:
+        lines.append(encode(header))
+        for event in trace.events:
+            lines.append(encode(event.to_dict()))
+    except (TypeError, ValueError) as exc:
+        where = f"event {len(lines) - 1}" if lines else "header"
+        raise TraceError(f"cannot encode trace {where} for {path}: {exc}") from None
+    lines.append("")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as fh:
-        header = {
-            "easypap_trace": TRACE_FORMAT_VERSION,
-            "meta": trace.meta.to_dict(),
-            "nevents": len(trace.events),
-        }
-        fh.write(json.dumps(header) + "\n")
-        for e in trace.events:
-            fh.write(json.dumps(e.to_dict()) + "\n")
+    p.write_text("\n".join(lines), encoding="utf-8")
     return p
 
 

@@ -166,13 +166,6 @@ class TestFastPathGating:
         assert r.fastpath_regions == 0
         assert r.monitor is not None
 
-    def test_traced_run_matches_fast_run(self):
-        traced = run(make_config(kernel="mandel", variant="omp_tiled", trace=True))
-        fast = run(make_config(kernel="mandel", variant="omp_tiled"))
-        assert fast.fastpath_regions > 0
-        assert fast.virtual_time == traced.virtual_time
-        assert np.array_equal(fast.image, traced.image)
-
     def test_fastpath_off_via_config(self):
         r = run(make_config(kernel="mandel", variant="omp_tiled", fastpath="off"))
         assert r.fastpath_regions == 0

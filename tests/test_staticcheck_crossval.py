@@ -3,8 +3,8 @@
 The contract under test: every access the runtime actually performs
 falls inside the statically inferred envelope — on fresh
 footprint-carrying traces of several kernels, on every golden fixture
-(vacuously: they carry no footprints), and a tampered trace must be
-caught."""
+(vacuously on those recorded without footprints), and a tampered trace
+must be caught."""
 
 from pathlib import Path
 
@@ -17,6 +17,8 @@ from repro.trace.format import load_trace
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = sorted(FIXTURES.glob("*.evt"))
+#: the golden fixtures recorded with footprint collection on
+GOLDEN_FOOTPRINTS = [p for p in GOLDEN if p.stem.endswith("_footprints")]
 
 
 def _record(tmp_path, kernel, variant, name):
@@ -68,16 +70,29 @@ def test_3d_footprints_checked_through_xy_projection(tmp_path, variant, capsys):
     assert cv.events > 0
 
 
-@pytest.mark.parametrize("fixture", GOLDEN, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "fixture", [p for p in GOLDEN if p not in GOLDEN_FOOTPRINTS],
+    ids=lambda p: p.stem,
+)
 def test_golden_fixtures_pass_vacuously(fixture):
     trace = load_trace(fixture)
     vr = check_variant(get_kernel(trace.meta.kernel), trace.meta.variant)
     cv = cross_validate(vr, trace)
     assert cv.ok
-    # the golden traces predate footprints: the pass must be explicit
+    # these golden traces carry no footprints: the pass must be explicit
     # about its vacuity instead of claiming a validation that never ran
     assert cv.events == 0
     assert "vacuous" in cv.describe()
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_FOOTPRINTS, ids=lambda p: p.stem)
+def test_golden_footprint_fixtures_validate(fixture):
+    trace = load_trace(fixture)
+    assert all(e.reads and e.writes for e in trace.events if e.kind == "tile")
+    vr = check_variant(get_kernel(trace.meta.kernel), trace.meta.variant)
+    cv = cross_validate(vr, trace)
+    assert cv.ok, cv.describe()
+    assert cv.events > 0
 
 
 def test_tampered_trace_is_caught(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the trace data model."""
 
+import json
+from dataclasses import fields
 
 from repro.trace.events import Trace, TraceEvent, TraceMeta
 
@@ -21,11 +23,49 @@ class TestTraceEvent:
         assert TraceEvent.from_dict(e.to_dict()) == e
 
     def test_to_dict_drops_empty_extra(self):
-        assert "extra" not in ev().to_dict()
+        # reads and writes too: an event without them is its nine fields
+        assert list(ev().to_dict()) == ["iteration", "cpu", "start", "end",
+                                        "x", "y", "w", "h", "kind"]
 
     def test_from_dict_defaults(self):
         e = TraceEvent.from_dict({"iteration": 1, "cpu": 0, "start": 0, "end": 1})
         assert e.x == -1 and e.kind == "tile" and e.extra == {}
+
+
+class TestToDictContract:
+    """``to_dict`` is what the ``.evt`` writer encodes, so its key order,
+    omissions and value shapes are the file's bytes."""
+
+    FULL = dict(
+        it=2, cpu=1, start=0.5, end=1.25, x=8, y=0, w=8, h=8, kind="task",
+        extra={"preds": [3, 4], "cache": {"hits": 5, "misses": 1},
+               "span": (0.5, 1.0)},
+        reads=(("cur", 7, 0, 10, 9),),
+        writes=(("next3", 0, 0, 16, 16, 8, 8),),
+    )
+
+    def test_key_order_is_field_order(self):
+        d = ev(**self.FULL).to_dict()
+        assert list(d) == [f.name for f in fields(TraceEvent)]
+
+    def test_mutating_result_leaves_event_unchanged(self):
+        e = ev(extra={"index": 3})
+        d = e.to_dict()
+        d["extra"]["index"] = 99
+        d["extra"]["stolen"] = True
+        assert e.extra == {"index": 3}
+
+    def test_nested_extra_encoding_pinned(self):
+        # nested values encode as JSON lists and objects; tuples become
+        # lists, exactly as in .evt files already written
+        expected = (
+            '{"iteration": 2, "cpu": 1, "start": 0.5, "end": 1.25, '
+            '"x": 8, "y": 0, "w": 8, "h": 8, "kind": "task", '
+            '"extra": {"preds": [3, 4], "cache": {"hits": 5, "misses": 1}, '
+            '"span": [0.5, 1.0]}, "reads": [["cur", 7, 0, 10, 9]], '
+            '"writes": [["next3", 0, 0, 16, 16, 8, 8]]}'
+        )
+        assert json.dumps(ev(**self.FULL).to_dict()) == expected
 
 
 class TestTraceMeta:

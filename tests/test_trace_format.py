@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -87,6 +88,40 @@ class TestErrors:
         p.write_text(p.read_text().replace("\n", "\n\n", 1))
         loaded = load_trace(p)
         assert len(loaded) == 2
+
+
+class TestUnencodable:
+    """A value JSON cannot encode fails before the file is opened."""
+
+    def _bad_trace(self):
+        t = sample_trace(3)
+        t.events[1] = TraceEvent(iteration=1, cpu=1, start=1.0, end=1.5,
+                                 extra={"index": np.int64(1)})
+        return t
+
+    def test_error_names_event_index_and_type(self, tmp_path):
+        with pytest.raises(TraceError, match=r"event 1\b.*int64"):
+            save_trace(self._bad_trace(), tmp_path / "t.evt")
+
+    def test_existing_file_left_byte_identical(self, tmp_path):
+        p = save_trace(sample_trace(3), tmp_path / "t.evt")
+        before = p.read_bytes()
+        with pytest.raises(TraceError):
+            save_trace(self._bad_trace(), p)
+        assert p.read_bytes() == before
+        assert len(load_trace(p)) == 3
+
+    def test_no_file_or_directory_created(self, tmp_path):
+        with pytest.raises(TraceError):
+            save_trace(self._bad_trace(), tmp_path / "sub" / "t.evt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unencodable_meta_extra(self, tmp_path):
+        t = sample_trace(1)
+        t.meta.extra["ranks"] = {1, 2}
+        with pytest.raises(TraceError, match="header.*set"):
+            save_trace(t, tmp_path / "t.evt")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestForwardCompat:

@@ -74,6 +74,16 @@ GOLDEN_CONFIGS: dict[str, dict] = {
         kernel="sandpile", variant="seq", dim=32, tile_w=8, tile_h=8,
         iterations=2, nthreads=4, trace=True,
     ),
+    # footprint-carrying events: (buf, x, y, w, h) read/write regions
+    "blur_footprints": dict(
+        kernel="blur", variant="omp_tiled", dim=32, tile_w=8, tile_h=8,
+        iterations=2, nthreads=3, trace=True, footprints=True,
+    ),
+    # 3D slab footprints: (buf, x, y, w, h, z, d) regions
+    "heat3d_footprints": dict(
+        kernel="heat3d", variant="omp_tiled", dim=16, tile_w=8, tile_h=8,
+        iterations=2, nthreads=3, trace=True, footprints=True,
+    ),
 }
 
 
