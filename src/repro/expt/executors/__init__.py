@@ -1,8 +1,8 @@
 """Pluggable sweep executors: serial, local-procs, socket.
 
-Each executor lives in its own module; the process-pool and socket
+Each executor lives in its own module; the local-procs and socket
 executors are imported by :func:`make_executor` when a sweep selects
-them.
+them.  Local-procs is a socket master with forked localhost workers.
 
 ``exptools.execute`` drives any of these through the same four calls
 (``configure`` / ``submit`` / ``drain`` / ``close``); see
@@ -34,16 +34,17 @@ def make_executor(
 ) -> Executor:
     """Build an executor from its CLI name.
 
-    ``workers`` sizes the local-procs pool; ``bind`` ("host:port") is
-    the socket master's listen address (default ``127.0.0.1:0``, an
-    ephemeral port printed when ``verbose``).
+    ``workers`` is the number of forked local-procs workers; ``bind``
+    ("host:port") is the socket master's listen address (default
+    ``127.0.0.1:0``, an ephemeral port printed when ``verbose``).
     """
     if name == "serial":
         return SerialExecutor()
     if name == "local-procs":
         from repro.expt.executors.localprocs import LocalProcsExecutor
 
-        return LocalProcsExecutor(workers)
+        return LocalProcsExecutor(workers, lease_timeout=lease_timeout,
+                                  max_requeues=max_requeues, verbose=verbose)
     if name == "socket":
         from repro.expt.executors.socketexec import SocketExecutor, parse_address
 

@@ -1,8 +1,8 @@
 """The executor contract: how a sweep's (configuration, repetition)
 grid gets turned into CSV rows.
 
-An :class:`Executor` owns *where* sweep points run — inline, on a
-local process pool, or on remote workers across a cluster — while
+An :class:`Executor` owns *where* sweep points run — inline, on
+forked localhost workers, or on remote workers across a cluster — while
 ``exptools.execute`` owns *what* runs (the grid, resume filtering) and
 *how results persist* (streaming appends to the flock-safe csvdb).
 The interface is deliberately tiny:
@@ -13,7 +13,7 @@ The interface is deliberately tiny:
 * :meth:`Executor.drain` yields one result row per submitted job, in
   completion order, and returns only when every job is resolved —
   either with a measured ``status=ok`` row or a ``status=error`` row;
-* :meth:`Executor.close` releases pools/sockets (idempotent).
+* :meth:`Executor.close` releases worker processes/sockets (idempotent).
 
 Every executor resolves **all** submitted jobs: a lost worker must
 never silently swallow a grid point.  Rows carry provenance columns
@@ -99,7 +99,7 @@ def _time_limit(seconds: float | None) -> Iterator[None]:
     """Raise :class:`SweepTimeout` after ``seconds`` of wall time.
 
     Implemented with ``SIGALRM``, so it is enforced only on POSIX main
-    threads (pool workers and socket workers both run points on their
+    threads (local-procs and socket workers both run points on their
     main thread); elsewhere it degrades to a no-op rather than failing
     the sweep.
     """
@@ -244,7 +244,7 @@ class Executor:
         row["executor"] = self.name
         return row
 
-    # executors are context managers so ad-hoc users cannot leak pools
+    # executors are context managers so ad-hoc users cannot leak workers
     def __enter__(self) -> "Executor":
         return self
 

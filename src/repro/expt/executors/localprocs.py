@@ -1,98 +1,83 @@
-"""The local-procs executor: today's multiprocessing fan-out,
-re-expressed behind the executor interface.
+"""The local-procs executor: a socket master with forked localhost workers.
 
-One ``multiprocessing`` pool per drain; results stream back through
-``imap_unordered`` as they finish, so the driver appends each row to
-the CSV the moment it exists — a killed sweep keeps every completed
-point.  With ``reuse_work`` the job list is sorted so each workload's
-points are contiguous and one worker captures the profile the rest
-replay from memory.
+Each drain forks ``min(workers, len(jobs))`` processes running
+``run_worker`` against this executor's private ``127.0.0.1`` listener,
+so dispatch, leases, requeues and error rows are the socket master's.
+A dead worker is replaced while jobs remain, at most ``len(jobs) *
+(max_requeues + 1)`` times; then, with no worker left, the rest become
+error rows.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Iterator
+import time
+from typing import Iterator
 
-from repro.expt.executors.base import Executor, RunOptions, SweepJob, run_point
+from repro.expt.executors.serial import SerialExecutor
+from repro.expt.executors.socketexec import SocketExecutor, run_worker
 from repro.expt.replay import WorkProfileCache
 
-__all__ = ["LocalProcsExecutor", "pool_chunksize"]
+__all__ = ["LocalProcsExecutor"]
+
+# fork where available (cheap, shares the kernel registry); spawn otherwise
+_CTX = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
 
 
-def pool_chunksize(n_jobs: int, workers: int) -> int:
-    """Batch size for ``imap_unordered`` on profile-replay sweeps.
-
-    Small grids dispatch single jobs: batching ``n_jobs`` into chunks
-    when there are fewer than ``workers * 4`` of them concentrates the
-    work on the first few workers and starves the rest, which is worse
-    than paying per-job IPC.  Large grids keep roughly four batches
-    per worker so the tail stays balanced.
-    """
-    if n_jobs < workers * 4:
-        return 1
-    return max(1, n_jobs // (workers * 4))
+def _local_worker(port: int, inherited) -> None:
+    if inherited is not None:  # the master's listener, copied by fork
+        inherited.close()
+    run_worker("127.0.0.1", port)
 
 
-# initialized once per pool worker; tasks then only pickle the job
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _init_worker(options: RunOptions) -> None:
-    _WORKER_STATE["options"] = options
-    _WORKER_STATE["cache"] = options.make_cache()
-
-
-def _pool_point(job: SweepJob) -> dict:
-    return run_point(job, _WORKER_STATE["options"], _WORKER_STATE["cache"])
-
-
-def _pool_context():
-    """Fork where available (cheap, shares the kernel registry); spawn
-    otherwise."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-class LocalProcsExecutor(Executor):
+class LocalProcsExecutor(SocketExecutor):
     name = "local-procs"
 
-    def __init__(self, workers: int) -> None:
-        super().__init__()
+    def __init__(self, workers: int, *, lease_timeout: float = 300.0,
+                 max_requeues: int = 2, verbose: bool = False) -> None:
+        super().__init__(lease_timeout=lease_timeout, max_requeues=max_requeues)
+        self.verbose = verbose  # set late: the private address goes unannounced
         self.workers = max(1, workers)
-        self._pool = None
+        self._procs: list = []
+        self._respawns = 0
+
+    def _fork(self, n: int) -> None:
+        inherited = self._listener if _CTX.get_start_method() == "fork" else None
+        for _ in range(n):
+            self._procs.append(_CTX.Process(
+                target=_local_worker, args=(self.address[1], inherited), daemon=True))
+            self._procs[-1].start()
 
     def drain(self) -> Iterator[dict]:
-        jobs = list(self.jobs)
-        if len(jobs) <= 1 or self.workers == 1:
-            # pool overhead buys nothing; run inline
-            cache = self.options.make_cache()
-            for job in jobs:
-                self.counters["jobs_dispatched"] += 1
-                yield self._stamp(run_point(job, self.options, cache))
+        if len(self.jobs) <= 1 or self.workers == 1:  # forking buys nothing
+            yield from SerialExecutor.drain(self)
             return
-        if self.options.reuse_work:
-            # keep each workload's points contiguous so one worker
-            # captures the profile and replays the rest from memory
-            jobs.sort(key=lambda j: (WorkProfileCache.workload_key(j.config), j.rep))
-            chunksize = pool_chunksize(len(jobs), self.workers)
-        else:
-            chunksize = 1
-        ctx = _pool_context()
-        self._pool = ctx.Pool(
-            processes=self.workers,
-            initializer=_init_worker,
-            initargs=(self.options,),
-        )
-        try:
-            for row in self._pool.imap_unordered(_pool_point, jobs, chunksize=chunksize):
-                self.counters["jobs_dispatched"] += 1
-                yield self._stamp(row)
-        finally:
-            self.close()
+        if self.options.reuse_work:  # each workload's points dispatched together
+            with self._lock:
+                self._queue.sort(key=lambda i: (
+                    WorkProfileCache.workload_key(self._by_id[i].config), self._by_id[i].rep))
+        self._respawns = len(self.jobs) * (self.max_requeues + 1)
+        self._fork(min(self.workers, len(self.jobs)))
+        yield from super().drain()
+
+    def _idle(self) -> None:
+        super()._idle()
+        self._procs = [p for p in self._procs if p.is_alive()]  # reaps the dead
+        with self._lock:
+            missing = min(self.workers, len(self.jobs) - len(self._resolved)) - len(self._procs)
+        n = min(missing, self._respawns)
+        if n > 0:
+            self._respawns -= n
+            self._fork(n)
+        elif missing > 0 and not self._procs:
+            self._abandon_unresolved("every local worker died; gave up respawning")
 
     def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        super().close()  # workers now see NO_MORE_JOBS or EOF
+        deadline = time.monotonic() + 2.0
+        for proc in self._procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            proc.kill()  # a no-op once it has exited
+            proc.join()
+        self._procs = []

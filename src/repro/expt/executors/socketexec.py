@@ -149,8 +149,8 @@ class SocketExecutor(Executor):
         self._listener.bind((host, port))
         self._listener.listen(128)
         if self.verbose:
-            print(f"socket master listening on {self.address[0]}:{self.address[1]}",
-                  flush=True)
+            print(f"{self.name} master listening on "
+                  f"{self.address[0]}:{self.address[1]}", flush=True)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -188,6 +188,16 @@ class SocketExecutor(Executor):
             self._done = True
             self._cond.notify_all()
 
+    def _abandon_locked(self, job_id: int, message: str, worker_id: str = "") -> None:
+        """Resolve a job with a status=error row."""
+        job = self._by_id[job_id]
+        self._results.put(error_row(
+            job.config, job.rep, self.options.machine, message, worker_id=worker_id,
+        ))
+        self._mark_resolved_locked(job_id)
+        if self.verbose:
+            print(f"{self.name} master: job {job_id} abandoned ({message})", flush=True)
+
     def _revoke_locked(self, lease: _Lease, reason: str) -> None:
         """A lease failed (worker died / deadline passed): requeue the
         job, or give up with a status=error row after max_requeues."""
@@ -195,26 +205,26 @@ class SocketExecutor(Executor):
             return
         attempts = self._attempts.get(lease.job_id, 0) + 1
         self._attempts[lease.job_id] = attempts
-        job = self._by_id[lease.job_id]
         if attempts > self.max_requeues:
-            self._results.put(error_row(
-                job.config, job.rep, self.options.machine,
-                f"{reason}; gave up after {attempts} dispatch attempts",
-                worker_id=lease.worker_id,
-            ))
-            self._mark_resolved_locked(lease.job_id)
-            if self.verbose:
-                print(f"socket master: job {lease.job_id} abandoned ({reason})",
-                      flush=True)
+            self._abandon_locked(lease.job_id, f"{reason}; gave up after "
+                                 f"{attempts} dispatch attempts", lease.worker_id)
         else:
             self.counters["jobs_requeued"] += 1
             self._queue.append(lease.job_id)
             self._cond.notify()
             if self.verbose:
-                print(f"socket master: job {lease.job_id} requeued ({reason})",
+                print(f"{self.name} master: job {lease.job_id} requeued ({reason})",
                       flush=True)
 
-    def _expire_leases(self) -> None:
+    def _abandon_unresolved(self, reason: str) -> None:
+        """Every job still queued or leased becomes a status=error row."""
+        with self._cond:
+            self._queue.clear()
+            for job_id in sorted(self._by_id.keys() - self._resolved):
+                self._abandon_locked(job_id, reason)
+
+    def _idle(self) -> None:
+        """Housekeeping while drain waits for rows: expire overdue leases."""
         now = time.monotonic()
         stale: list[socket.socket] = []
         with self._cond:
@@ -241,8 +251,9 @@ class SocketExecutor(Executor):
                     return
                 self._conns.add(conn)
                 t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+                # start under the lock: drain/close join every listed thread
+                t.start()
                 self._threads.append(t)
-            t.start()
 
     def _serve(self, conn: socket.socket) -> None:
         worker_id = ""
@@ -286,7 +297,7 @@ class SocketExecutor(Executor):
                     )
         except (ProtocolError, OSError) as exc:
             if self.verbose:
-                print(f"socket master: worker {worker_id or '?'} dropped: {exc}",
+                print(f"{self.name} master: worker {worker_id or '?'} dropped: {exc}",
                       flush=True)
         finally:
             with self._cond:
@@ -321,7 +332,7 @@ class SocketExecutor(Executor):
                 with self._lock:
                     if self._closed:
                         return
-                self._expire_leases()
+                self._idle()
                 continue
             yielded += 1
             yield self._stamp(row)
@@ -345,10 +356,8 @@ class SocketExecutor(Executor):
             threads = list(self._threads)
         if already:
             return
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
+        # shutdown wakes the acceptor blocked in accept(); close alone does not
+        _shutdown(self._listener)
         for conn in conns:
             _shutdown(conn)
         for t in threads:
@@ -363,7 +372,10 @@ def _connect(address: tuple[str, int], wait: float) -> socket.socket | None:
     deadline = time.monotonic() + max(0.0, wait)
     while True:
         try:
-            return socket.create_connection(address, timeout=5.0)
+            sock = socket.create_connection(address, timeout=5.0)
+            # RESULT + REQUEST_JOB are two small writes: Nagle stalls each job ~40 ms
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return sock
         except OSError:
             if time.monotonic() >= deadline:
                 return None

@@ -22,8 +22,8 @@ Large sweeps are a first-class workload, not a for-loop.  *Where* the
 grid runs is a pluggable :class:`~repro.expt.executors.Executor`:
 
 * ``executor="serial"`` (default for ``workers=1``) runs points inline;
-* ``executor="local-procs"`` (default for ``workers=N``) fans out over
-  a ``multiprocessing`` pool on this host;
+* ``executor="local-procs"`` (default for ``workers=N``) is the socket
+  master below, with ``workers`` forked localhost worker processes;
 * ``executor="socket"`` starts a TCP master; ``python -m repro.expt
   worker --connect host:port`` processes — on this host or across a
   cluster — pull jobs and push result rows back.
@@ -39,8 +39,8 @@ so a killed sweep keeps every completed point, and:
   ``status=error`` are retried.
 * ``timeout=``/``retries=`` bound each point: a failing or overrunning
   run becomes a ``status=error`` row instead of aborting the sweep.
-  The socket executor adds lease-based requeues on top: a point whose
-  worker dies is re-dispatched (boundedly) to another worker.
+  Local-procs and socket add lease-based requeues on top: a point
+  whose worker dies is re-dispatched (boundedly) to another worker.
 * ``reuse_work=True`` computes per-tile work once per (kernel, size,
   grain, iterations) and re-simulates the scheduling for each
   configuration — hundreds of configurations in seconds, with results
@@ -251,8 +251,8 @@ def execute(
     points run — a name from ``EXECUTOR_NAMES`` or a configured
     :class:`~repro.expt.executors.Executor` instance (e.g. a
     ``SocketExecutor`` whose address workers were already pointed at);
-    by default ``workers=1`` runs serially and ``workers=N`` uses the
-    local process pool.
+    by default ``workers=1`` runs serially and ``workers=N`` uses
+    local-procs.
     """
     if prog not in ("easypap", "./run", "run"):
         raise ConfigError(f"unknown program {prog!r} (expected 'easypap')")
@@ -295,7 +295,7 @@ def execute(
         rows.append(row)
         # schedule-result memo telemetry: each row says whether the
         # memo served it; the executor counters aggregate the tally
-        # (works across executors — serial, pool workers, sockets)
+        # (works across executors — serial, local and remote workers)
         memo = row.get("memo", "")
         if memo == "hit":
             exec_obj.counters["memo_hits"] = exec_obj.counters.get("memo_hits", 0) + 1

@@ -91,11 +91,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         "unless --quiet)")
     runner.add_argument("--lease-timeout", type=float, default=300.0,
                         metavar="SECONDS",
-                        help="socket executor: requeue a dispatched job whose "
-                        "worker goes silent this long")
+                        help="requeue a dispatched job whose worker goes "
+                        "silent this long")
     runner.add_argument("--max-requeues", type=int, default=2, metavar="N",
-                        help="socket executor: dispatch attempts per job after "
-                        "worker deaths before recording status=error")
+                        help="dispatch attempts per job after worker deaths "
+                        "before recording status=error")
     runner.add_argument("--resume", action="store_true",
                         help="skip points already recorded in the CSV")
     runner.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -192,9 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     options, icvs = _grid(args)
     try:
         executor = args.executor
-        if executor is not None or args.bind is not None:
+        if executor is not None or args.bind is not None or args.workers > 1:
             executor = make_executor(
-                executor or "socket",
+                executor or ("socket" if args.bind else "local-procs"),
                 workers=args.workers,
                 bind=args.bind,
                 lease_timeout=args.lease_timeout,

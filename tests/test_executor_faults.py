@@ -8,11 +8,15 @@ The deterministic half drives the wire protocol directly (a saboteur
 connection that takes a job and dies, a hung worker that takes a job
 and goes silent); the subprocess half (``@pytest.mark.slow``) kills
 real worker/master processes with SIGKILL, exactly as a cluster would
-lose them.
+lose them.  ``local-procs`` is the same master with forked localhost
+workers: its worker-death tests run each sweep in a subprocess under a
+hard timeout, so a sweep that hangs on a dead worker fails the test
+instead of the test run.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -25,14 +29,16 @@ from pathlib import Path
 import pytest
 
 from repro.expt.csvdb import read_rows
-from repro.expt.executors.socketexec import SocketExecutor, run_worker
+from repro.expt.executors import localprocs
+from repro.expt.executors.base import RunOptions, SweepJob
+from repro.expt.executors.socketexec import SocketExecutor, _connect, run_worker
 from repro.expt.executors.protocol import (
     JOB,
     REQUEST_JOB,
     recv_message,
     send_message,
 )
-from repro.expt.exptools import execute, point_key
+from repro.expt.exptools import execute, point_key, sweep_points
 from tests.test_executor_equivalence import spawn_worker
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -224,12 +230,161 @@ class TestShutdown:
             t.join(timeout=10)
         assert drained == []
 
+    def test_close_after_drain_wakes_the_acceptor(self):
+        """close() must not wait out the acceptor's join timeout: a
+        listener that is only closed leaves accept() blocked."""
+        ex = SocketExecutor()
+        ex.configure(RunOptions())
+        config, rep = sweep_points({}, GRID_OPTS, 1)[0]
+        ex.submit(SweepJob(0, config, rep))
+        in_thread_worker(ex.address[1])
+        rows = list(ex.drain())
+        started = time.monotonic()
+        ex.close()
+        assert time.monotonic() - started < 0.5
+        assert [r["status"] for r in rows] == ["ok"]
+
+    def test_worker_socket_disables_nagle(self):
+        """A worker writes RESULT then REQUEST_JOB: with Nagle on, the
+        second small write waits for the master's delayed ACK."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            sock = _connect(listener.getsockname(), 1.0)
+            assert sock is not None
+            with sock:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
     def test_worker_with_no_master_exits_cleanly(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             dead_port = s.getsockname()[1]
         # nothing listens on dead_port anymore
         assert run_worker("127.0.0.1", dead_port, connect_wait=0.3) == 0
+
+
+# Runs one local-procs sweep in a fresh interpreter and prints its
+# outcome as JSON.  The ``mandel_doomed`` kernel acts only inside a
+# forked worker: under "kill" it marks the worker as mid-job and runs
+# slowly, under "poison" its threads=4 point SIGKILLs its own worker
+# while the ``poison`` flag file exists.
+LOCAL_DEATH_SCRIPT = r"""
+import json, os, signal, sys, threading, time
+from repro.core.kernel import register_kernel
+from repro.expt.csvdb import read_rows
+from repro.expt.executors.localprocs import LocalProcsExecutor
+from repro.expt.exptools import execute, point_key
+from repro.kernels.mandel import MandelKernel
+
+scenario, work = sys.argv[1], sys.argv[2]
+master = os.getpid()
+
+
+@register_kernel
+class DoomedMandel(MandelKernel):
+    name = "mandel_doomed"
+
+    def init(self, ctx):
+        super().init(ctx)
+        if os.getpid() == master:
+            return
+        if scenario == "kill":
+            open(os.path.join(work, f"running-{os.getpid()}"), "w").close()
+            time.sleep(0.5)
+        elif ctx.nthreads == 4 and os.path.exists(os.path.join(work, "poison")):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+opts = {"--kernel ": ["mandel_doomed"], "--variant ": ["omp_tiled"],
+        "--size ": [64], "--grain ": [16], "--iterations ": [2]}
+icvs = {"OMP_NUM_THREADS=": [1, 2, 4, 8] if scenario == "kill" else [1, 2, 4]}
+csv = os.path.join(work, "perf.csv")
+ex = LocalProcsExecutor(2)
+if scenario == "kill":
+    def kill_first_running_worker():
+        while True:
+            marks = [f for f in os.listdir(work) if f.startswith("running-")]
+            if marks:
+                os.kill(int(marks[0].split("-")[1]), signal.SIGKILL)
+                return
+            time.sleep(0.01)
+
+    threading.Thread(target=kill_first_running_worker, daemon=True).start()
+rows = execute("easypap", icvs, opts, csv_path=csv, executor=ex)
+out = {"rows": rows, "counters": ex.counters}
+if scenario == "poison":
+    os.remove(os.path.join(work, "poison"))
+    out["redone"] = execute("easypap", icvs, opts, csv_path=csv, resume=True,
+                            executor=LocalProcsExecutor(2))
+out["csv"] = [[r["status"], list(point_key(r))] for r in read_rows(csv)]
+print(json.dumps(out, default=str))
+"""
+
+
+def run_local_death_sweep(scenario: str, work: Path) -> dict:
+    """Run ``LOCAL_DEATH_SCRIPT``; a sweep that hangs is killed (its
+    whole process group) and fails the test."""
+    env = dict(os.environ,
+               PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", LOCAL_DEATH_SCRIPT, scenario, str(work)],
+        env=env, cwd=REPO_ROOT, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"local-procs sweep ({scenario}) hung on a dead worker")
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+class TestLocalProcsWorkerDeath:
+    def test_sigkill_worker_mid_lease_sweep_still_completes(self, tmp_path):
+        """A forked worker is SIGKILLed while it runs a point: its job
+        is requeued and the sweep completes without duplicates."""
+        out = run_local_death_sweep("kill", tmp_path)
+        assert len(out["rows"]) == 4
+        assert all(r["status"] == "ok" for r in out["rows"])
+        assert all(r["executor"] == "local-procs" for r in out["rows"])
+        assert out["counters"]["jobs_requeued"] >= 1
+        keys = [tuple(key) for _status, key in out["csv"]]
+        assert len(keys) == 4 and len(set(keys)) == 4, "duplicate csv rows"
+
+    def test_poison_point_becomes_error_row_and_resume_reruns_it(self, tmp_path):
+        """A point that kills every worker that runs it is given up
+        after max_requeues; the rest of the grid is measured."""
+        (tmp_path / "poison").touch()
+        out = run_local_death_sweep("poison", tmp_path)
+        by_threads = {r["threads"]: r for r in out["rows"]}
+        assert sorted(by_threads) == [1, 2, 4]
+        assert by_threads[1]["status"] == by_threads[2]["status"] == "ok"
+        assert by_threads[4]["status"] == "error"
+        assert "gave up" in by_threads[4]["error"]
+        assert out["counters"]["jobs_requeued"] == 2
+        # the resume pass re-runs exactly the error row
+        assert [(r["threads"], r["status"]) for r in out["redone"]] == [(4, "ok")]
+        ok = [tuple(key) for status, key in out["csv"] if status == "ok"]
+        assert len(ok) == 3 and len(set(ok)) == 3
+
+    def test_workers_that_never_connect_end_in_error_rows(self, tmp_path, monkeypatch):
+        """Respawns are bounded: when every forked worker dies before
+        taking a job, the grid still resolves, as error rows."""
+        monkeypatch.setattr(localprocs, "_local_worker", lambda *args: os._exit(1))
+        ex = localprocs.LocalProcsExecutor(2, max_requeues=0)
+        ex.configure(RunOptions())
+        for i, (config, rep) in enumerate(sweep_points(GRID_ICVS, GRID_OPTS, 1)):
+            ex.submit(SweepJob(i, config, rep))
+        rows: list[dict] = []
+        t = threading.Thread(target=lambda: rows.extend(ex.drain()), daemon=True)
+        t.start()
+        t.join(timeout=30)
+        ex.close()
+        assert not t.is_alive(), "drain never resolved the grid"
+        assert len(rows) == 2
+        assert all(r["status"] == "error" and "gave up" in r["error"] for r in rows)
 
 
 SLOW_OPTS = {

@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
-from repro.expt.executors.localprocs import pool_chunksize
 from repro.expt.exptools import (
     IDENTITY_COLUMNS,
     completed_points,
@@ -80,29 +79,6 @@ class TestParallel:
         par = execute("easypap", GRID_ICVS, GRID_OPTS, runs=1,
                       csv_path=tmp_path / "p.csv", workers=2)
         assert all(r["executor"] == "local-procs" for r in par)
-
-
-class TestPoolChunksize:
-    """Regression: the old ``len(jobs) // (workers * 4)`` heuristic must
-    never batch a grid smaller than ``workers * 4`` — chunks would pile
-    contiguous jobs onto the first workers and starve the rest."""
-
-    def test_small_grids_dispatch_single_jobs(self):
-        for workers in (2, 8, 32, 128):
-            for n_jobs in (1, workers, workers * 4 - 1):
-                assert pool_chunksize(n_jobs, workers) == 1
-
-    def test_large_grids_keep_about_four_batches_per_worker(self):
-        assert pool_chunksize(800, 4) == 50
-        assert pool_chunksize(33, 8) == 1
-        assert pool_chunksize(64, 2) == 8
-
-    def test_every_worker_can_get_work(self):
-        # enough chunks for every worker whenever there are enough jobs
-        for workers in (2, 3, 8, 16, 64):
-            for n_jobs in range(workers, 6 * workers):
-                chunks = -(-n_jobs // pool_chunksize(n_jobs, workers))
-                assert chunks >= workers, (n_jobs, workers)
 
 
 class TestResume:
