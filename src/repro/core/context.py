@@ -139,8 +139,8 @@ class ExecutionContext:
         Called from every instrumentation touchpoint instead of
         ``__init__``: contexts whose config disables monitoring and
         tracing never construct a :class:`Monitor` or
-        :class:`TraceRecorder` at all, which is what keeps the
-        perf-mode fast path honest (see :meth:`fastpath_active`).
+        :class:`TraceRecorder` at all, so their regions publish no
+        timeline (see :meth:`instrumented`).
         """
         if self._consumers_attached:
             return
@@ -203,9 +203,14 @@ class ExecutionContext:
         return self._tracer
 
     def instrumented(self) -> bool:
-        """The one place that decides whether per-task timelines must be
-        produced: any config-selected consumer, footprint collection, or
-        an externally attached bus consumer that observes executions."""
+        """The one place that decides whether regions publish per-task
+        timelines: any config-selected consumer, footprint collection, or
+        an externally attached bus consumer that observes executions.
+
+        It does not decide the tier: a whole-frame fast region still
+        yields its timeline, expanded from the chunk grabs, so only
+        footprint collection keeps the per-tile bodies (see
+        :meth:`fastpath_active`)."""
         return (
             self.config.monitoring
             or self.config.trace
@@ -327,19 +332,21 @@ class ExecutionContext:
             access.note_write(*r)
 
     def fastpath_active(self) -> bool:
-        """True when the whole-frame perf-mode fast path may replace the
-        per-tile reference path.
+        """True when the whole-frame fast path may replace the per-tile
+        reference path.
 
         The fast path is observably identical to the reference (same
-        images, same virtual clock, same region log) *except* that it
-        produces no per-task timeline — so it only engages when nothing
-        consumes timelines (:meth:`instrumented` is False), on the sim
-        backend, and not disabled via ``config.fastpath == "off"``.
+        images, same virtual clock, same region log, and — since the
+        schedule is simulated from the same per-item works — the same
+        timeline for monitoring, traces and ``on_region`` consumers).
+        What it cannot produce is footprints: ``declare_access`` runs
+        inside the per-tile bodies.  So it engages on the sim backend,
+        unless footprints are collected or ``config.fastpath == "off"``.
         """
         return (
             self.backend == "sim"
             and self.config.fastpath != "off"
-            and not self.instrumented()
+            and not self.collect_footprints
         )
 
     # -- parallel constructs (thin wrappers over repro.omp) -----------------------------

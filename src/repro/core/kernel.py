@@ -101,9 +101,12 @@ class Kernel:
       is the reduction over all items.
     * Returning ``None`` declines the batch (e.g. an item subset the
       frame cannot prove equivalent) and falls back to per-item bodies.
-    * The engine only calls the frame when monitoring, tracing and
-      footprint collection are all off (``ctx.fastpath_active()``), so
-      per-task instrumentation never silently disappears.
+    * The engine calls the frame on the sim backend unless footprints
+      are collected or ``fastpath="off"`` (``ctx.fastpath_active()``).
+      Monitored and traced runs call it too: their timelines are
+      simulated from the returned works, so they equal the per-item
+      path's.  Footprints need the per-item bodies, where
+      ``declare_access`` runs.
     """
 
     #: registry name; subclasses must set it

@@ -104,8 +104,9 @@ class SocketExecutor(Executor):
 
     Binds immediately, so :attr:`address` is known before any worker
     starts; ``port=0`` picks a free ephemeral port (tests, single-host
-    use).  One thread accepts connections and one serves each worker;
-    all shared state lives behind one lock + condition.
+    use).  One thread accepts connections (from :meth:`start` on) and
+    one serves each worker; all shared state lives behind one lock +
+    condition.
     """
 
     name = "socket"
@@ -148,6 +149,8 @@ class SocketExecutor(Executor):
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(128)
+        self.counters["worker_connects"] = 0
+        self._acceptor: threading.Thread | None = None
         if self.verbose:
             print(f"{self.name} master listening on "
                   f"{self.address[0]}:{self.address[1]}", flush=True)
@@ -166,11 +169,12 @@ class SocketExecutor(Executor):
             self._cond.notify()
 
     def _checkout(self, conn: socket.socket, worker_id: str) -> SweepJob | None:
-        """Next job for a requesting worker; blocks while the queue is
-        empty but leases are pending; None once the grid is resolved."""
+        """Next job for a requesting worker; blocks until drain starts
+        and while the queue is empty but leases are pending; None once
+        the grid is resolved."""
         with self._cond:
             while True:
-                if self._queue:
+                if self._queue and self._total is not None:
                     job_id = self._queue.pop(0)
                     self._leases[id(conn)] = _Lease(
                         job_id, worker_id,
@@ -238,6 +242,17 @@ class SocketExecutor(Executor):
 
     # -- connection handling ---------------------------------------------------
 
+    def start(self) -> None:
+        """Start accepting workers, counting them in
+        ``counters["worker_connects"]``.  :meth:`drain` calls it; a
+        caller may call it first to wait for its workers.  Jobs are
+        dispatched only once drain starts; earlier workers park."""
+        with self._lock:
+            if self._acceptor is None:
+                self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
+                self._acceptor.start()
+                self._threads.append(self._acceptor)
+
     def _accept_loop(self) -> None:
         while True:
             try:
@@ -250,6 +265,7 @@ class SocketExecutor(Executor):
                     _shutdown(conn)
                     return
                 self._conns.add(conn)
+                self.counters["worker_connects"] += 1
                 t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
                 # start under the lock: drain/close join every listed thread
                 t.start()
@@ -318,11 +334,8 @@ class SocketExecutor(Executor):
             self._total = len(self.jobs)
             if self._total == len(self._resolved):
                 self._done = True
-                self._cond.notify_all()
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        with self._lock:
-            self._threads.append(acceptor)
-        acceptor.start()
+            self._cond.notify_all()
+        self.start()
         yielded = 0
         total = len(self.jobs)
         while yielded < total:
@@ -342,7 +355,7 @@ class SocketExecutor(Executor):
             self._cond.notify_all()
         deadline = time.monotonic() + self.linger
         with self._lock:
-            handlers = [t for t in self._threads if t is not acceptor]
+            handlers = [t for t in self._threads if t is not self._acceptor]
         for t in handlers:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
 

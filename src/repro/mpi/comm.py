@@ -159,12 +159,19 @@ class _Mailbox:
         if world is not None:
             poll = world.poll_interval * (1.0 + 0.13 * rank)
             world._set_blocked(rank, source, tag)
+        timed_out = False
         with self._lock:
             try:
                 while True:
                     i = self._match(source, tag)
                     if i is not None:
                         return self._pending.pop(i)
+                    # diagnose only after this fresh match: a peer may put
+                    # and finish between a timed-out wait and the relock
+                    if timed_out:
+                        report = world._diagnose(rank, source, tag, self)
+                        if report is not None:
+                            raise DeadlockError(report)
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise DeadlockError(RecvTimeout(
@@ -175,10 +182,7 @@ class _Mailbox:
                             pending=tuple((s, t) for s, t, _ in self._pending),
                         ))
                     wait = remaining if poll is None else min(poll, remaining)
-                    if not self._cond.wait(timeout=wait) and world is not None:
-                        report = world._diagnose(rank, source, tag, self)
-                        if report is not None:
-                            raise DeadlockError(report)
+                    timed_out = not self._cond.wait(timeout=wait) and world is not None
             finally:
                 if world is not None:
                     world._clear_blocked(rank)

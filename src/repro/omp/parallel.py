@@ -29,14 +29,18 @@ frame performs every side effect the per-item bodies would (image/data
 writes, change flags) in one vectorized shot and returns the per-item
 work vector;
 ``None`` declines (e.g. an item subset the frame cannot prove safe),
-falling back to the reference path.  The fast path engages only when
-:meth:`ExecutionContext.fastpath_active` holds — no monitoring, no
-tracing, no footprints — and is bit-identical to the reference in every
-remaining observable: final images, kernel state, the virtual clock
-(both paths run the same chunk grabs; the fast path just never expands
-them into a timeline), the ``steals``/``regions`` counters — for
-reductions too, since both paths close through :func:`close_region` —
-the region log, and the jitter RNG stream.
+falling back to the reference path.  The fast path engages when
+:meth:`ExecutionContext.fastpath_active` holds — the sim backend, no
+``fastpath="off"``, no footprint collection (``declare_access`` runs
+inside the per-item bodies) — and is bit-identical to the reference in
+every observable: final images, kernel state, the virtual clock and the
+timeline (both paths schedule the same works through the same chunk
+grabs; :func:`close_region` expands them into a timeline only when
+:meth:`ExecutionContext.instrumented` says someone reads it, so traces
+and monitor records do not depend on the tier), the
+``steals``/``regions`` counters — for reductions too, since both paths
+close through :func:`close_region` — the region log, and the jitter RNG
+stream.
 """
 
 from __future__ import annotations
@@ -160,13 +164,13 @@ def sequential_for(
     for :func:`parallel_for`.
     """
     items = list(ctx.domain) if items is None else list(items)
-    works, footprints, fast = _execute(ctx, body, items, frame)
+    works, footprints = _execute(ctx, body, items, frame)
 
     def schedule(costs, start, meta):
         return _Sequential(costs, items, start, ctx.nthreads, meta)
 
     close_region(ctx, "seq", works, schedule, kind=kind, rmode="seq",
-                 footprints=footprints, fast=fast)
+                 footprints=footprints)
     return ctx.vclock
 
 
@@ -202,7 +206,7 @@ def _worksharing(ctx, body, items, schedule, kind, frame, values=None) -> SimRes
 
         return close_region(ctx, "dagp", works, schedule_dag, kind=kind, rmode="dag",
                             deps=deps, footprints=footprints)
-    works, footprints, fast = _execute(ctx, body, items, frame, values)
+    works, footprints = _execute(ctx, body, items, frame, values)
 
     def schedule_loop(costs, start, meta):
         return simulate(
@@ -211,7 +215,7 @@ def _worksharing(ctx, body, items, schedule, kind, frame, values=None) -> SimRes
         )
 
     return close_region(ctx, "par", works, schedule_loop, kind=kind, rmode=rmode,
-                        footprints=footprints, fast=fast)
+                        footprints=footprints)
 
 
 def close_region(
@@ -224,7 +228,6 @@ def close_region(
     rmode: str,
     deps: Sequence[Iterable[int]] | None = None,
     footprints: list | None = None,
-    fast: bool = False,
 ):
     """The bookkeeping every sim-backend region ends in.
 
@@ -233,9 +236,10 @@ def close_region(
     ``schedule(costs, start_time, meta)`` — which returns a
     :class:`SimResult`-like object with ``makespan``, ``steals`` and
     ``timeline`` — advances the clock past the makespan (plus fork/join
-    overhead, except for a sequential region), then publishes: a
-    whole-frame ``fast`` region only counts itself, every other region
-    publishes its timeline.
+    overhead, except for a sequential region), then publishes: the
+    timeline when anyone reads timelines (:meth:`instrumented`), else
+    just the region count.  A whole-frame region is scheduled from the
+    same works, so its timeline is the reference one.
     """
     if ctx.region_log is not None:
         logged = works.tolist() if isinstance(works, np.ndarray) else works
@@ -250,9 +254,8 @@ def close_region(
     result = schedule(_costs(ctx, works), ctx.vclock, meta)
     join = 0.0 if rmode == "seq" else ctx.model.fork_join_overhead
     ctx.vclock = max(result.makespan, ctx.vclock) + join
-    if fast:
-        ctx.fastpath_regions += 1
-    publish_region(ctx, None if fast else result.timeline, result.steals, footprints)
+    timeline = result.timeline if ctx.instrumented() else None
+    publish_region(ctx, timeline, result.steals, footprints)
     return result
 
 
@@ -280,17 +283,18 @@ def _costs(ctx, works):
 
 def _execute(ctx, body, items, frame, values=None):
     """Run one region's bodies: the whole-frame ``frame`` when the fast
-    path is active and the frame accepts the items, else the per-item
-    bodies.  Returns ``(works, footprints, fast)``."""
+    path is active and the frame accepts the items (counted in
+    ``ctx.fastpath_regions``), else the per-item bodies.  Returns
+    ``(works, footprints)``."""
     if frame is not None and ctx.fastpath_active():
         out = frame(ctx, items)
         if out is not None:
             if values is not None:
                 out, value = out
                 values[:] = [value]
-            return np.asarray(out, dtype=np.float64), None, True
-    works, footprints = _measure(ctx, body, items, values)
-    return works, footprints, False
+            ctx.fastpath_regions += 1
+            return np.asarray(out, dtype=np.float64), None
+    return _measure(ctx, body, items, values)
 
 
 def _measure(ctx, body, items, values=None):

@@ -18,8 +18,8 @@ implements any of three hooks, called synchronously in attach order:
 
 Counters are not dispatched: :meth:`TelemetryBus.counter` only adds
 to :attr:`TelemetryBus.counters`, which the engine surfaces as
-``RunResult.counters``.  With no consumer attached, ``publish_region``
-is a counter bump, which is what keeps the perf-mode fast path viable.
+``RunResult.counters``.  With no ``on_region`` consumer attached, sim
+regions skip building a timeline and only count themselves.
 """
 
 from __future__ import annotations
@@ -56,9 +56,11 @@ class TelemetryBus:
     def wants_timelines(self) -> bool:
         """True when at least one attached consumer observes executions.
 
-        This is *the* fastpath-eligibility question: a region may skip
-        per-tile execution (and therefore its timeline) only when
-        nobody is listening.
+        :meth:`~repro.core.context.ExecutionContext.instrumented` asks
+        this so that :func:`~repro.omp.parallel.close_region` expands
+        and publishes a region's timeline only when someone reads it.
+        It does not gate the whole-frame fast path: a fast region's
+        timeline is the reference one.
         """
         return any(hasattr(c, "on_region") for c in self._consumers)
 
@@ -79,7 +81,7 @@ class TelemetryBus:
 
     def count_region(self) -> None:
         """Count one executed region; :meth:`publish_region` calls this,
-        paths that publish no timeline (the perf-mode fast path) call it
+        sim regions nobody observes publish no timeline and call it
         directly."""
         self.counter("regions")
 

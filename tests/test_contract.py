@@ -15,6 +15,9 @@ in-process ranks.  Every draw is held to the same invariants:
 2. the whole-frame fast path (``fastpath="auto"``) and the per-tile
    reference (``"off"``) agree bit for bit: image, virtual clock,
    counters, completed iterations and early stop (or both reject);
+   where a frame ran, traced and monitored fast and reference runs
+   also write the same ``.evt`` bytes and monitor records, and the
+   traced run still took the fast path;
 3. ``threads`` and ``procs`` compute the ``sim`` image, and an
    ``mpi_*`` variant computes the ``seq`` image;
 4. ``WorkProfileCache().simulate`` equals the live virtual clock with
@@ -132,6 +135,25 @@ def same_run(a, b) -> None:
     assert a.early_stop == b.early_stop
 
 
+def same_observation(fast, off) -> None:
+    """Equal ``.evt`` bytes and monitor records, rank by rank."""
+    pairs = list(zip(fast.rank_results or [fast], off.rank_results or [off], strict=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (a, b) in enumerate(pairs):
+            assert (a.trace is None) == (b.trace is None)
+            if a.trace is not None:
+                got = save_trace(a.trace, Path(tmp) / f"fast{i}.evt").read_bytes()
+                assert got == save_trace(b.trace, Path(tmp) / f"off{i}.evt").read_bytes()
+            records = [r.monitor.records if r.monitor else [] for r in (a, b)]
+            for x, y in zip(*records, strict=True):
+                for f in dataclasses.fields(x):
+                    got, want = getattr(x, f.name), getattr(y, f.name)
+                    if isinstance(got, np.ndarray):
+                        assert np.array_equal(got, want), f.name
+                    else:
+                        assert got == want, f.name
+
+
 def same_trace_io(trace) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         evt = load_trace(save_trace(trace, Path(tmp) / "t.evt"))
@@ -167,6 +189,15 @@ def check_contract(kw: dict) -> None:
             assert isinstance(attempt(cfg), EasypapError)
         return
     same_run(ref, off)
+    if ref.fastpath_regions:
+        # a frame ran: instrumentation keeps it, and observes the reference
+        observed = sim.with_(trace=True, monitoring=True,
+                             debug="M" if cfg.mpi_np else "")
+        fast_obs = run(observed)
+        off_obs = run(observed.with_(fastpath="off"))
+        assert fast_obs.fastpath_regions > 0
+        same_run(fast_obs, off_obs)
+        same_observation(fast_obs, off_obs)
 
     # 3. every backend and the mpi_* decomposition compute one image;
     # real backends may refuse more (closure bodies cannot cross procs)

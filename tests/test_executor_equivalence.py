@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -71,8 +72,15 @@ class TestCrossExecutorEquivalence:
         results["local-procs"] = sorted(map(canon, rows))
 
         ex = SocketExecutor(lease_timeout=120.0)
+        ex.start()
         workers = [spawn_worker(ex.address[1]), spawn_worker(ex.address[1])]
         try:
+            # a worker still starting when the grid resolves would meet a
+            # closed listener and retry for its whole connect_wait
+            deadline = time.monotonic() + 60
+            while ex.counters["worker_connects"] < 2:
+                assert time.monotonic() < deadline, "workers never connected"
+                time.sleep(0.02)
             rows = execute("easypap", GRID_ICVS, GRID_OPTS, runs=RUNS,
                            csv_path=tmp_path / "socket.csv", executor=ex)
         finally:

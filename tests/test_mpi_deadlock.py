@@ -4,7 +4,7 @@ import pytest
 
 from repro.analyze.deadlock import ANY, PendingMsg, RankWait, diagnose
 from repro.errors import DeadlockError, MpiError
-from repro.mpi.comm import ANY_SOURCE, run_world
+from repro.mpi.comm import ANY_SOURCE, MpiWorld, run_world
 
 
 def world_run(size, fn, timeout=10.0):
@@ -101,6 +101,23 @@ class TestDetectorInWorld:
 
         results = world_run(2, main, timeout=10.0)
         assert results[0] == "late"
+
+    def test_send_then_finish_during_wait_relock_not_flagged(self):
+        """A peer that sends and then finishes while a timed-out wait is
+        reacquiring the mailbox lock leaves its message pending: the
+        receiver must take it, not report a wait on a finished rank."""
+        world = MpiWorld(2, recv_timeout=10.0)
+        mailbox = world.mailboxes[0]
+
+        class SendThenFinishWhileTimingOut:
+            def wait(self, timeout=None):
+                # called with the mailbox lock held, as on a real relock
+                mailbox._pending.append((1, 0, "late"))
+                world._finished.add(1)
+                return False
+
+        mailbox._cond = SendThenFinishWhileTimingOut()
+        assert mailbox.get(1, 0, 10.0, world=world, rank=0) == (1, 0, "late")
 
 
 class TestDiagnoseFunction:

@@ -3,9 +3,9 @@
 Covers the bus contract: a region reaches ``on_region`` whole (the
 trace recorder pairs its footprints), iteration marks and annotations
 reach their hooks, counters aggregate without dispatch, and the
-single-place fastpath-eligibility decision (consumers are attached
+timeline and fastpath-eligibility decisions (consumers are attached
 lazily; an uninstrumented run constructs neither Monitor nor
-TraceRecorder).
+TraceRecorder; consumers keep the fast path, footprints do not).
 """
 
 from __future__ import annotations
@@ -113,8 +113,10 @@ class TestCounters:
 
 
 class TestLazyAttachment:
-    """Satellite: consumer attachment is lazy and fastpath eligibility is
-    decided in one place (``ExecutionContext.instrumented``)."""
+    """Consumer attachment is lazy; ``ExecutionContext.instrumented``
+    decides whether regions publish timelines and
+    ``ExecutionContext.fastpath_active`` whether frames may run (every
+    consumer keeps the fast path, footprints do not)."""
 
     def test_uninstrumented_run_constructs_no_consumers(self):
         res = run(make_config())
@@ -128,21 +130,22 @@ class TestLazyAttachment:
         res = run(make_config(kernel="mandel", variant="omp_tiled"))
         assert res.fastpath_regions > 0
 
-    def test_trace_disables_fastpath_and_attaches_recorder(self):
+    def test_trace_keeps_fastpath_and_attaches_recorder(self):
         res = run(make_config(trace=True))
-        assert res.fastpath_regions == 0
+        assert res.fastpath_regions > 0
         assert res.trace is not None and len(res.trace.events) > 0
 
     def test_monitoring_attaches_monitor_only(self):
         res = run(make_config(monitoring=True))
         assert res.monitor is not None and res.monitor.records
         assert res.trace is None
-        assert res.fastpath_regions == 0
+        assert res.fastpath_regions > 0
 
     @pytest.mark.parametrize("overrides, active", [
         pytest.param({}, True, id="sim-default"),
         pytest.param({"backend": "threads"}, False, id="real-backend"),
-        pytest.param({"monitoring": True}, False, id="monitoring"),
+        pytest.param({"monitoring": True}, True, id="monitoring"),
+        pytest.param({"footprints": True}, False, id="footprints"),
         pytest.param({"fastpath": "off"}, False, id="fastpath-off"),
     ])
     def test_fastpath_eligibility(self, overrides, active):
@@ -150,15 +153,16 @@ class TestLazyAttachment:
 
         assert ExecutionContext(make_config(**overrides)).fastpath_active() is active
 
-    def test_external_consumer_disables_fastpath(self):
+    def test_external_consumer_keeps_fastpath(self):
         from repro.core.context import ExecutionContext
 
         ctx = ExecutionContext(make_config())
-        assert ctx.fastpath_active()
         sink = ctx.bus.attach(Sink())
         assert ctx.instrumented()
-        assert not ctx.fastpath_active()
-        ctx.sequential_for(lambda item: 1.0, items=["a", "b"])
+        assert ctx.fastpath_active()
+        ctx.sequential_for(lambda item: 1.0, items=["a", "b"],
+                           frame=lambda ctx, items: [1.0] * len(items))
+        assert ctx.fastpath_regions == 1
         ((tl, _fps),) = sink.regions
         assert [e.item for e in tl] == ["a", "b"]
 
