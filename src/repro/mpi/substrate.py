@@ -5,12 +5,13 @@ Each rank is a process spawned once and reused across worlds — a
 the worker loop, the registry and the exit hook with the procs tile
 pool; point-to-point traffic and the
 collectives built on it travel over per-(src, dst) single-producer/
-single-consumer **byte lanes** in one POSIX shared-memory block — the
-same monotonic write-count discipline as the telemetry rings of
-:mod:`repro.telemetry.ring`, but lossless: a sender whose lane is full
-chunks its frame and, while waiting for space, drains its own inbound
-lanes (preserving the buffered-send guarantee that ``sendrecv`` pairs
-never deadlock).
+single-consumer **byte lanes** in one POSIX shared-memory block.  Each
+lane has a write count its sender only ever increases and a read count
+its receiver only ever increases; the bytes between them are the
+lane's contents, so neither side needs a lock and none of it is lost:
+a sender whose lane is full chunks its frame and, while waiting for
+space, drains its own inbound lanes (preserving the buffered-send
+guarantee that ``sendrecv`` pairs never deadlock).
 
 A shared **control block** carries the world's abort word plus a
 per-rank registry (state, awaited source/tag, drain progress) — the

@@ -41,14 +41,13 @@ Architecture
     counter — contention is per *chunk*, not per tile); the
     ``nonmonotonic:dynamic`` family uses per-worker chunk deques in the
     same array, stolen from the tail of the most-loaded victim.
-    Workers stream telemetry — wall-clock execution records and, when
-    ``--check-races`` is on, read/write footprints — into per-worker
-    shared-memory ring lanes (:mod:`repro.telemetry.ring`); the master
-    drains the lanes between regions and re-publishes everything on the
-    context's telemetry bus (monitoring, ``--trace``, the race
-    analyzer, EASYVIEW).  A full lane drops its oldest records instead
-    of ever blocking a worker; drops surface as the run's
-    ``dropped_events`` counter.
+    Each worker returns its telemetry — wall-clock execution records
+    and, when ``--check-races`` is on, each task's read/write
+    footprints — in the ``done`` reply the master already waits for;
+    the master decodes the replies (:func:`repro.telemetry.ring.drain_lane`)
+    and re-publishes everything on the context's telemetry bus
+    (monitoring, ``--trace``, the race analyzer, EASYVIEW).  Nothing is
+    dropped: a task that ran is in the region's timeline.
 
 Worker death (e.g. SIGKILL) is detected by liveness polling during
 collection and surfaces as a clean :class:`ExecutionError` after a
@@ -78,16 +77,8 @@ from repro.sched.policies import (
     StaticSchedule,
 )
 from repro.sched.simulator import SimResult
-from repro.sched.timeline import TaskExec, Timeline
-from repro.telemetry.ring import (
-    KIND_EXEC,
-    KIND_FP_READ,
-    KIND_FP_WRITE,
-    RECORD_WIDTH,
-    RingWriter,
-    drain_lane,
-    ring_capacity,
-)
+from repro.sched.timeline import Timeline
+from repro.telemetry.ring import drain_lane
 from repro.util.workerpool import (
     WorkerPool,
     alloc_block,
@@ -112,6 +103,12 @@ __all__ = [
 SETUP_TIMEOUT = 120.0
 
 _SESSION_IDS = itertools.count(1)
+
+
+def _ctrl_words(nworkers: int) -> int:
+    """Size of the shared int64 ``ctrl`` array: the queue cursor, the
+    steal count, then each worker's chunk deque ``[head, tail)``."""
+    return 2 + 2 * nworkers
 
 
 def new_session_id() -> int:
@@ -375,12 +372,6 @@ def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -
         items = [grid[int(i)] for i in idx]
 
     chunks = _worker_view(state, r["chunk_block"], (r["nchunks"], 2), np.int64)
-    ring_payload = _worker_view(
-        state, r["ring_block"], (nworkers, r["ring_cap"], RECORD_WIDTH), np.float64
-    )
-    # ring lane write counts live in the tail of the shared ctrl array:
-    # attached once at worker startup, monotonic across regions
-    ring = RingWriter(ctrl[2 + 2 * nworkers :], ring_payload, rank)
 
     mode = r["mode"]
     if mode == "static":
@@ -400,12 +391,10 @@ def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -
             return _worker_claim_steal(ctrl, lock, rank, nworkers, r["steal_half"])
 
     reduce_values = [] if r["reduce"] else None
-    collect_fp = r["footprints"]
-    # footprints carry buffer *names*; a numeric ring cannot ship strings,
-    # so each worker interns them and sends the table back with "done"
-    buf_ids: dict[str, int] = {}
-    bufs: list[str] = []
-    nev = 0
+    # telemetry travels back in the reply: (pos, start, end) per task and,
+    # when collected, (pos, Footprint) per task
+    execs: list[tuple[int, float, float]] = []
+    footprints: list | None = [] if r["footprints"] else None
     perf = time.perf_counter
     while True:
         cid = next_chunk()
@@ -414,43 +403,30 @@ def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -
         lo, hi = int(chunks[cid, 0]), int(chunks[cid, 1])
         for pos in range(lo, hi):
             item = items[pos]
-            if collect_fp:
+            if footprints is not None:
                 with access.collect() as col:
                     s = perf()
                     ret = method(ctx, item)
                     e = perf()
-                fp = col.freeze()
-                ring.emit(KIND_EXEC, pos, s, e)
-                for kind, regions in (
-                    (KIND_FP_READ, fp.reads),
-                    (KIND_FP_WRITE, fp.writes),
-                ):
-                    for reg in regions:
-                        buf, x, y, w, h = reg[:5]
-                        z, depth = (reg[5], reg[6]) if len(reg) >= 7 else (0, 1)
-                        bid = buf_ids.get(buf)
-                        if bid is None:
-                            bid = buf_ids[buf] = len(bufs)
-                            bufs.append(buf)
-                        ring.emit(kind, pos, bid, x, y, w, h, z, depth)
+                footprints.append((pos, col.freeze()))
             else:
                 s = perf()
                 ret = method(ctx, item)
                 e = perf()
-                ring.emit(KIND_EXEC, pos, s, e)
-            nev += 1
+            execs.append((pos, s, e))
             if reduce_values is not None:
                 reduce_values.append((pos, ret[1]))
-    return {"n": nev, "values": reduce_values, "sets": data.sets, "bufs": bufs}
+    return {
+        "values": reduce_values, "sets": data.sets,
+        "execs": execs, "footprints": footprints,
+    }
 
 
 def _procs_worker(rank: int, bufs: list, lock, nworkers: int):
     """The request handler of one pool worker: ``setup`` (re)builds the
     shadow context, ``region`` runs this worker's share of a loop."""
     state: dict[str, Any] = {"shms": {}}
-    # layout: [queue cursor, steal count, per-worker deques (2 each),
-    #          per-worker telemetry-ring write counts (1 each)]
-    ctrl = np.ndarray((2 + 3 * nworkers,), dtype=np.int64, buffer=bufs[0])
+    ctrl = np.ndarray((_ctrl_words(nworkers),), dtype=np.int64, buffer=bufs[0])
 
     def handle(tag: str, payload: dict) -> tuple[str, Any]:
         if tag == "setup":
@@ -530,15 +506,11 @@ class ProcPool(WorkerPool):
     def __init__(self, nworkers: int):
         super().__init__("ezpap_pool_", nworkers)
         self.lock = self._mp.Lock()
-        ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, (2 + 3 * nworkers) * 8)
-        self.ctrl = np.ndarray((2 + 3 * nworkers,), dtype=np.int64, buffer=ctrl_shm.buf)
+        words = _ctrl_words(nworkers)
+        ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, words * 8)
+        self.ctrl = np.ndarray((words,), dtype=np.int64, buffer=ctrl_shm.buf)
         self._chunks = _GrowBlock(self.prefix, "chunks_", np.int64)
         self._items = _GrowBlock(self.prefix, "items_", np.int64)
-        #: telemetry ring payload (lanes of fixed-width records); the
-        #: write counts live in the tail of ``ctrl``, the master-side
-        #: read cursors here
-        self._ring = _GrowBlock(self.prefix, "ring_", np.float64)
-        self._ring_consumed = [0] * nworkers
         self.session: int | None = None
         self._spawn(_procs_worker, [ctrl_shm.name], self.lock, nworkers)
 
@@ -618,17 +590,16 @@ class ProcPool(WorkerPool):
 
         Returns ``(timeline, elapsed_wall_seconds, extras)`` where
         ``extras`` carries reduction values (in item order), merged
-        scalar writebacks, the steal count, per-task footprints (when
-        the run collects them) and the number of telemetry events the
-        ring dropped.
+        scalar writebacks, the steal count and per-task footprints (when
+        the run collects them).  The timeline and footprints are decoded
+        from the workers' ``done`` replies, so they cover every task.
         """
         self.ensure_session(ctx)
         n = len(items)
         timeline = Timeline(ncpus=self.nworkers)
         if n == 0:
             return timeline, 0.0, {
-                "values": [], "sets": {}, "steals": 0,
-                "footprints": None, "dropped": 0,
+                "values": [], "sets": {}, "steals": 0, "footprints": None,
             }
 
         plan = _chunk_plan(policy, n, self.nworkers)
@@ -652,8 +623,6 @@ class ProcPool(WorkerPool):
             items_pickled = list(items)
 
         want_fp = bool(ctx.collect_footprints)
-        ring_cap = ring_capacity(n, want_fp)
-        ring_arr = self._ring.ensure((self.nworkers, ring_cap, RECORD_WIDTH))
 
         # region control words: queue cursor, steal count, per-worker deques
         self.ctrl[0] = 0
@@ -675,8 +644,6 @@ class ProcPool(WorkerPool):
             "items_pickled": items_pickled,
             "chunk_block": self._chunks.name,
             "nchunks": len(table),
-            "ring_block": self._ring.name,
-            "ring_cap": ring_cap,
             "footprints": want_fp,
             "mode": plan["mode"],
             "static_chunks": plan.get("static_chunks"),
@@ -687,68 +654,26 @@ class ProcPool(WorkerPool):
         replies = self._collect("done", self._dispatch("region", msg), None)
         elapsed = time.perf_counter() - t0
 
-        total = sum(r["n"] for r in replies)
+        total = sum(len(r["execs"]) for r in replies)
         if total != n:
-            # lost-work detection rides on the pipe replies, never on the
-            # (droppable) telemetry ring
             raise self._fail(
                 f"procs region executed {total} of {n} items — a worker "
                 "lost its claimed chunk (crash mid-chunk?)"
             )
         values: list = [None] * n if reduce else []
         merged_sets: dict = {}
-        ring_hdr = self.ctrl[2 + 2 * self.nworkers :]
-        dropped = 0
-        fp_reads: dict[int, list] = {}
-        fp_writes: dict[int, list] = {}
+        footprints: list | None = [None] * n if want_fp else None
         for rank, r in enumerate(replies):
-            records, self._ring_consumed[rank], lost = drain_lane(
-                ring_hdr, ring_arr, rank, self._ring_consumed[rank]
-            )
-            dropped += lost
-            bufs = r.get("bufs") or []
-            for rec in records:
-                kind = int(rec[0])
-                pos = int(rec[2])
-                if kind == KIND_EXEC:
-                    m = dict(meta)
-                    m["index"] = pos
-                    timeline.append(
-                        TaskExec(
-                            items[pos], rank,
-                            ctx.vclock + (rec[3] - t0), ctx.vclock + (rec[4] - t0), m,
-                        )
-                    )
-                elif kind in (KIND_FP_READ, KIND_FP_WRITE):
-                    bid = int(rec[3])
-                    region = (
-                        bufs[bid] if 0 <= bid < len(bufs) else "?",
-                        int(rec[4]), int(rec[5]), int(rec[6]), int(rec[7]),
-                    )
-                    z, depth = int(rec[8]), int(rec[9])
-                    if (z, depth) != (0, 1):
-                        region += (z, depth)
-                    sink = fp_reads if kind == KIND_FP_READ else fp_writes
-                    sink.setdefault(pos, []).append(region)
+            drain_lane(r, rank, items, meta, ctx.vclock, t0, timeline, footprints)
             if reduce:
                 for pos, value in r["values"]:
                     values[pos] = value
             merged_sets.update(r["sets"])
-        footprints = None
-        if want_fp:
-            footprints = [
-                access.Footprint(
-                    reads=tuple(fp_reads.get(pos, ())),
-                    writes=tuple(fp_writes.get(pos, ())),
-                )
-                for pos in range(n)
-            ]
         return timeline, elapsed, {
             "values": values,
             "sets": merged_sets,
             "steals": int(self.ctrl[1]),
             "footprints": footprints,
-            "dropped": dropped,
         }
 
 
@@ -779,6 +704,5 @@ def procs_parallel_for(ctx, body, items, policy, meta, values=None) -> SimResult
     if values is not None:
         values[:] = extra["values"]
     ctx.vclock += elapsed
-    ctx.bus.record_dropped(extra["dropped"])
     publish_region(ctx, timeline, extra["steals"], extra["footprints"])
     return SimResult(timeline, grabs=[], steals=extra["steals"])

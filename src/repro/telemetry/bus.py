@@ -35,11 +35,11 @@ __all__ = ["TelemetryBus"]
 class TelemetryBus:
     """Synchronous in-process telemetry channel.
 
-    Remote producers (procs workers) do not hold a bus: they write
-    fixed-width records into a shared-memory ring
-    (:mod:`repro.telemetry.ring`) which the master decodes into a
-    region timeline and publishes here, so consumers see the same
-    regions regardless of where the work ran.
+    Remote producers (procs workers) do not hold a bus: they return
+    their execution records and footprints in their region reply, which
+    the master decodes (:mod:`repro.telemetry.ring`) into a region
+    timeline and publishes here, so consumers see the same regions
+    regardless of where the work ran.
     """
 
     def __init__(self) -> None:
@@ -93,13 +93,3 @@ class TelemetryBus:
 
     def annotate(self, **data: Any) -> None:
         self._dispatch("on_annotation", data)
-
-    # -- loss accounting ----------------------------------------------------
-
-    @property
-    def dropped_events(self) -> int:
-        return int(self.counters.get("dropped_events", 0))
-
-    def record_dropped(self, count: int) -> None:
-        if count:
-            self.counter("dropped_events", count)

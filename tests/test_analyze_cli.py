@@ -9,7 +9,6 @@ from repro.cli import main as easypap_main
 from repro.core.engine import run
 from repro.core.kernel import load_kernel_module
 from repro.easyview_cli import main as easyview_main
-from repro.telemetry.ring import RING_CAP_ENV
 from repro.trace.format import save_trace
 from tests.conftest import make_config
 
@@ -131,43 +130,6 @@ class TestEasyviewRaces:
         out = capsys.readouterr().out
         assert rc == 0
         assert "no footprints" in out
-
-
-class TestStrictRaces:
-    """--check-races: a verdict from a lossy telemetry ring must not
-    silently pass (the dropped events could hold the racy accesses)."""
-
-    ARGS = ["-k", "blur", "-v", "omp_tiled", "-s", "64", "-ts", "16", "-i", "2"]
-
-    def _lossy_run(self, monkeypatch, dropped):
-        import repro.cli as cli
-
-        real_run = cli.run
-
-        def lossy(config, **kwargs):
-            result = real_run(config, **kwargs)
-            result.dropped_events = dropped
-            return result
-
-        monkeypatch.setattr(cli, "run", lossy)
-
-    def test_lossy_ring_fails(self, capsys, monkeypatch):
-        self._lossy_run(monkeypatch, dropped=1)
-        rc = easypap_main([*self.ARGS, "--check-races"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "refusing the verdict" in captured.err
-        assert "no data races" in captured.out  # verdict still printed
-
-    def test_lossy_ring_only_warns_without_flag(self, capsys, monkeypatch):
-        # a lossy ring fails the verdict on its own, with the knob to
-        # raise named
-        self._lossy_run(monkeypatch, dropped=3)
-        rc = easypap_main([*self.ARGS, "--check-races"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "dropped 3 event(s)" in captured.err
-        assert RING_CAP_ENV in captured.err
 
 
 class TestAnalyzeSweep:

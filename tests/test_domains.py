@@ -337,8 +337,8 @@ class TestHeat3D:
         assert any(len(reg) == 7 for reg in regions)  # (buf,x,y,w,h,z,d)
         assert check_races(r.trace).clean
 
-    def test_3d_footprints_cross_the_procs_ring(self):
-        """The widened telemetry record must carry z/depth intact."""
+    def test_3d_footprints_cross_the_procs_reply(self):
+        """A procs worker's reply must carry the regions' z/depth intact."""
         r = run(make_config(variant="omp_tiled", backend="procs", nthreads=2,
                             trace=True, footprints=True, **self.CFG))
         regions = [reg for e in r.trace.events

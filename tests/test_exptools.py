@@ -76,11 +76,11 @@ class TestExecute:
         assert len(rows) == 4
 
     def test_telemetry_counter_columns(self, tmp_path):
-        """Sweep rows carry the bus counters (steals, dropped_events)."""
+        """Sweep rows carry the bus's steal counter."""
         rows = self._sweep(tmp_path)
         for row in rows:
             assert row["steals"] >= 0
-            assert row["dropped_events"] == 0  # in-process channel never drops
+            assert "dropped_events" not in row
         stealing = execute(
             "easypap",
             {"OMP_NUM_THREADS=": [4]},

@@ -266,21 +266,28 @@ def test_unknown_backend_error_enumerates_backends():
         assert name in str(exc.value)
 
 
+def test_procs_trace_records_every_tile():
+    """Every tile a worker runs reaches the trace, and the trace meta
+    carries no loss annotation."""
+    res = run_backend("procs", trace=True)
+    assert "dropped_events" not in res.trace.meta.extra
+    assert len([e for e in res.trace if e.kind == "tile"]) == 16 * 2
+
+
 def test_procs_refuses_mpi():
     with pytest.raises(ConfigError, match="mpirun"):
         make_config(backend="procs", mpi_np=2)
 
 
 def test_procs_accepts_footprints():
-    """Worker footprints flow back over the telemetry ring (the PR-4
-    rejection is lifted): trace events carry non-empty reads/writes."""
+    """Worker footprints flow back in the workers' replies: every tile
+    is traced with non-empty reads/writes."""
     res = run_backend(
         "procs", kernel="blur", variant="omp_tiled",
         trace=True, footprints=True, iterations=1,
     )
     tiles = [e for e in res.trace if e.kind == "tile"]
-    assert tiles and all(e.writes for e in tiles)
-    assert res.dropped_events == 0
+    assert len(tiles) == 16 and all(e.writes for e in tiles)
     # same footprints as the sim backend records for the same config
     ref = run_backend(
         "sim", kernel="blur", variant="omp_tiled",

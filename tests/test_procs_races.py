@@ -1,9 +1,10 @@
 """``--check-races`` parity on ``backend="procs"``.
 
-The PR-4 rejection is lifted: worker-side footprints flow back to the
-master over the telemetry ring, so the happens-before detector reaches
-the same verdict on procs traces as on sim/threads ones — flagging the
-seeded-buggy example and staying clean on the corrected variant.
+Worker-side footprints flow back to the master in each worker's region
+reply, so the happens-before detector reaches the same verdict on procs
+traces as on sim/threads ones — flagging the seeded-buggy example and
+staying clean on the corrected variant — and sees every task, however
+many regions each one declares.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.kernel import load_kernel_module
 from repro.omp import procs as procs_mod
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
+PERPIXEL = Path(__file__).parent / "fixtures" / "perpixel_kernel.py"
 
 NW = 2
 
@@ -37,9 +39,20 @@ def race_config(backend: str, kernel: str) -> RunConfig:
     )
 
 
+def tile_footprints(trace) -> list:
+    return sorted(
+        (e.x, e.y, tuple(sorted(e.reads)), tuple(sorted(e.writes)))
+        for e in trace
+        if e.kind == "tile"
+    )
+
+
 def verdict(backend: str, kernel: str):
     r = run(race_config(backend, kernel))
-    assert r.dropped_events == 0  # full-fidelity footprints for the verdict
+    # full-fidelity footprints for the verdict: all 16 tiles, each with
+    # the regions its body declared
+    fps = tile_footprints(r.trace)
+    assert len(fps) == 16 and all(writes for *_, writes in fps)
     return check_races(r.trace)
 
 
@@ -64,6 +77,33 @@ def test_correct_variant_clean_on_procs():
     rr = verdict("procs", "blur")
     assert rr.clean
     assert rr.tasks_checked == 16  # 64/16 grid actually analyzed, not vacuous
+
+
+def test_per_pixel_footprints_arrive_complete():
+    """256 read regions per tile: every tile and every region reaches
+    the master, so the footprints equal the sim run's."""
+    load_kernel_module(str(PERPIXEL))
+    runs = {b: run(race_config(b, "blur_perpixel")) for b in ("sim", "procs")}
+    fps = {b: tile_footprints(r.trace) for b, r in runs.items()}
+    assert len(fps["procs"]) == 16
+    assert all(len(reads) == 256 for _x, _y, reads, _w in fps["procs"])
+    assert fps["procs"] == fps["sim"]
+    assert check_races(runs["procs"].trace).clean
+
+
+def test_cli_per_pixel_footprints_verdict(capsys):
+    """``easypap --check-races`` on procs reaches a clean verdict for a
+    kernel declaring a read per pixel: no tile is missing from the
+    partition check."""
+    from repro.cli import main
+
+    rc = main(["--load", str(PERPIXEL), "-k", "blur_perpixel", "-v", "omp_tiled",
+               "-s", "64", "-ts", "16", "-i", "1", "--nb-threads", str(NW),
+               "--backend", "procs", "--check-races"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out + captured.err
+    assert "partition-gap" not in captured.out
+    assert "no data races: 16 tasks" in captured.out
 
 
 def test_threads_backend_same_verdict():
