@@ -116,9 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-file", default=None, help="trace output path")
     p.add_argument("--mpirun", default=None, metavar="ARGS", help='e.g. "-np 2"')
     p.add_argument("--mpi-backend", choices=MPI_BACKENDS, default="procs",
-                   help="MPI rank substrate: procs = real processes over "
-                   "shared-memory lanes (GIL-free, wall-clock honest); "
-                   "inproc = threads in one interpreter (deterministic)")
+                   help="how MPI ranks are hosted: procs = real processes "
+                   "(GIL-free, wall-clock honest); inproc = threads in one "
+                   "interpreter (cheap); one communicator either way")
     p.add_argument("-d", "--debug", default="", help="debug flag letters (M: monitor all ranks)")
     p.add_argument("--nb-threads", type=int, default=None, help="overrides OMP_NUM_THREADS")
     p.add_argument("--schedule", default=None, help="overrides OMP_SCHEDULE")

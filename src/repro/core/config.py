@@ -32,11 +32,11 @@ DEFAULT_TILE = 32
 #: drives both validation and the ``--backend`` CLI choices.
 BACKENDS = ("sim", "threads", "procs")
 
-#: the MPI rank substrates: ``procs`` runs each rank as a real process
-#: from the persistent forkserver/spawn pool, communicating over
-#: shared-memory lanes (GIL-free, wall-clock honest); ``inproc`` runs
-#: ranks as threads of one interpreter (deterministic, cheap — the
-#: substrate the test suite pins itself to).
+#: how MPI ranks are hosted (one communicator either way): ``procs``
+#: runs each rank as a real process from the persistent
+#: forkserver/spawn pool, its lanes in shared memory (GIL-free,
+#: wall-clock honest); ``inproc`` runs ranks as threads of one
+#: interpreter (cheap, and hooks can reach every rank).
 MPI_BACKENDS = ("procs", "inproc")
 
 #: the work-domain kinds (see :mod:`repro.core.domains`): ``grid`` is

@@ -264,9 +264,9 @@ class LifeKernel(Kernel):
                 f"(dim={ctx.dim}, np={mpi.size}, tile_h={ctx.grid.tile_h})"
             )
         # root-only dataset construction: rank 0 builds the grid once and
-        # shares it as a zero-copy window (shared memory under the procs
-        # substrate, a read-only view inproc); every rank then carves out
-        # just its band instead of redundantly materializing the world
+        # shares it as a zero-copy shared-memory window (read-only on the
+        # other ranks); every rank then carves out just its band instead
+        # of redundantly materializing the world
         full = mpi.comm.shared_window(
             make_dataset(ctx.arg or "diag", ctx.dim, ctx.config.seed)
             if mpi.rank == 0 else None,

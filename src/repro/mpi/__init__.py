@@ -1,6 +1,6 @@
-"""Message-passing substrate: communicators, decomposition, launcher.
+"""Message passing: the communicator, decomposition, launcher.
 
-Two rank substrates share one :class:`~repro.mpi.comm.CommBase` API:
-the threaded in-process world (:mod:`repro.mpi.comm`) and the
-real-process shared-memory world (:mod:`repro.mpi.substrate`).
+One communicator, :class:`~repro.mpi.comm.Comm`, over byte lanes; its
+ranks are threads of this interpreter (:func:`~repro.mpi.comm.run_world`)
+or processes of a persistent pool (:mod:`repro.mpi.substrate`).
 """

@@ -2,13 +2,16 @@
 
 EASYPAP integrates the mpirun process launcher (``--mpirun "-np 2"``)
 and, in debugging mode (``--debug M``), displays the monitoring windows
-of *every* process (Fig. 13).  Two substrates carry the ranks:
+of *every* process (Fig. 13).  The ranks all talk through the one lane
+communicator (:class:`~repro.mpi.comm.Comm`); ``mpi_backend`` picks
+what hosts them:
 
-* ``mpi_backend="procs"`` (default): real processes from the persistent
-  rank pool (:mod:`repro.mpi.substrate`) — CPU-bound ranks genuinely
-  run in parallel, which is what Fig. 13 claims to measure;
-* ``mpi_backend="inproc"``: threads over the in-process world —
-  deterministic and cheap, what the test suite pins itself to.
+* ``"procs"`` (default): real processes from the persistent rank pool
+  (:mod:`repro.mpi.substrate`) — CPU-bound ranks genuinely run in
+  parallel, which is what Fig. 13 claims to measure;
+* ``"inproc"``: threads of this interpreter
+  (:func:`~repro.mpi.comm.run_world`) — cheap, and the master can
+  reach into every rank.
 
 Rank 0's result is returned, with all per-rank results (including each
 rank's monitor, trace and ``mpi_*`` comm counters) attached.  Under the
@@ -29,7 +32,7 @@ from repro.core.config import RunConfig
 from repro.core.context import ExecutionContext
 from repro.core.kernel import get_kernel
 from repro.errors import ConfigError
-from repro.mpi.comm import CommBase, CommStats, run_world
+from repro.mpi.comm import Comm, CommStats, run_world
 from repro.mpi.proc import MpiProcessContext, RankContextSnapshot, StatsOnlyComm
 from repro.sched.costmodel import CostModel
 from repro.util.timing import Stopwatch
@@ -97,7 +100,7 @@ def _publish_comm_counters(ctx: ExecutionContext, stats: CommStats) -> None:
 
 def _run_rank(
     config: RunConfig,
-    comm: CommBase,
+    comm: Comm,
     rank: int,
     debug_all: bool,
     model: CostModel | None,
@@ -138,7 +141,7 @@ def _run_rank(
     }
 
 
-def _kernel_rank_main(job: dict, comm: CommBase, rank: int) -> dict:
+def _kernel_rank_main(job: dict, comm: Comm, rank: int) -> dict:
     """Entry point executed inside a rank *process* (must be picklable)."""
     from repro.core.kernel import load_kernel_module
 

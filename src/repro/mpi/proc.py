@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.mpi.comm import CommBase, CommStats
+from repro.mpi.comm import Comm, CommStats
 
 __all__ = ["MpiProcessContext", "RankContextSnapshot", "StatsOnlyComm"]
 
@@ -16,7 +16,7 @@ class MpiProcessContext:
 
     rank: int
     size: int
-    comm: CommBase
+    comm: Comm
 
     @property
     def is_master(self) -> bool:

@@ -9,7 +9,6 @@ from repro.errors import MpiError
 from repro.mpi.comm import (
     ANY_SOURCE,
     ANY_TAG,
-    MpiWorld,
     default_recv_timeout,
     run_world,
 )
@@ -188,40 +187,27 @@ class TestWorld:
             world_run(3, main)
 
     def test_stats_counted(self):
-        world = MpiWorld(2)
-
-        def main(rank):
-            comm = world.comm(rank)
+        def main(comm, rank):
             if rank == 0:
                 comm.send([1, 2, 3], dest=1)
             else:
                 comm.recv(source=0)
+            return comm.stats
 
-        import threading
-
-        ts = [threading.Thread(target=main, args=(r,)) for r in range(2)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert world.stats[0].messages_sent == 1
-        assert world.stats[0].bytes_sent > 0
-        assert world.stats[1].messages_received == 1
+        stats = world_run(2, main)
+        assert stats[0].messages_sent == 1
+        assert stats[0].bytes_sent > 0
+        assert stats[1].messages_received == 1
 
     def test_bad_world_size(self):
         with pytest.raises(MpiError):
-            MpiWorld(0)
-
-    def test_comm_bad_rank(self):
-        with pytest.raises(MpiError):
-            MpiWorld(2).comm(2)
+            run_world(0, lambda comm, rank: rank)
 
 
 class TestRecvTimeoutConfig:
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_MPI_RECV_TIMEOUT", "7.5")
         assert default_recv_timeout() == 7.5
-        assert MpiWorld(2).recv_timeout == 7.5
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_MPI_RECV_TIMEOUT", "soon")

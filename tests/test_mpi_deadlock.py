@@ -1,26 +1,58 @@
-"""Tests for the MPI wait-for-graph deadlock detector."""
+"""Tests for the MPI wait-for-graph deadlock detector.
+
+The verdict cases shared by both ways of hosting ranks run on threads
+(``run_world``) and on processes (``run_world_procs``); their programs
+live at module level so rank processes can unpickle them by reference.
+"""
+
+import time
 
 import pytest
 
 from repro.analyze.deadlock import ANY, PendingMsg, RankWait, diagnose
 from repro.errors import DeadlockError, MpiError
-from repro.mpi.comm import ANY_SOURCE, MpiWorld, run_world
+from repro.mpi.comm import ANY_SOURCE, run_world
+from repro.mpi.substrate import live_mpi_blocks, run_world_procs, shutdown_mpi_pools
+
+WORLDS = [pytest.param(run_world, id="inproc"), pytest.param(run_world_procs, id="procs")]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _shutdown_pools_at_end():
+    yield
+    shutdown_mpi_pools()
+    assert live_mpi_blocks() == []
 
 
 def world_run(size, fn, timeout=10.0):
     return run_world(size, fn, recv_timeout=timeout)
 
 
+def _prog_cycle(comm, rank):
+    return comm.recv(source=(rank + 1) % comm.size)
+
+
+def _prog_finished_peer(comm, rank):
+    if rank == 0:
+        return comm.recv(source=1)  # rank 1 terminates without sending
+    return "done"
+
+
+def _prog_late_send(comm, rank):
+    if rank == 0:
+        return comm.recv(source=1)
+    time.sleep(0.4)  # several poll intervals of apparent silence
+    comm.send("late", dest=0)
+    return "sent"
+
+
 class TestDetectorInWorld:
-    def test_two_rank_recv_cycle_reported_as_cycle(self):
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_two_rank_recv_cycle_reported_as_cycle(self, world):
         """recv/recv head-to-head: diagnosed as a cycle naming both
         ranks, long before the hard timeout would fire."""
-
-        def main(comm, rank):
-            comm.recv(source=1 - rank)
-
         with pytest.raises(MpiError, match=r"cyclic wait among ranks") as exc:
-            world_run(2, main, timeout=30.0)
+            world(2, _prog_cycle, recv_timeout=30.0)
         msg = str(exc.value)
         assert "deadlock detected" in msg
         assert "rank 0 blocked in recv(source=1" in msg
@@ -33,13 +65,10 @@ class TestDetectorInWorld:
         with pytest.raises(MpiError, match=r"cyclic wait among ranks"):
             world_run(3, main, timeout=30.0)
 
-    def test_wait_on_finished_rank(self):
-        def main(comm, rank):
-            if rank == 0:
-                comm.recv(source=1)  # rank 1 terminates without sending
-
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_wait_on_finished_rank(self, world):
         with pytest.raises(MpiError, match=r"rank 1 has already finished"):
-            world_run(2, main, timeout=30.0)
+            world(2, _prog_finished_peer, recv_timeout=30.0)
 
     def test_unmatched_message_is_reported(self):
         """A send with the wrong tag shows up as a near-miss in the
@@ -88,36 +117,11 @@ class TestDetectorInWorld:
         assert results[0] == [(1, i) for i in range(20)]
         assert results[1] == [(0, i) for i in range(20)]
 
-    def test_late_sender_not_flagged(self):
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_late_sender_not_flagged(self, world):
         """A slow-but-alive sender must not be misdiagnosed: rank 1 is
         computing (not blocked), so no verdict may be produced."""
-        import time
-
-        def main(comm, rank):
-            if rank == 0:
-                return comm.recv(source=1)
-            time.sleep(0.4)  # several poll intervals of apparent silence
-            comm.send("late", dest=0)
-
-        results = world_run(2, main, timeout=10.0)
-        assert results[0] == "late"
-
-    def test_send_then_finish_during_wait_relock_not_flagged(self):
-        """A peer that sends and then finishes while a timed-out wait is
-        reacquiring the mailbox lock leaves its message pending: the
-        receiver must take it, not report a wait on a finished rank."""
-        world = MpiWorld(2, recv_timeout=10.0)
-        mailbox = world.mailboxes[0]
-
-        class SendThenFinishWhileTimingOut:
-            def wait(self, timeout=None):
-                # called with the mailbox lock held, as on a real relock
-                mailbox._pending.append((1, 0, "late"))
-                world._finished.add(1)
-                return False
-
-        mailbox._cond = SendThenFinishWhileTimingOut()
-        assert mailbox.get(1, 0, 10.0, world=world, rank=0) == (1, 0, "late")
+        assert world(2, _prog_late_send, recv_timeout=10.0) == ["late", "sent"]
 
 
 class TestDiagnoseFunction:

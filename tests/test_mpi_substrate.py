@@ -21,10 +21,8 @@ import pytest
 
 from repro.core.engine import run
 from repro.errors import ExecutionError, MpiError
-from repro.mpi.comm import run_world
+from repro.mpi.comm import LANE_BYTES, run_world
 from repro.mpi.substrate import (
-    LANE_CAP_ENV,
-    MpiPool,
     get_mpi_pool,
     live_mpi_blocks,
     run_world_procs,
@@ -32,6 +30,8 @@ from repro.mpi.substrate import (
 )
 
 from .conftest import make_config
+
+WORLDS = [pytest.param(run_world, id="inproc"), pytest.param(run_world_procs, id="procs")]
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -133,21 +133,11 @@ def _prog_window(comm, rank):
 
 
 def _prog_big_messages(comm, rank):
-    """Messages far larger than a lane: chunked writes + drain-on-full."""
+    """Messages three lanes long: chunked writes + drain-on-full."""
     peer = 1 - rank
-    data = np.full(200_000, rank, dtype=np.uint8)
+    data = np.full(3 * LANE_BYTES, rank, dtype=np.uint8)
     got = comm.sendrecv(data, dest=peer)
-    return (int(got[0]), got.nbytes)
-
-
-def _prog_cycle(comm, rank):
-    return comm.recv(source=(rank + 1) % comm.size)
-
-
-def _prog_finished_peer(comm, rank):
-    if rank == 1:
-        return "done"
-    return comm.recv(source=1, tag=5)
+    return (int(got[0]), int(got[-1]), got.nbytes)
 
 
 def _prog_late_send(comm, rank):
@@ -156,6 +146,11 @@ def _prog_late_send(comm, rank):
         comm.send("late", dest=0, tag=3)
         return "sent"
     return comm.recv(source=1, tag=3)
+
+
+def _prog_self_send(comm, rank):
+    comm.send(("me", rank), dest=rank, tag=4)
+    return comm.recv(source=rank, tag=4)
 
 
 def _prog_raise(comm, rank):
@@ -209,41 +204,28 @@ def test_nonblocking_matches_inproc():
     assert run_world_procs(2, _prog_nonblocking) == run_world(2, _prog_nonblocking)
 
 
-def test_big_messages_chunk_through_small_lanes(monkeypatch):
-    shutdown_mpi_pools()  # force a fresh pool so the tiny cap applies
-    monkeypatch.setenv("REPRO_MPI_LANE_CAP", "4096")
-    try:
-        out = run_world_procs(2, _prog_big_messages)
-    finally:
-        shutdown_mpi_pools()
-    assert out == [(1, 200_000), (0, 200_000)]
+def test_big_messages_chunk_through_small_lanes():
+    for world in (run_world, run_world_procs):
+        out = world(2, _prog_big_messages)
+        assert out == [(1, 1, 3 * LANE_BYTES), (0, 0, 3 * LANE_BYTES)], world.__name__
 
 
-def test_junk_lane_capacity_is_rejected_by_name(monkeypatch):
-    monkeypatch.setenv(LANE_CAP_ENV, "xyz")
-    with pytest.raises(MpiError, match=LANE_CAP_ENV):
-        MpiPool(2)
-    assert live_mpi_blocks() == []
+@pytest.mark.parametrize("world", WORLDS)
+@pytest.mark.parametrize("size", [1, 2])
+def test_self_sends_are_delivered(world, size):
+    # each rank's lane to itself is drained like any other inbound lane
+    assert world(size, _prog_sendrecv_ring, recv_timeout=20.0) == [
+        (rank - 1) % size * 10 for rank in range(size)
+    ]
+    assert world(size, _prog_self_send, recv_timeout=20.0) == [
+        ("me", rank) for rank in range(size)
+    ]
 
 
 # --------------------------------------------------------------------------
-# deadlock analysis against the process substrate
+# deadlock analysis against the process substrate (the verdict cases both
+# worlds share are in test_mpi_deadlock.py)
 # --------------------------------------------------------------------------
-
-
-def test_cycle_is_diagnosed():
-    with pytest.raises(MpiError, match="cyclic wait|DeadlockError"):
-        run_world_procs(2, _prog_cycle, recv_timeout=20.0)
-
-
-def test_finished_peer_is_diagnosed():
-    with pytest.raises(MpiError, match="already finished|DeadlockError"):
-        run_world_procs(2, _prog_finished_peer, recv_timeout=20.0)
-
-
-def test_late_sender_is_not_a_deadlock():
-    out = run_world_procs(2, _prog_late_send, recv_timeout=30.0)
-    assert out == ["late", "sent"]
 
 
 def test_recv_timeout_reports_deadlock():
@@ -259,11 +241,17 @@ def test_recv_timeout_reports_deadlock():
 # --------------------------------------------------------------------------
 
 
-def test_raising_rank_aborts_world_quickly():
+@pytest.mark.parametrize("world", WORLDS)
+def test_raising_rank_aborts_world_quickly(world):
     t0 = time.monotonic()
-    with pytest.raises(MpiError, match="rank 1: ValueError"):
-        run_world_procs(2, _prog_raise, recv_timeout=60.0)
-    # the blocked peer must unwind via the abort word, not the 60s backstop
+    with pytest.raises(MpiError) as exc:
+        world(2, _prog_raise, recv_timeout=60.0)
+    # the raising rank is the only failed one: its blocked peer unwinds
+    # via the abort word, not a deadlock verdict or the 60s backstop
+    assert str(exc.value) == (
+        "1 rank(s) failed: rank 1: ValueError: rank 1 exploded; "
+        "rank 0: aborted by peer"
+    )
     assert time.monotonic() - t0 < 10.0
 
 
@@ -324,6 +312,18 @@ def test_life_procs_equals_seq_and_inproc():
     assert np.array_equal(procs.image, inproc.image)
     # deterministic engine inside each rank: virtual clocks agree too
     assert procs.virtual_time == inproc.virtual_time
+
+
+def test_inproc_windows_leave_no_shared_memory():
+    shutdown_mpi_pools()  # only this world's window blocks may show up
+    cfg = make_config(kernel="life", variant="mpi_omp", dim=64, iterations=2,
+                      arg="diag", mpi_np=2, mpi_backend="inproc")
+    res = run(cfg)
+    assert res.rank_results[1].context.data["cells"].any()
+    assert live_mpi_blocks() == []
+    if os.path.isdir("/dev/shm"):
+        mine = f"ezmpi_{os.getpid()}_"
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(mine)] == []
 
 
 def test_rank_results_carry_context_snapshots():
