@@ -26,10 +26,10 @@ def run_abl1():
         cfg = RunConfig(kernel="mandel", variant="omp_tiled", dim=256,
                         tile_w=grain, tile_h=grain, iterations=2, nthreads=4,
                         schedule="dynamic", arg="128")
-        log, model = capture_log(cfg)
-        with_ovh = replay_log(log, nthreads=4, policy=cfg.policy(), model=model)
-        no_ovh = replay_log(log, nthreads=4, policy=cfg.policy(),
-                            model=model.zero_overhead())
+        log, model, _ = capture_log(cfg)
+        with_ovh, _ = replay_log(log, nthreads=4, policy=cfg.policy(), model=model)
+        no_ovh, _ = replay_log(log, nthreads=4, policy=cfg.policy(),
+                               model=model.zero_overhead())
         none_cfg = cfg.with_(kernel="none")
         none_time = run(none_cfg).virtual_time
         results[grain] = (with_ovh, no_ovh, none_time)

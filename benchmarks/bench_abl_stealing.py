@@ -17,7 +17,7 @@ from repro.sched.simulator import simulate
 def run_abl2():
     cfg = RunConfig(kernel="mandel", variant="omp_tiled", dim=256, tile_w=8,
                     tile_h=8, iterations=1, nthreads=4, arg="128")
-    log, model = capture_log(cfg)
+    log, model, _ = capture_log(cfg)
     works = next(e[1] for e in log if e[0] == "par")
     costs = model.times_of(works)
     out = {}

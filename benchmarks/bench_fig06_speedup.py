@@ -23,6 +23,7 @@ for hardware runs, not CI.
 from _common import OUT_DIR, report
 from repro.cli import config_from_args, parse_args
 from repro.core.engine import run
+from repro.expt.csvdb import column_role
 from repro.expt.easyplot import build_plot
 from repro.expt.exptools import execute
 from repro.expt.plotting import render_svg, render_text
@@ -66,7 +67,13 @@ def test_fig06_speedup(benchmark, tmp_path, bench_backend):
                       ref_time_us=ref_us, kernel="mandel")
     svg_path = OUT_DIR / "fig06_speedup.svg"
     render_svg(spec).save(svg_path)
-    text = render_text(spec) + f"\n\nSVG figure: {svg_path}"
+    text = render_text(spec) + f"\n\nSVG figure: benchmarks/out/{svg_path.name}"
+
+    # the legend names schedules only: provenance and measured counters
+    # (steals varies under nonmonotonic:dynamic) never split a curve or
+    # reach the title
+    assert [len(facet.series) for facet in spec.facets] == [len(SCHEDULES)] * 2
+    assert all(column_role(c) == "parameter" for c in spec.const_params), spec.header()
 
     # extract the curves for shape checks
     speedup = {}

@@ -9,9 +9,9 @@ interval the blocked rank snapshots that registry and calls
 * **cycle** — the rank's wait chain (each rank blocked on a specific
   source) loops back to itself: the classic recv/recv deadlock;
 * **finished-peer** — the awaited source has already terminated without
-  a matching send; any messages sitting in the mailbox that match
-  neither the source nor the tag are reported as near-misses (the
-  "sent with the wrong tag" bug);
+  a matching send; any frames the blocked rank has drained from its
+  lanes that match neither the source nor the tag are reported as
+  near-misses (the "sent with the wrong tag" bug);
 * **starved ANY_SOURCE** — the rank waits on ``ANY_SOURCE`` but every
   other rank is blocked or finished, so nobody can ever send.
 
@@ -57,8 +57,8 @@ class RankWait:
 
 @dataclass(frozen=True)
 class PendingMsg:
-    """A message sitting in the blocked rank's mailbox that does *not*
-    match its receive (wrong source or wrong tag)."""
+    """A frame the blocked rank has drained from its lanes that does
+    *not* match its receive (wrong source or wrong tag)."""
 
     source: int
     tag: int

@@ -367,12 +367,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.csv:
         from repro.expt.csvdb import append_rows
+        from repro.expt.executors.base import result_row
 
-        row = dict(config.csv_row())
-        row["machine"] = args.machine
-        row["time_us"] = round(result.elapsed * 1e6, 3)
-        row["run"] = 0
-        append_rows(args.csv, [row])
+        append_rows(args.csv, [result_row(
+            config, config.run_index, args.machine,
+            time_us=round(result.elapsed * 1e6, 3),
+            completed=result.completed_iterations,
+            steals=int(result.counters.get("steals", 0)),
+        )])
     return analysis_status
 
 

@@ -174,8 +174,11 @@ class RunConfig:
         return replace(self, **kwargs)
 
     # -- CSV round-trip --------------------------------------------------------------
-    def csv_row(self) -> dict[str, Any]:
-        """The configuration columns of a performance-mode CSV row."""
+    def csv_row(self, machine: str = "virtual") -> dict[str, Any]:
+        """The parameter columns of a performance-mode CSV row: every
+        setting that changes a run's measurement, plus the ``machine``
+        label.  ``fastpath`` and ``mpi_backend`` stay out: the
+        bit-identity contract keeps them out of the measurement."""
         return {
             "kernel": self.kernel,
             "variant": self.variant,
@@ -189,6 +192,12 @@ class RunConfig:
             "arg": self.arg or "",
             "np": self.mpi_np,
             "domain": self.domain,
+            "dim_y": self.dim_y,
+            "dim_z": self.dim_z,
+            "jitter": float(self.jitter),
+            "time_scale": float(self.time_scale),
+            "seed": "" if self.seed is None else self.seed,
+            "machine": machine,
         }
 
     def label(self) -> str:

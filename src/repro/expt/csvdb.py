@@ -3,7 +3,9 @@
 EASYPAP's performance mode appends every run — completion time plus
 all execution and configuration parameters — to a CSV file (paper
 §II-C).  This module owns that file format: crash-safe appends, typed
-reads, filtering and grouping helpers used by ``easyplot``.
+reads, filtering and grouping helpers used by ``easyplot``, and the
+column-role table (:data:`COLUMN_ROLES`) that tells a row's parameters
+from its repetition index, measurements and provenance.
 
 Durability model (what the parallel sweep runner relies on):
 
@@ -41,29 +43,47 @@ __all__ = [
     "read_header",
     "filter_rows",
     "unique_values",
-    "column_types",
     "locked",
-    "PROVENANCE_COLUMNS",
+    "COLUMN_ROLES",
+    "column_role",
     "strip_provenance",
 ]
 
-#: columns recording *where and how* a row was produced, not *what*
-#: was measured: the executor that dispatched the point, the worker
-#: process that ran it and whether the schedule-result memo served the
-#: point ("hit"/"miss"/"").  Cross-executor sweeps are row-identical
-#: modulo these columns, and the resume identity excludes them, so
-#: databases written under different executors (or warm vs cold
-#: caches) merge cleanly.  ``jit_tier`` is a legacy column: the
-#: execution tier, written before the compiled tile-body tier was
-#: removed.  Nothing writes it now, but databases that carry it still
-#: load, resume and strip cleanly.
-PROVENANCE_COLUMNS = ("executor", "worker_id", "jit_tier", "memo")
+#: the role of each column of a results row that is not a parameter.
+#: As in PaPaS and automan, a study's parameters (what was run) stay
+#: apart from its outputs: ``run`` is the repetition index, a
+#: measurement is what the point produced, provenance is where and
+#: through which cache it ran.  Any other column — those of
+#: ``RunConfig.csv_row()``, or one a user adds — is a parameter.
+#: Resume identity, :func:`strip_provenance` and easyplot's title and
+#: legend all read this table.  ``dropped_events`` and ``jit_tier`` are
+#: legacy columns nothing writes any more.
+COLUMN_ROLES = {
+    "run": "run",
+    "time_us": "measurement",
+    "completed": "measurement",
+    "steals": "measurement",
+    "status": "measurement",
+    "error": "measurement",
+    "dropped_events": "measurement",
+    "executor": "provenance",
+    "worker_id": "provenance",
+    "memo": "provenance",
+    "jit_tier": "provenance",
+}
+
+
+def column_role(column: str) -> str:
+    """``parameter``, ``run``, ``measurement`` or ``provenance``."""
+    return COLUMN_ROLES.get(column, "parameter")
 
 
 def strip_provenance(row: dict) -> dict:
-    """A copy of ``row`` without the provenance columns (comparisons
-    across executors, deduplication of merged databases)."""
-    return {k: v for k, v in row.items() if k not in PROVENANCE_COLUMNS}
+    """A copy of ``row`` without its provenance columns: rows of one
+    point compare equal whichever executor, worker or cache produced
+    them."""
+    return {k: v for k, v in row.items() if column_role(k) != "provenance"}
+
 
 #: spellings float() accepts but that must stay strings: a cell reading
 #: "nan" must not NaN-poison easyplot group keys (NaN != NaN, so every
@@ -227,11 +247,3 @@ def unique_values(rows: list[dict], column: str) -> list[Any]:
             seen.append(v)
     return seen
 
-
-def column_types(rows: list[dict]) -> dict[str, type]:
-    """Dominant python type per column (diagnostics)."""
-    out: dict[str, type] = {}
-    for r in rows:
-        for k, v in r.items():
-            out.setdefault(k, type(v))
-    return out

@@ -4,7 +4,10 @@ The key feature (paper §II-C): *the legend is automatically generated
 from the data*.  After filtering, columns holding a single value are
 put aside (listed above the graph), and plot-line names are built from
 the remaining varying columns — so experiments run under different
-conditions can never be silently merged into one curve.
+conditions can never be silently merged into one curve.  Only
+*parameter* columns (:func:`repro.expt.csvdb.column_role`) take part:
+the repetition index, measurements such as ``steals`` and provenance
+such as ``worker_id`` never split a curve or reach the title.
 
 ``build_plot`` produces a :class:`PlotSpec` (facet grid + series with
 mean/std over runs); the text/SVG renderers live in
@@ -18,12 +21,9 @@ from statistics import mean, pstdev
 from typing import Any
 
 from repro.errors import PlotError
-from repro.expt.csvdb import filter_rows, unique_values
+from repro.expt.csvdb import column_role, filter_rows, unique_values
 
 __all__ = ["PlotSeries", "PlotFacet", "PlotSpec", "build_plot"]
-
-#: per-run measurement/bookkeeping columns — never part of legends or titles
-AGG_COLUMNS = {"run", "time_us", "completed", "status", "error"}
 
 
 @dataclass
@@ -123,8 +123,8 @@ def build_plot(
     if speedup and ref_time_us is None:
         ref_time_us = _auto_ref_time(rows, filtered)
 
-    # classify columns: constant -> title; varying (except x/col/agg) -> legend
-    columns = [c for c in filtered[0] if c not in AGG_COLUMNS]
+    # classify parameters: constant -> title; varying (except x/col) -> legend
+    columns = [c for c in filtered[0] if column_role(c) == "parameter"]
     const_params: dict[str, Any] = {}
     legend_cols: list[str] = []
     for c in columns:

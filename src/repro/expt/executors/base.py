@@ -19,13 +19,14 @@ Every executor resolves **all** submitted jobs: a lost worker must
 never silently swallow a grid point.  Rows carry provenance columns
 (``executor``, ``worker_id``, ``memo``) so a merged database records
 where — and through which cache — each measurement ran; the *resume
-identity* (``RunConfig.csv_row()`` + the ``run`` index) deliberately
-excludes them, so a sweep started under one executor resumes under
-any other.
+identity* (the parameters of ``RunConfig.csv_row()`` + the ``run``
+index) deliberately excludes them, so a sweep started under one
+executor resumes under any other.
 
 :func:`run_point` — one (configuration, repetition) to one row, with
 per-point timeout/retries — is the single execution path shared by all
-executors, including remote socket workers.
+executors, including remote socket workers; :func:`result_row` is the
+one row shape it, the error rows and ``easypap --csv`` share.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "SweepJob",
     "SweepTimeout",
     "run_point",
+    "result_row",
     "error_row",
     "worker_identity",
 ]
@@ -63,8 +65,8 @@ class SweepJob:
 
     ``job_id`` is the point's position in this invocation's job list —
     a dispatch handle only (lease tracking, requeue bookkeeping); the
-    durable identity that survives crashes and executor changes is
-    ``config.csv_row()`` + ``rep``.
+    durable identity that survives crashes and executor changes is the
+    parameters of ``config.csv_row()`` + ``rep``.
     """
 
     job_id: int
@@ -125,27 +127,28 @@ def _time_limit(seconds: float | None) -> Iterator[None]:
         signal.signal(signal.SIGALRM, old_handler)
 
 
-def _base_row(config: RunConfig, rep: int, machine: str) -> dict:
-    row = dict(config.csv_row())
-    row["machine"] = machine
-    row["run"] = rep
-    return row
+def result_row(config: RunConfig, rep: int, machine: str, *, time_us: float | str = "",
+               completed: int = 0, steals: int | str = "", status: str = "ok",
+               error: str = "", memo: str = "", worker_id: str = "") -> dict:
+    """The one shape of a results row: ``config``'s parameters
+    (``RunConfig.csv_row``), the repetition index, the measurements and
+    the provenance (roles in :data:`repro.expt.csvdb.COLUMN_ROLES`).
+    Sweep points, error rows and ``easypap --csv`` all build rows here;
+    ``memo`` is "" for a point measured live."""
+    return {
+        **config.csv_row(machine), "run": rep, "time_us": time_us,
+        "completed": completed, "steals": steals, "memo": memo, "status": status,
+        "error": error[:200], "worker_id": worker_id or worker_identity(),
+    }
 
 
 def error_row(config: RunConfig, rep: int, machine: str, message: str,
               worker_id: str = "") -> dict:
-    """The ``status=error`` row shape shared by point execution (a
-    point that kept failing) and the socket master (a point whose
-    workers kept dying)."""
-    row = _base_row(config, rep, machine)
-    row["time_us"] = ""
-    row["completed"] = 0
-    row["steals"] = ""
-    row["memo"] = ""
-    row["status"] = "error"
-    row["error"] = message[:200]
-    row["worker_id"] = worker_id or worker_identity()
-    return row
+    """The ``status=error`` row shared by point execution (a point that
+    kept failing) and the socket master (a point whose workers kept
+    dying)."""
+    return result_row(config, rep, machine, status="error", error=message,
+                      worker_id=worker_id)
 
 
 def run_point(
@@ -157,7 +160,9 @@ def run_point(
 
     Failures and timeouts are retried up to ``options.retries`` times,
     then recorded as a ``status=error`` row so the rest of the sweep
-    (and ``easyplot`` over its output) keeps working.
+    (and ``easyplot`` over its output) keeps working.  A replayed point
+    (``cache`` given) records the same row as a live one, but for its
+    provenance.
     """
     config, rep = job.config, job.rep
     rep_cfg = config.with_(run_index=rep)
@@ -167,14 +172,14 @@ def run_point(
             with _time_limit(options.timeout):
                 if cache is not None:
                     elapsed = cache.simulate(rep_cfg)
-                    completed = rep_cfg.iterations
-                    counters: dict = {}
+                    completed = cache.last_completed
+                    steals = cache.last_steals
                     memo = cache.last_memo
                 else:
                     result = run(rep_cfg)
                     elapsed = result.elapsed
                     completed = result.completed_iterations
-                    counters = result.counters
+                    steals = result.counters.get("steals", 0)
                     memo = ""
         except SweepTimeout as exc:
             last_error = str(exc)
@@ -182,18 +187,11 @@ def run_point(
         except Exception as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             continue
-        row = _base_row(config, rep, options.machine)
-        row["time_us"] = round(elapsed * 1e6, 3)
-        row["completed"] = completed
-        # telemetry-bus counter: scheduling per point
-        row["steals"] = int(counters.get("steals", 0))
-        # provenance: whether the schedule-result memo served this
-        # point ("" = measured live)
-        row["memo"] = memo
-        row["status"] = "ok"
-        row["error"] = ""
-        row["worker_id"] = worker_identity()
-        return row
+        return result_row(
+            config, rep, options.machine,
+            time_us=round(elapsed * 1e6, 3), completed=completed,
+            steals=int(steals), memo=memo,
+        )
     return error_row(config, rep, options.machine, last_error)
 
 

@@ -32,9 +32,11 @@ Whatever the executor, results stream into the CSV **as they finish**,
 so a killed sweep keeps every completed point, and:
 
 * ``resume=True`` skips points already recorded in the CSV (keyed by
-  the configuration's ``csv_row()`` identity plus the ``run`` index) —
-  re-invoking a crashed or extended sweep only runs what is missing.
-  The identity excludes the provenance columns, so a sweep interrupted
+  the parameter columns of ``RunConfig.csv_row()`` — ``machine``
+  included — plus the ``run`` index) — re-invoking a crashed or
+  extended sweep only runs what is missing.  The identity leaves out
+  measurements and provenance (the column roles of
+  :data:`repro.expt.csvdb.COLUMN_ROLES`), so a sweep interrupted
   under one executor resumes under any other.  Rows recorded with
   ``status=error`` are retried.
 * ``timeout=``/``retries=`` bound each point: a failing or overrunning
@@ -95,14 +97,9 @@ DEFAULT_CSV = "perf_data.csv"
 easypap_options: dict[str, list] = {}
 omp_icv: dict[str, list] = {}
 
-#: the columns identifying one sweep point (a configuration + repetition);
-#: mirrors RunConfig.csv_row() + the run index.  Provenance columns
-#: (executor, worker_id, machine) are deliberately excluded: where a
-#: point ran must not change *whether* it ran.
-IDENTITY_COLUMNS = (
-    "kernel", "variant", "dim", "tile_w", "tile_h", "iterations",
-    "threads", "schedule", "backend", "arg", "np", "domain", "run",
-)
+#: every parameter column of a results row, with the value an absent or
+#: empty cell of an older CSV stands for: ``RunConfig()``'s default
+_PARAMETER_DEFAULTS = {k: str(v) for k, v in RunConfig().csv_row().items()}
 
 
 def _combinations(spec: Mapping[str, Sequence]) -> list[dict[str, Any]]:
@@ -155,20 +152,17 @@ def sweep_configs(
 # -- point identity (resume) --------------------------------------------------
 
 def point_key(row: Mapping[str, Any]) -> tuple[str, ...]:
-    """Canonical identity of a sweep point from a CSV row or row dict.
+    """Canonical identity of a sweep point from a CSV row or row dict:
+    its parameter columns (those of ``RunConfig.csv_row()``) plus the
+    ``run`` index.
 
     Cells are compared as strings so typed reads (``4``) and config
-    values (``"4"``) key identically.  The ``domain`` column joined the
-    identity later than the others; rows from older CSVs (no such
-    column) key as the default ``"grid"``, so resuming a legacy sweep
-    keeps recognizing its completed points.
+    values (``"4"``) key identically.  A parameter an older CSV never
+    recorded (or left empty) keys as ``RunConfig()``'s default, so
+    resuming a legacy sweep keeps recognizing its completed points.
     """
-    key = []
-    for c in IDENTITY_COLUMNS:
-        v = str(row.get(c, ""))
-        if c == "domain" and v == "":
-            v = "grid"
-        key.append(v)
+    key = [str(row.get(c, "")) or default for c, default in _PARAMETER_DEFAULTS.items()]
+    key.append(str(row.get("run", "")))
     return tuple(key)
 
 
@@ -272,7 +266,7 @@ def execute(
         grid = [
             (config, rep)
             for config, rep in grid
-            if point_key({**config.csv_row(), "run": rep}) not in done
+            if point_key({**config.csv_row(machine), "run": rep}) not in done
         ]
         if verbose and len(grid) < total:
             print(f"resume: {total - len(grid)}/{total} points already recorded")

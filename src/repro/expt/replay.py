@@ -7,9 +7,10 @@ needs the kernel to run **once** per workload: the captured sequence of
 parallel regions (with their work vectors and task graphs) is then
 re-simulated under each configuration.
 
-Replayed times are identical to full runs — the simulator sees the
-same costs either way — which makes paper-Fig. 6-sized sweeps (dozens
-of configurations x 10 repetitions) run in seconds.
+Replayed points are identical to full runs — the simulator sees the
+same costs either way, so the clock, the ``steals`` count and the
+completed iterations all match — which makes paper-Fig. 6-sized sweeps
+(dozens of configurations x 10 repetitions) run in seconds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.errors import ConfigError
 from repro.sched.costmodel import CostModel
 from repro.sched.dag_sim import dag_policy_makespan
 from repro.sched.policies import DynamicSchedule
-from repro.sched.simulator import simulate_makespan
+from repro.sched.simulator import simulate
 
 __all__ = ["RegionLog", "WorkProfileCache", "replay_log"]
 
@@ -41,13 +42,17 @@ RegionLog = list  # list of ("par", works) / ("seq", works) / ("master", w)
 #                   / ("dag", works, preds) / ("dagp", works, preds)
 
 
-def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel]:
+def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel, int]:
     """Run ``config`` once, recording every region's work profile.
 
+    Returns the region log, the cost model and the number of iterations
+    the run completed (fewer than asked when the kernel stabilized).
+
     The log is replayed once at ``config`` itself before it is returned:
-    a variant that moves the clock outside the region log (GPU launches,
-    the wall-clock time of real backends) cannot be replayed, and
-    raises :class:`ConfigError` instead of yielding a wrong time.
+    a variant that moves the clock (or steals) outside the region log
+    (GPU launches, the wall-clock time of real backends) cannot be
+    replayed, and raises :class:`ConfigError` instead of yielding a
+    wrong row.
     """
     from repro.util.rng import make_jitter_rng
 
@@ -63,7 +68,7 @@ def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel]:
     kernel.draw(ctx)
     compute(ctx, capture_cfg.iterations)
     kernel.finalize(ctx)
-    replayed = replay_log(
+    replayed, steals = replay_log(
         log,
         nthreads=capture_cfg.nthreads,
         policy=capture_cfg.policy(),
@@ -71,13 +76,15 @@ def capture_log(config: RunConfig) -> tuple[RegionLog, CostModel]:
         jitter=capture_cfg.jitter,
         jitter_rng=make_jitter_rng(capture_cfg.seed, capture_cfg.run_index),
     )
-    if replayed != ctx.vclock:
+    live_steals = ctx.bus.counters.get("steals", 0)
+    if (replayed, steals) != (ctx.vclock, live_steals):
         raise ConfigError(
             f"work-profile replay cannot reproduce {capture_cfg.kernel} "
             f"{capture_cfg.variant} on backend {capture_cfg.backend}: the region "
-            f"log replays to {replayed!r} s but the run took {ctx.vclock!r} s"
+            f"log replays to {replayed!r} s and {steals} steals but the run "
+            f"took {ctx.vclock!r} s and {live_steals} steals"
         )
-    return log, ctx.model
+    return log, ctx.model, ctx.completed_iterations
 
 
 def replay_log(
@@ -88,8 +95,13 @@ def replay_log(
     model: CostModel,
     jitter: float = 0.0,
     jitter_rng=None,
-) -> float:
-    """Virtual elapsed time of the captured run under a new configuration.
+) -> tuple[float, int]:
+    """Virtual elapsed time and ``steals`` count of the captured run
+    under a new configuration.
+
+    Each worksharing region is scheduled by the same :func:`simulate`
+    grabs a live run sums into its ``steals`` counter; sequential and
+    task regions steal nothing, live or replayed.
 
     When ``jitter > 0``, ``jitter_rng`` must be the stream a full run
     would use (:func:`repro.util.rng.make_jitter_rng`); noise is drawn
@@ -104,12 +116,14 @@ def replay_log(
         return perturb(costs, jitter_rng, jitter)
 
     vclock = 0.0
+    steals = 0
     for entry in log:
         kind = entry[0]
         if kind == PAR:
             costs = noisy(model.times_of(entry[1]))
-            end = simulate_makespan(costs, policy, nthreads, model=model, start_time=vclock)
-            vclock = max(end, vclock) + model.fork_join_overhead
+            result = simulate(costs, policy, nthreads, model=model, start_time=vclock)
+            steals += result.steals
+            vclock = max(result.makespan, vclock) + model.fork_join_overhead
         elif kind == SEQ:
             # the same left fold from the clock as the live loop
             for cost in noisy(model.times_of(entry[1])):
@@ -128,7 +142,7 @@ def replay_log(
             vclock = max(end, vclock) + model.fork_join_overhead
         else:  # pragma: no cover - defensive
             raise ConfigError(f"unknown region log entry {kind!r}")
-    return vclock
+    return vclock, steals
 
 
 #: bump when the persisted profile layout changes; older files are
@@ -140,7 +154,9 @@ def replay_log(
 #: 4: ``config.fastpath`` replaced the resolved execution tier in the
 #: workload key
 #: 5: profile and memo files share one payload layout (``value``)
-CACHE_FORMAT = 5
+#: 6: profiles carry the completed iteration count, memo entries are
+#: ``(elapsed, steals, completed)`` instead of a bare elapsed time
+CACHE_FORMAT = 6
 
 
 @dataclass
@@ -155,27 +171,33 @@ class WorkProfileCache:
     only ever cause a re-capture, never a wrong result.
 
     On top of the profiles sits the **schedule-result memo**: the
-    replayed elapsed time of each fully-specified point — workload key
-    plus ``(threads, schedule, jitter, run_index)`` — is remembered (and
-    disk-persisted next to the profiles as ``memo-*.pkl``), so repeated
-    sweep points, resumed sweeps and identical requests skip even the
-    replay simulation.  A memo hit returns the exact float a fresh
-    replay would produce — the replay is deterministic, that is the
-    whole premise of this module — and the hit/miss tally is exposed in
-    :attr:`counters` (surfaced as sweep telemetry) with the last
-    outcome in :attr:`last_memo` (the ``memo`` CSV column).  A fresh
-    instance's first call for a point is a miss, i.e. a fresh replay.
+    replayed ``(elapsed, steals, completed)`` of each fully-specified
+    point — workload key plus ``(threads, schedule, jitter,
+    run_index)`` — is remembered (and disk-persisted next to the
+    profiles as ``memo-*.pkl``), so repeated sweep points, resumed
+    sweeps and identical requests skip even the replay simulation.  A
+    memo hit returns exactly what a fresh replay would produce — the
+    replay is deterministic, that is the whole premise of this module —
+    and the hit/miss tally is exposed in :attr:`counters` (surfaced as
+    sweep telemetry).  The last point's outcome is kept in
+    :attr:`last_memo` (the ``memo`` CSV column), :attr:`last_steals`
+    and :attr:`last_completed`.  A fresh instance's first call for a
+    point is a miss, i.e. a fresh replay.
     """
 
     cache_dir: str | os.PathLike | None = None
-    _cache: dict[tuple, tuple[RegionLog, CostModel]] = field(default_factory=dict)
-    #: workload key -> {(threads, schedule, jitter, run_index): elapsed}
-    _memo: dict[tuple, dict[tuple, float]] = field(default_factory=dict)
+    _cache: dict[tuple, tuple[RegionLog, CostModel, int]] = field(default_factory=dict)
+    #: workload key -> {(threads, schedule, jitter, run_index):
+    #: (elapsed, steals, completed)}
+    _memo: dict[tuple, dict[tuple, tuple[float, int, int]]] = field(default_factory=dict)
     counters: dict[str, int] = field(
         default_factory=lambda: {"memo_hits": 0, "memo_misses": 0}
     )
-    #: outcome of the most recent :meth:`simulate` call: "hit" or "miss"
+    #: the most recent :meth:`simulate` call: "hit" or "miss", and the
+    #: point's ``steals`` count and completed iterations
     last_memo: str = ""
+    last_steals: int = 0
+    last_completed: int = 0
 
     @staticmethod
     def workload_key(config: RunConfig) -> tuple:
@@ -236,7 +258,7 @@ class WorkProfileCache:
         except OSError:
             tmp.unlink(missing_ok=True)
 
-    def profile(self, config: RunConfig) -> tuple[RegionLog, CostModel]:
+    def profile(self, config: RunConfig) -> tuple[RegionLog, CostModel, int]:
         key = self.workload_key(config)
         if key in self._cache:
             return self._cache[key]
@@ -248,11 +270,11 @@ class WorkProfileCache:
         self._cache[key] = profile
         return profile
 
-    def _replay(self, config: RunConfig) -> float:
+    def _replay(self, config: RunConfig) -> tuple[float, int, int]:
         from repro.util.rng import make_jitter_rng
 
-        log, model = self.profile(config)
-        return replay_log(
+        log, model, completed = self.profile(config)
+        elapsed, steals = replay_log(
             log,
             nthreads=config.nthreads,
             policy=config.policy(),
@@ -260,9 +282,12 @@ class WorkProfileCache:
             jitter=config.jitter,
             jitter_rng=make_jitter_rng(config.seed, config.run_index),
         )
+        return elapsed, steals, completed
 
     def simulate(self, config: RunConfig) -> float:
-        """Elapsed virtual seconds of ``config`` (captures on first use).
+        """Elapsed virtual seconds of ``config`` (captures on first use);
+        the point's ``steals`` count and completed iterations are left
+        in :attr:`last_steals` and :attr:`last_completed`.
 
         Served from the schedule-result memo when the identical point
         was replayed before — by this instance, another worker sharing
@@ -277,13 +302,13 @@ class WorkProfileCache:
         if subkey in memo:
             self.counters["memo_hits"] += 1
             self.last_memo = "hit"
-            return memo[subkey]
-        elapsed = self._replay(config)
-        memo[subkey] = elapsed
-        self.counters["memo_misses"] += 1
-        self.last_memo = "miss"
-        if self.cache_dir is not None:
-            # merge with what concurrent writers stored meanwhile; a lost
-            # update costs one extra replay later, never a wrong value
-            self._write("memo", key, {**(self._read("memo", key) or {}), **memo})
+        else:
+            memo[subkey] = self._replay(config)
+            self.counters["memo_misses"] += 1
+            self.last_memo = "miss"
+            if self.cache_dir is not None:
+                # merge with what concurrent writers stored meanwhile; a lost
+                # update costs one extra replay later, never a wrong value
+                self._write("memo", key, {**(self._read("memo", key) or {}), **memo})
+        elapsed, self.last_steals, self.last_completed = memo[subkey]
         return elapsed

@@ -191,7 +191,7 @@ class RecvTimeout:
         return (
             f"rank {self.rank}: recv(source={fmt(self.source)}, "
             f"tag={fmt(self.tag)}) timed out after {self.timeout:g}s — "
-            f"unresolved deadlock? pending mailbox: {inbox}"
+            f"unresolved deadlock? unmatched frames drained from its lanes: {inbox}"
         )
 
 

@@ -110,6 +110,22 @@ class TestMain:
         assert len(rows) == 1
         assert rows[0]["kernel"] == "mandel" and rows[0]["time_us"] > 0
 
+    def test_csv_row_records_the_run_index(self, tmp_path):
+        from repro.expt.csvdb import read_rows
+        from repro.expt.exptools import point_key
+
+        csv = tmp_path / "perf.csv"
+        for index in ("0", "1"):
+            main(["--kernel", "mandel", "--variant", "omp_tiled", "--size", "64",
+                  "--grain", "8", "--iterations", "2", "--nb-threads", "4",
+                  "--schedule", "nonmonotonic:dynamic",
+                  "--run-index", index, "--csv", str(csv)])
+        rows = read_rows(csv)
+        assert [r["run"] for r in rows] == [0, 1]
+        assert len({point_key(r) for r in rows}) == 2
+        assert all(r["completed"] == 2 and r["status"] == "ok" for r in rows)
+        assert all(r["steals"] > 0 for r in rows)
+
     def test_early_stop_reported(self, capsys):
         rc = main(["--kernel", "sandpile", "--variant", "seq", "--size", "16",
                    "--tile-size", "8", "--iterations", "500"])

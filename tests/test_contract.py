@@ -20,9 +20,12 @@ in-process ranks.  Every draw is held to the same invariants:
    traced run still took the fast path;
 3. ``threads`` and ``procs`` compute the ``sim`` image, and an
    ``mpi_*`` variant computes the ``seq`` image;
-4. ``WorkProfileCache().simulate`` equals the live virtual clock with
-   ``==`` or raises :class:`ConfigError`, and a second call is a memo
-   hit returning the same float;
+4. a sweep point's ``run_point`` row is the same whether it runs live,
+   is replayed from a work profile or is served by the memo (a second
+   replay, which must be a memo hit): whole rows, clock, ``steals``
+   and completed iterations included, compared after
+   ``strip_provenance``; a point that cannot be replayed gives an
+   error row naming :class:`ConfigError`;
 5. a traced, monitored run keeps the image and the clock; its ``.evt``
    save/load gives equal events, and its Chrome export/import keeps
    every field, timestamps within 1 µs;
@@ -50,7 +53,9 @@ from repro.analyze.lint import lint_results
 from repro.core.config import BACKENDS, DOMAINS, RunConfig
 from repro.core.engine import run
 from repro.core.kernel import get_kernel, list_kernels
-from repro.errors import ConfigError, EasypapError
+from repro.errors import EasypapError
+from repro.expt.csvdb import strip_provenance
+from repro.expt.executors.base import RunOptions, SweepJob, run_point
 from repro.expt.replay import WorkProfileCache
 from repro.omp.procs import shutdown_pools
 from repro.sched.policies import SCHEDULE_NAMES
@@ -211,16 +216,22 @@ def check_contract(kw: dict) -> None:
         seq = run(sim.with_(variant="seq", mpi_np=0))
         assert np.array_equal(seq.image, ref.image)
 
-    # 4. replayed clock == live clock, and a memo hit == a fresh replay
+    # 4. live, replayed and memo-hit rows of the point are one row
+    job = SweepJob(0, sim, sim.run_index)
+    live = run_point(job, RunOptions())
+    assert live["status"] == "ok", live["error"]
+    assert live["time_us"] == round(ref.virtual_time * 1e6, 3)
     cache = WorkProfileCache()
-    try:
-        replayed = cache.simulate(sim)
-    except ConfigError:
-        pass
+    replayed = run_point(job, RunOptions(reuse_work=True), cache)
+    if replayed["status"] == "error":
+        assert replayed["error"].startswith("ConfigError"), replayed["error"]
     else:
-        assert replayed == ref.virtual_time
-        assert cache.simulate(sim) == replayed
-        assert cache.last_memo == "hit"
+        # the memo keeps the replayed float itself, not the rounded cell
+        assert cache.simulate(sim) == ref.virtual_time
+        hit = run_point(job, RunOptions(reuse_work=True), cache)
+        assert (replayed["memo"], hit["memo"]) == ("miss", "hit")
+        assert strip_provenance(replayed) == strip_provenance(live)
+        assert strip_provenance(hit) == strip_provenance(live)
 
     # 5. instrumentation observes without perturbing; traces round-trip
     traced = run(sim.with_(trace=True, monitoring=True, footprints=True,
@@ -268,6 +279,10 @@ CONTRACT_SETTINGS = dict(
 # quadtree children sharing their parent's change flag: last writer won
 @example(kw=pin("life", "mpi_omp", dim=13, tile_w=4, tile_h=3, domain="quadtree",
                 schedule="static", nthreads=1, mpi_np=1))
+# replayed rows recorded no steals, and the asked-for iterations of a
+# kernel that stabilized early
+@example(kw=pin("mandel", "omp_tiled", schedule="nonmonotonic:dynamic", nthreads=4))
+@example(kw=pin("life", "omp_tiled", dim=8, tile_w=4, tile_h=4, iterations=3))
 def test_contract(kw):
     check_contract(kw)
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import PlotError
+from repro.expt.csvdb import read_rows
 from repro.expt.easyplot import build_plot
+from repro.expt.exptools import execute
 
 
 def rows_fixture():
@@ -109,3 +111,40 @@ class TestSpeedup:
     def test_speedup_without_any_reference_raises(self):
         with pytest.raises(PlotError):
             build_plot(rows_fixture(), x="threads", speedup=True)
+
+
+class TestSweepLegends:
+    """Legends of real sweep CSVs: only parameters name curves or reach
+    the title, so provenance and measured counters never split a curve
+    and a swept parameter always does."""
+
+    NOT_PARAMETERS = ("worker_id", "executor", "memo", "steals")
+    OPTS = {"--kernel ": ["mandel"], "--variant ": ["omp_tiled"], "--size ": [64],
+            "--grain ": [16], "--iterations ": [2]}
+
+    def _plot(self, csv, **execute_kw):
+        execute("easypap", execute_kw.pop("icvs"), execute_kw.pop("options", self.OPTS),
+                csv_path=csv, **execute_kw)
+        spec = build_plot(read_rows(csv), x="threads")
+        header = spec.header()
+        assert not [c for c in self.NOT_PARAMETERS if f"{c}=" in header], header
+        return {s.label for s in spec.facets[0].series}
+
+    def test_parallel_sweep_plots_one_curve_per_schedule(self, tmp_path):
+        icvs = {"OMP_NUM_THREADS=": [1, 2, 4], "OMP_SCHEDULE=": ["static", "dynamic"]}
+        labels = self._plot(tmp_path / "par.csv", icvs=icvs, runs=2, workers=2)
+        assert labels == {"schedule=static", "schedule=dynamic"}
+
+    def test_stealing_sweep_plots_one_curve_per_schedule(self, tmp_path):
+        icvs = {"OMP_NUM_THREADS=": [2, 4],
+                "OMP_SCHEDULE=": ["static", "nonmonotonic:dynamic"]}
+        csv = tmp_path / "steal.csv"
+        labels = self._plot(csv, icvs=icvs, runs=1)
+        assert len({r["steals"] for r in read_rows(csv)}) > 2  # the counter varies
+        assert labels == {"schedule=static", "schedule=nonmonotonic:dynamic"}
+
+    def test_image_height_sweep_plots_one_curve_per_height(self, tmp_path):
+        icvs = {"OMP_NUM_THREADS=": [2, 4]}
+        opts = dict(self.OPTS, **{"--size-y ": [32, 64]})
+        labels = self._plot(tmp_path / "h.csv", icvs=icvs, options=opts, runs=1)
+        assert labels == {"dim_y=32", "dim_y=64"}

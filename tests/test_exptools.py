@@ -133,22 +133,38 @@ class TestExecute:
 
 class TestLegacyColumns:
     def test_half_written_csv_with_jit_tier_resumes(self, tmp_path):
-        """Databases written while sweeps still recorded the execution
-        tier carry a ``jit_tier`` column: they must load and resume
-        without re-running a completed point."""
+        """Older databases load and resume without re-running a completed
+        point: those written while sweeps still recorded the execution
+        tier carry a ``jit_tier`` column, and those written before rows
+        recorded every parameter lack the ``dim_y``, ``dim_z``,
+        ``jitter``, ``time_scale`` and ``seed`` columns."""
         icvs = {"OMP_NUM_THREADS=": [2, 4]}
         opts = {"--kernel ": ["mandel"], "--size ": [32], "--grain ": [16],
                 "--iterations ": [1]}
         full = execute("easypap", icvs, opts, runs=2, csv_path=tmp_path / "full.csv")
         assert "jit_tier" not in full[0]
-        legacy = tmp_path / "legacy.csv"
-        half = [dict(r, jit_tier="fastpath") for r in full[:2]]
-        append_rows(legacy, half)
-        redone = execute("easypap", icvs, opts, runs=2, csv_path=legacy, resume=True)
-        done = {point_key(r) for r in half}
-        assert len(redone) == len(full) - len(half)
-        assert not done & {point_key(r) for r in redone}
-        rows = read_rows(legacy)
-        assert len({point_key(r) for r in rows}) == len(full)
-        assert [r["jit_tier"] for r in rows] == ["fastpath"] * 2 + [""] * len(redone)
-        assert all("jit_tier" not in strip_provenance(r) for r in rows)
+        late = ("dim_y", "dim_z", "jitter", "time_scale", "seed")
+        legacy_rows = {
+            "jit_tier": lambda r: dict(r, jit_tier="fastpath"),
+            "before_late_parameters": lambda r: {
+                k: v for k, v in r.items() if k not in late
+            },
+        }
+        for name, legacy_row in legacy_rows.items():
+            legacy = tmp_path / f"{name}.csv"
+            half = [legacy_row(r) for r in full[:2]]
+            append_rows(legacy, half)
+            redone = execute("easypap", icvs, opts, runs=2, csv_path=legacy, resume=True)
+            done = {point_key(r) for r in half}
+            assert len(redone) == len(full) - len(half), name
+            assert not done & {point_key(r) for r in redone}
+            rows = read_rows(legacy)
+            assert len({point_key(r) for r in rows}) == len(full)
+            assert all("jit_tier" not in strip_provenance(r) for r in rows)
+            if name == "jit_tier":
+                assert [r["jit_tier"] for r in rows] == (
+                    ["fastpath"] * 2 + [""] * len(redone)
+                )
+            else:
+                assert [r["seed"] for r in rows] == [""] * len(rows)
+                assert [r["jitter"] for r in rows] == [""] * 2 + [0.0] * len(redone)

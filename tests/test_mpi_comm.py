@@ -230,5 +230,5 @@ class TestRecvTimeoutConfig:
             run_world(2, fn, recv_timeout=0.2)
         msg = str(ei.value)
         assert "timed out" in msg
-        assert "pending mailbox" in msg
+        assert "unmatched frames drained from its lanes" in msg
         assert "(source=0, tag=9)" in msg

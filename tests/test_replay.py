@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.engine import run
 from repro.errors import ConfigError
+from repro.expt.csvdb import strip_provenance
+from repro.expt.executors.base import RunOptions, SweepJob, run_point
 from repro.expt.exptools import execute
 from repro.expt.replay import WorkProfileCache, capture_log, replay_log
 from tests.conftest import make_config
@@ -14,14 +16,15 @@ from tests.conftest import make_config
 class TestCapture:
     def test_parallel_kernel_logs_par_regions(self):
         cfg = make_config(kernel="mandel", variant="omp_tiled", iterations=3)
-        log, model = capture_log(cfg)
+        log, model, completed = capture_log(cfg)
+        assert completed == 3
         pars = [e for e in log if e[0] == "par"]
         assert len(pars) == 3
         assert all(len(e[1]) == 16 for e in pars)  # 4x4 tiles
 
     def test_task_kernel_logs_dags(self):
         cfg = make_config(kernel="cc", variant="omp_task", iterations=4)
-        log, _ = capture_log(cfg)
+        log, _, _ = capture_log(cfg)
         dags = [e for e in log if e[0] == "dag"]
         assert dags
         works, preds = dags[0][1], dags[0][2]
@@ -74,6 +77,15 @@ class TestReplay:
         for threads in (2, 4):
             cfg = base.with_(nthreads=threads)
             assert cache.simulate(cfg) == run(cfg).elapsed
+
+    def test_replayed_stealing_row_equals_live_row(self):
+        base = make_config(dim=128, schedule="nonmonotonic:dynamic")
+        for threads in (2, 4):
+            job = SweepJob(0, base.with_(nthreads=threads), 0)
+            live = run_point(job, RunOptions())
+            replayed = run_point(job, RunOptions(reuse_work=True), WorkProfileCache())
+            assert live["steals"] > 0
+            assert strip_provenance(replayed) == strip_provenance(live)
 
     def test_cache_reused_across_configs(self):
         cache = WorkProfileCache()

@@ -21,7 +21,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
 from repro.expt.exptools import (
-    IDENTITY_COLUMNS,
     completed_points,
     execute,
     point_key,
@@ -114,11 +113,19 @@ class TestResume:
         assert len(redone) == 2  # the new thread count x 2 schedules
         assert len(read_rows(p)) == 6
 
+    def test_resume_runs_the_points_of_a_new_jitter(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        execute("easypap", GRID_ICVS, dict(GRID_OPTS, **{"--jitter ": [0]}),
+                runs=1, csv_path=p)
+        redone = execute("easypap", GRID_ICVS, dict(GRID_OPTS, **{"--jitter ": [0, 0.2]}),
+                         runs=1, csv_path=p, resume=True)
+        assert len(redone) == 4
+        assert {r["jitter"] for r in redone} == {0.2}
+        assert len({point_key(r) for r in read_rows(p)}) == 8
+
     def test_error_rows_are_retried_on_resume(self, tmp_path):
         p = tmp_path / "perf.csv"
-        rows = [dict(zip(IDENTITY_COLUMNS, point))
-                for point in [point_key({**c.csv_row(), "run": r})
-                              for c, r in sweep_points(GRID_ICVS, GRID_OPTS, 1)]]
+        rows = [dict(c.csv_row(), run=r) for c, r in sweep_points(GRID_ICVS, GRID_OPTS, 1)]
         for i, r in enumerate(rows):
             r["status"] = "error" if i == 0 else "ok"
         append_rows(p, rows)
