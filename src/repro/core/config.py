@@ -33,10 +33,11 @@ DEFAULT_TILE = 32
 BACKENDS = ("sim", "threads", "procs")
 
 #: how MPI ranks are hosted (one communicator either way): ``procs``
-#: runs each rank as a real process from the persistent
-#: forkserver/spawn pool, its lanes in shared memory (GIL-free,
-#: wall-clock honest); ``inproc`` runs ranks as threads of one
-#: interpreter (cheap, and hooks can reach every rank).
+#: runs each rank as a real process from the persistent worker pool
+#: (forked from a single-threaded master, else from a forkserver), its
+#: lanes in shared memory (GIL-free, wall-clock honest); ``inproc``
+#: runs ranks as threads of one interpreter (cheap, and hooks can
+#: reach every rank).
 MPI_BACKENDS = ("procs", "inproc")
 
 #: the work-domain kinds (see :mod:`repro.core.domains`): ``grid`` is

@@ -207,15 +207,17 @@ def append_rows(path: str | os.PathLike, rows: Iterable[dict]) -> Path:
     return p
 
 
-def read_rows(path: str | os.PathLike) -> list[dict]:
-    """Read a results CSV with typed cells."""
+def read_rows(path: str | os.PathLike, *, typed: bool = True) -> list[dict]:
+    """Read a results CSV with typed cells, or with ``typed=False`` the
+    strings as written (a truncated row's missing cells read ``""``)."""
     p = Path(path)
     if not p.exists():
         raise PlotError(f"results file not found: {p}")
+    parse = _parse_cell if typed else str
     with p.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         return [
-            {k: _parse_cell(v if v is not None else "") for k, v in row.items() if k is not None}
+            {k: parse(v if v is not None else "") for k, v in row.items() if k is not None}
             for row in reader
         ]
 

@@ -26,6 +26,10 @@ _CTX = multiprocessing.get_context(
 
 
 def _local_worker(port: int, inherited) -> None:
+    # a procs or MPI point starts a worker pool of its own, and a daemon
+    # may not have children; the master still treats this worker as a
+    # daemon, and close() still bounds its life
+    multiprocessing.current_process().daemon = False
     if inherited is not None:  # the master's listener, copied by fork
         inherited.close()
     run_worker("127.0.0.1", port)

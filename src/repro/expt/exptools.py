@@ -156,10 +156,12 @@ def point_key(row: Mapping[str, Any]) -> tuple[str, ...]:
     its parameter columns (those of ``RunConfig.csv_row()``) plus the
     ``run`` index.
 
-    Cells are compared as strings so typed reads (``4``) and config
-    values (``"4"``) key identically.  A parameter an older CSV never
-    recorded (or left empty) keys as ``RunConfig()``'s default, so
-    resuming a legacy sweep keeps recognizing its completed points.
+    Cells are compared as strings, so a typed read (``4``) and a config
+    value (``"4"``) key identically; resume reads the cells untyped,
+    since a spelling such as ``1e2`` does not survive typing.  A
+    parameter an older CSV never recorded (or left empty) keys as
+    ``RunConfig()``'s default, so resuming a legacy sweep keeps
+    recognizing its completed points.
     """
     key = [str(row.get(c, "")) or default for c, default in _PARAMETER_DEFAULTS.items()]
     key.append(str(row.get("run", "")))
@@ -195,7 +197,7 @@ def completed_points(csv_path: str | os.PathLike) -> set[tuple[str, ...]]:
         return set()
     has_status = "status" in header
     done = set()
-    for r in read_rows(p):
+    for r in read_rows(p, typed=False):
         status = r.get("status", "")
         if has_status and status != "ok":
             continue

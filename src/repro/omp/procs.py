@@ -3,8 +3,9 @@
 The ``threads`` backend only achieves wall-clock parallelism for tile
 bodies that release the GIL (NumPy inner loops); a pure-Python tile
 body — the first thing a student writes — serializes.  This module
-runs the same worksharing loops on a **persistent forkserver worker
-pool** with all mutable kernel state in POSIX shared memory, so every
+runs the same worksharing loops on a **persistent worker-process
+pool** (forked from a single-threaded master, else from a forkserver)
+with all mutable kernel state in POSIX shared memory, so every
 tile body runs in genuine parallel and ``--trace`` records real
 wall-clock Gantt charts.
 

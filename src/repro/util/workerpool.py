@@ -9,9 +9,14 @@ processes live and die the same way, so that lifecycle lives here once:
   pool shutdown, or by the single ``multiprocessing.util.Finalize``
   exit hook, which (unlike ``atexit``) also fires inside sweep worker
   processes, so an interrupted run never leaks ``/dev/shm`` segments.
-* **Spawning.**  Daemon workers over pipes from a forkserver that
-  preloads the framework once (spawn is the fallback), without
-  re-importing the caller's ``__main__``.
+* **Spawning.**  Daemon workers over pipes, forked straight from the
+  master while it runs a single thread (no fresh interpreter, no
+  re-import); with any other thread alive, fork is unsafe, so they
+  come from a forkserver that preloads the framework once (spawn is
+  the last resort), without re-importing the caller's ``__main__``.
+  A forked child forgets the master's pools and blocks and closes its
+  copies of the master's pipe ends, so a master killed outright still
+  reaches every worker as EOF.
 * **The worker loop.**  A worker answers ``(tag, epoch, payload)``
   requests with ``(kind, rank, epoch, value)`` replies until it is told
   to shut down.  The payload is unpickled inside the error handler: a
@@ -28,11 +33,14 @@ handler, and the master's collect loop.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import sys
+import threading
 import time
 import traceback
+import weakref
 from contextlib import contextmanager
 from multiprocessing import shared_memory, util
 from typing import Callable
@@ -48,8 +56,10 @@ __all__ = [
     "unlink_block",
 ]
 
-#: start method for pool workers; forkserver gives clean children that
-#: preload the framework once (cheap respawn), spawn is the fallback.
+#: start methods for pool workers when the master runs more than one
+#: thread (fork is only used from a single-threaded master): forkserver
+#: gives clean children that preload the framework once, spawn is the
+#: fallback.
 START_METHODS = ("forkserver", "spawn")
 
 # --------------------------------------------------------------------------
@@ -171,6 +181,10 @@ def _mp_context():
     import multiprocessing as mp
 
     available = mp.get_all_start_methods()
+    # fork copies every lock as it is: safe only when no other thread
+    # can be holding one
+    if "fork" in available and threading.active_count() == 1:
+        return mp.get_context("fork")
     for method in START_METHODS:
         if method in available:
             ctx = mp.get_context(method)
@@ -200,6 +214,10 @@ def _worker_main(rank: int, conn, block_names: list[str], make_handler, args) ->
     unpickling a payload or handling it is sent back as an ``"error"``
     reply, and the worker keeps serving.
     """
+    # a forked worker starts with a copy of the master's heap, none of it
+    # garbage here: the collector skips it, so it neither walks those
+    # objects nor copies their pages
+    gc.freeze()
     shms = [attach_block(name) for name in block_names]
     try:
         handle = make_handler(rank, [shm.buf for shm in shms], *args)
@@ -232,6 +250,33 @@ def _worker_main(rank: int, conn, block_names: list[str], make_handler, args) ->
 #: the live pools: (pool class, size) -> pool
 _POOLS: dict[tuple[type, int], "WorkerPool"] = {}
 
+#: the master-side pipe end of every worker, whichever pool owns it
+_MASTER_CONNS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _forget_master_state() -> None:
+    """Run in every forked child: drop the copies of the master's pools,
+    blocks and exit hook.  Closing the pipe ends lets a dead master's
+    workers see EOF; the blocks are defused, never unlinked (they are
+    still the master's); a fresh exit hook is registered on first use
+    (a multiprocessing child has cleared the copied one)."""
+    global _EXIT_FINALIZER
+    for conn in list(_MASTER_CONNS):
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover
+            pass
+    _MASTER_CONNS.clear()
+    _POOLS.clear()
+    for shm in _LIVE_BLOCKS.values():
+        defuse(shm)
+    _LIVE_BLOCKS.clear()
+    _EXIT_FINALIZER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_master_state)
+
 
 class WorkerPool:
     """A persistent team of worker processes and the blocks they map.
@@ -259,6 +304,7 @@ class WorkerPool:
         with _no_main_reimport():
             for rank in range(self.nworkers):
                 parent, child = self._mp.Pipe()
+                _MASTER_CONNS.add(parent)  # a forked worker closes its copy
                 p = self._mp.Process(
                     target=_worker_main,
                     args=(rank, child, block_names, make_handler, args),

@@ -79,6 +79,28 @@ class TestParallel:
                       csv_path=tmp_path / "p.csv", workers=2)
         assert all(r["executor"] == "local-procs" for r in par)
 
+    def test_procs_points_under_local_procs_match_serial(self, tmp_path):
+        """A local-procs worker starts a procs pool of its own, also when
+        the master forked it while holding one (the serial sweep below
+        leaves the master a pool), and its pool dies with it."""
+        icvs = {"OMP_NUM_THREADS=": [2], "OMP_SCHEDULE=": ["static", "dynamic"]}
+        opts = dict(GRID_OPTS, **{"--size ": [32], "--grain ": [8],
+                                  "--iterations ": [1], "--backend ": ["procs"]})
+        serial = execute("easypap", icvs, opts, csv_path=tmp_path / "s.csv")
+        par = execute("easypap", icvs, opts, csv_path=tmp_path / "p.csv",
+                      workers=2, executor="local-procs")
+        assert [r["status"] for r in par] == ["ok", "ok"], par
+
+        def untimed(rows):  # procs rows time the wall clock
+            return sorted(canon({k: v for k, v in r.items() if k != "time_us"})
+                          for r in rows)
+
+        assert untimed(par) == untimed(serial)
+        if os.path.isdir("/dev/shm"):
+            pids = {r["worker_id"].rsplit("-", 1)[-1] for r in par}
+            assert not [n for n in os.listdir("/dev/shm")
+                        if any(f"_{pid}_" in n for pid in pids)]
+
 
 class TestResume:
     def test_resume_skips_everything_when_complete(self, tmp_path):
@@ -122,6 +144,15 @@ class TestResume:
         assert len(redone) == 4
         assert {r["jitter"] for r in redone} == {0.2}
         assert len({point_key(r) for r in read_rows(p)}) == 8
+
+    def test_resume_keys_the_cells_as_written(self, tmp_path):
+        """A numeric ``--arg`` that typing would respell (``1e2`` reads
+        back as ``100.0``) still marks its point done."""
+        p = tmp_path / "perf.csv"
+        opts = dict(GRID_OPTS, **{"--size ": [32], "--iterations ": [1],
+                                  "--arg ": ["1e2", "007", "1.50", "+3", "1_000"]})
+        assert len(execute("easypap", {}, opts, csv_path=p)) == 5
+        assert execute("easypap", {}, opts, csv_path=p, resume=True) == []
 
     def test_error_rows_are_retried_on_resume(self, tmp_path):
         p = tmp_path / "perf.csv"

@@ -4,15 +4,20 @@ The procs tile pool and the MPI rank pool share one lifecycle
 (:mod:`repro.util.workerpool`): a pool persists across runs, a worker
 SIGKILLed between runs is replaced on next use, and a process that
 exits without shutting its pools down leaves no ``/dev/shm`` entry
-behind.  Rank programs live at module level (ranks import them).
+behind.  A single-threaded master forks its workers (any other live
+thread keeps the forkserver), and a master SIGKILLed outright leaves
+no worker running.  Rank programs live at module level (ranks import
+them).
 """
 
 from __future__ import annotations
 
 import os
+import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -20,10 +25,10 @@ import pytest
 
 from repro.core.engine import run
 from repro.mpi.substrate import get_mpi_pool, run_world_procs, shutdown_mpi_pools
-from repro.omp.procs import get_pool, shutdown_pools
-from repro.util.workerpool import live_blocks
+from repro.omp.procs import ProcPool, get_pool, shutdown_pools
+from repro.util.workerpool import START_METHODS, live_blocks
 
-from .conftest import make_config
+from .conftest import fresh_python, make_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,3 +120,133 @@ def test_exit_without_shutdown_leaks_no_shared_memory():
     # the pools' exit hook unlinked everything: the resource tracker, the
     # last line of defence, found nothing left to clean up
     assert "leaked" not in proc.stderr, proc.stderr
+
+
+# -- the start method ----------------------------------------------------------
+
+_FORK_SCRIPT = """
+import threading
+import warnings
+
+from repro.core.config import RunConfig
+from repro.core.engine import run
+from repro.mpi.substrate import get_mpi_pool
+from repro.omp.procs import get_pool
+
+assert threading.active_count() == 1, threading.enumerate()
+# Python >= 3.12 warns when it forks a process with more than one OS thread
+warnings.simplefilter("error", DeprecationWarning)
+run(RunConfig(kernel="invert", variant="omp_tiled", dim=32, tile_w=8,
+              tile_h=8, iterations=1, nthreads=2, backend="procs"))
+run(RunConfig(kernel="life", variant="mpi_omp", dim=32, tile_w=16,
+              tile_h=16, iterations=1, arg="diag", mpi_np=2,
+              mpi_backend="procs"))
+print(get_pool(2)._mp.get_start_method(), get_mpi_pool(2)._mp.get_start_method())
+"""
+
+
+def test_single_threaded_master_forks_both_pools_without_warning():
+    proc = fresh_python("-c", _FORK_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fork", "fork"]
+
+
+def test_live_thread_keeps_the_forkserver():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        pool = ProcPool(NW)
+        try:
+            assert pool._mp.get_start_method() in START_METHODS
+            assert pool.healthy()
+        finally:
+            pool.shutdown()
+    finally:
+        stop.set()
+        thread.join()
+
+
+_LATE_KERNEL = """
+from repro.core.kernel import Kernel, register_kernel, variant
+
+
+@register_kernel
+class LateKernel(Kernel):
+    name = "late_loaded"
+
+    def do_tile(self, ctx, tile):
+        x, y, w, h = tile.as_rect()
+        ctx.img.cur_view(y, x, h, w, mode="w")[:] = 0x12345678
+        return float(tile.area)
+
+    @variant("omp_tiled")
+    def compute_omp_tiled(self, ctx, nb_iter):
+        for _ in ctx.iterations(nb_iter):
+            ctx.parallel_for(ctx.body(self.do_tile))
+        return 0
+"""
+
+
+def test_kernel_loaded_after_the_spawn_reaches_the_workers(tmp_path):
+    from repro.core.kernel import load_kernel_module
+
+    _run_procs()
+    pool = get_pool(NW)
+    path = tmp_path / "late_kernel.py"
+    path.write_text(_LATE_KERNEL)
+    load_kernel_module(str(path))
+    res = run(make_config(kernel="late_loaded", backend="procs", nthreads=NW,
+                          iterations=1, dim=32))
+    assert get_pool(NW) is pool  # the same workers, started before the load
+    assert (res.image == 0x12345678).all()
+
+
+_ORPHAN_SCRIPT = """
+import time
+
+from repro.mpi.substrate import get_mpi_pool
+from repro.omp.procs import get_pool
+
+pools = [get_pool(2), get_mpi_pool(2)]
+print(*[pid for pool in pools for pid in pool.worker_pids()], flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (an orphan's new
+    parent may not reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self") or not os.path.isdir("/dev/shm"),
+                    reason="needs /proc and /dev/shm")
+def test_sigkilled_master_leaves_no_worker_and_no_block():
+    env = dict(os.environ,
+               PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    master = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT], env=env, cwd=REPO_ROOT,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        ready, _, _ = select.select([master.stdout], [], [], 60.0)
+        pids = [int(p) for p in master.stdout.readline().split()] if ready else []
+    finally:
+        master.kill()
+        master.wait(timeout=30)
+    assert len(pids) == 4, pids
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        left = [p for p in pids if _running(p)]
+        blocks = [n for n in os.listdir("/dev/shm") if f"_{master.pid}_" in n]
+        if not left and not blocks:
+            return
+        time.sleep(0.05)
+    for pid in left:  # do not leave them behind for the next test
+        os.kill(pid, signal.SIGKILL)
+    pytest.fail(f"workers {left} and blocks {blocks} outlived their master")
