@@ -73,6 +73,12 @@ CONFIGS: dict[str, dict] = {
         kernel="heat", variant="omp_tiled", dim=256, tile_w=32, tile_h=32,
         iterations=5, nthreads=8, schedule="static",
     ),
+    # the perf_frames shape: at 256^2 heat's arrays fit in cache, so the
+    # cost of full-frame temporaries barely shows
+    "heat-512-static-8": dict(
+        kernel="heat", variant="omp_tiled", dim=512, tile_w=32, tile_h=32,
+        iterations=5, nthreads=8, schedule="static",
+    ),
     "sandpile-256-static-8": dict(
         kernel="sandpile", variant="omp_tiled", dim=256, tile_w=32, tile_h=32,
         iterations=5, nthreads=8, schedule="static",

@@ -238,9 +238,10 @@ def register_kernel(cls: Type[Kernel]) -> Type[Kernel]:
 
 
 def get_kernel(name: str) -> Kernel:
-    """Instantiate a registered kernel (kernels are stateless between runs:
-    per-run state lives in ``ctx.data``).  A built-in kernel's module is
-    imported on first request; no other kernel module is."""
+    """Instantiate a registered kernel (one instance per run: run state
+    lives in ``ctx.data``, an instance keeps at most reusable frame
+    scratch).  A built-in kernel's module is imported on first request;
+    no other kernel module is."""
     if name not in _KERNELS and name in _BUILTIN_KERNELS:
         importlib.import_module(_BUILTIN_KERNELS[name])
     try:

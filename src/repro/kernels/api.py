@@ -33,6 +33,7 @@ __all__ = [
     "halo_region",
     "synthetic_picture",
     "tile_works",
+    "FrameScratch",
     "SCALAR_PIXEL_WORK",
     "VECTOR_PIXEL_WORK",
 ]
@@ -68,6 +69,33 @@ def tile_works(tiles, per_pixel_work: float) -> np.ndarray:
     """
     areas = np.fromiter((t.area for t in tiles), dtype=np.float64, count=len(tiles))
     return areas * per_pixel_work
+
+
+class FrameScratch:
+    """Work buffers of one kernel instance's whole-frame steps.
+
+    ``get(name, shape, dtype)`` returns the same zero-filled buffer on
+    every call with that shape and dtype, and allocates a new one when a
+    reused instance meets another shape, so a frame step allocates
+    nothing per iteration.  Zero halos a step never writes stay zero.
+
+    The buffers live on the kernel instance, never at module level:
+    ``get_kernel`` builds one instance per run and per MPI rank, while
+    in-process MPI ranks and concurrent runs share one interpreter.  They
+    stay out of ``ctx.data`` too, whose arrays procs maps to shared
+    memory and the differential tests compare key by key.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._bufs[name] = np.zeros(shape, dtype=dtype)
+        return buf
 
 
 def split_channels(pixels: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
-from repro.kernels.api import halo_region, require_square, tile_works
+from repro.kernels.api import FrameScratch, halo_region, require_square, tile_works
 
-__all__ = ["HeatKernel", "jacobi_step_rect"]
+__all__ = ["HeatKernel", "jacobi_step_frame", "jacobi_step_rect"]
 
 CELL_WORK = 8.0
 TOLERANCE = 1e-4
@@ -64,6 +64,40 @@ def jacobi_step_rect(
     return delta
 
 
+def jacobi_step_frame(
+    temp: np.ndarray,
+    nxt: np.ndarray,
+    src_index: np.ndarray,
+    src_value: np.ndarray,
+    pad: np.ndarray,
+) -> float:
+    """``jacobi_step_rect(temp, nxt, sources, 0, 0, dim, dim)`` with no
+    temporaries: the same ``nxt`` and max absolute update, bit for bit.
+
+    ``pad`` is a ``(dim + 2, dim + 2)`` work buffer, and the fixed
+    sources come as a flat index/value pair.  The neighbours are summed
+    into ``nxt`` in the reference order ``((up + down) + left) + right``
+    and scaled by ``0.25`` (IEEE multiplication commutes).  Once the
+    stencil has read the pad, its first ``dim * dim`` cells, a
+    contiguous block, hold ``|nxt - temp|``.
+    """
+    pad[1:-1, 1:-1] = temp
+    # edge replication (insulated borders); the corners are never read
+    pad[0, 1:-1] = temp[0]
+    pad[-1, 1:-1] = temp[-1]
+    pad[1:-1, 0] = temp[:, 0]
+    pad[1:-1, -1] = temp[:, -1]
+    np.add(pad[:-2, 1:-1], pad[2:, 1:-1], out=nxt)
+    nxt += pad[1:-1, :-2]
+    nxt += pad[1:-1, 2:]
+    nxt *= 0.25
+    np.put(nxt, src_index, src_value)
+    diff = pad.reshape(-1)[: temp.size].reshape(temp.shape)
+    np.subtract(nxt, temp, out=diff)
+    np.abs(diff, out=diff)
+    return float(diff.max())
+
+
 def _make_field(name: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Initial temperatures + source map (NaN = free cell)."""
     temp = np.zeros((dim, dim), dtype=np.float64)
@@ -74,7 +108,7 @@ def _make_field(name: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
         for sy, sx in [(0, 0), (0, dim - k), (dim - k, 0), (dim - k, dim - k)]:
             sources[sy : sy + k, sx : sx + k] = 1.0
     elif name == "bar":
-        sources[dim // 2 - 1 : dim // 2 + 1, dim // 8 : -dim // 8 or None] = 1.0
+        sources[dim // 2 - 1 : dim // 2 + 1, dim // 8 : -(dim // 8) or None] = 1.0
     else:
         raise ValueError(f"unknown heat dataset {name!r}")
     temp[~np.isnan(sources)] = sources[~np.isnan(sources)]
@@ -87,12 +121,19 @@ class HeatKernel(Kernel):
 
     name = "heat"
 
+    def __init__(self) -> None:
+        self.scratch = FrameScratch()
+        self._source_cells: tuple[np.ndarray, np.ndarray] | None = None
+
     def init(self, ctx) -> None:
         require_square(ctx)
         temp, sources = _make_field(ctx.arg or "corners", ctx.dim)
         ctx.data["temp"] = temp
         ctx.data["next"] = temp.copy()
         ctx.data["sources"] = sources
+        # the frame step writes the fixed sources from this flat pair
+        fixed = np.flatnonzero(~np.isnan(sources))
+        self._source_cells = fixed, sources.ravel()[fixed]
 
     def refresh_img(self, ctx) -> None:
         temp = ctx.data.get("temp")
@@ -127,18 +168,18 @@ class HeatKernel(Kernel):
     def compute_frame_delta(self, ctx, tiles):
         """One whole-frame Jacobi step; returns ``(works, max delta)``.
 
-        The rectangle (0, 0, dim, dim) triggers all four border
-        replication branches, exactly as the border tiles would, and the
-        interior update keeps the same operand association — new values
-        are bit-identical to the per-tile path.  The global max |update|
-        equals the fold of per-tile maxima (max is order-independent).
+        :func:`jacobi_step_frame` replicates all four borders, exactly
+        as the border tiles do, and keeps the per-tile operand order, so
+        new values are bit-identical to the per-tile path.  Its pad is
+        this instance's scratch, sized once per run, and the sources are
+        the flat pair ``init`` took.  The global max |update| equals the
+        fold of per-tile maxima (max is order-independent).
         """
         if len(tiles) != len(ctx.grid):
             return None
-        delta = jacobi_step_rect(
-            ctx.data["temp"], ctx.data["next"], ctx.data["sources"],
-            0, 0, ctx.dim, ctx.dim,
-        )
+        temp = ctx.data["temp"]
+        pad = self.scratch.get("pad", (ctx.dim + 2, ctx.dim + 2), temp.dtype)
+        delta = jacobi_step_frame(temp, ctx.data["next"], *self._source_cells, pad)
         return tile_works(tiles, CELL_WORK), delta
 
     def compute_frame(self, ctx, tiles) -> np.ndarray | None:

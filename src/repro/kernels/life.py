@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
-from repro.kernels.api import halo_region, require_square, tile_works
+from repro.kernels.api import FrameScratch, halo_region, require_square, tile_works
 from repro.util.rng import make_rng
 
-__all__ = ["LifeKernel", "life_step_rect", "make_dataset", "GLIDER"]
+__all__ = ["LifeKernel", "life_step_frame", "life_step_rect", "make_dataset", "GLIDER"]
 
 #: work units charged per cell update (branch-free rule evaluation)
 CELL_WORK = 4.0
@@ -60,6 +60,30 @@ def life_step_rect(
     changed = int((alive != cur).sum())
     nxt[y : y + h, x : x + w] = alive
     return changed
+
+
+def life_step_frame(
+    cells: np.ndarray, nxt: np.ndarray, pad: np.ndarray, rows: np.ndarray
+) -> None:
+    """``life_step_rect(cells, nxt, 0, 0, dim, dim)`` with no temporaries:
+    the same ``nxt`` for 0/1 cells.
+
+    ``pad`` is a ``(dim + 2, dim + 2)`` uint8 buffer whose zero halo is
+    never written (dead outside cells) and ``rows`` a ``(dim + 2, dim)``
+    uint8 buffer.  The 3x3 sum ``s`` is separable, 4 adds instead of 7,
+    and counts the centre: a cell is alive next when ``s == 3``, or when
+    it is alive and ``s == 4``.  That is ``(s - cur) | cur == 3``: with
+    ``n = s - cur`` neighbours, ``n | cur`` is 3 exactly when ``n == 3``,
+    or ``n == 2`` and ``cur == 1``.
+    """
+    pad[1:-1, 1:-1] = cells
+    np.add(pad[:, :-2], pad[:, 1:-1], out=rows)
+    rows += pad[:, 2:]
+    np.add(rows[:-2], rows[1:-1], out=nxt)
+    nxt += rows[2:]
+    nxt -= cells
+    nxt |= cells
+    np.equal(nxt, 3, out=nxt)
 
 
 # --------------------------------------------------------------------------
@@ -124,6 +148,9 @@ class LifeKernel(Kernel):
     # lazy skips steady tiles; mpi_omp additionally computes one band per rank
     lazy_variants = frozenset({"lazy", "mpi_omp"})
 
+    def __init__(self) -> None:
+        self.scratch = FrameScratch()
+
     def init(self, ctx) -> None:
         require_square(ctx)
         if ctx.mpi is not None:
@@ -162,6 +189,10 @@ class LifeKernel(Kernel):
         """Whole-frame step; per-tile change flags recovered by a
         vectorized ``logical_or`` reduction.
 
+        :func:`life_step_frame` and the ``nxt != cells`` mask work in
+        this instance's scratch, sized once per run, so a step
+        allocates nothing full-frame.
+
         Accepts the full grid, or exactly the dirty-tile subset the
         ``lazy`` variant schedules: a non-dirty tile's neighbourhood was
         steady, so recomputing it reproduces its current cells — the
@@ -179,9 +210,14 @@ class LifeKernel(Kernel):
             mask[ctx.grid.tile_index_array(tiles)] = True
             if not np.array_equal(mask, dirty.ravel()):
                 return None
-        cells, nxt = ctx.data["cells"], ctx.data["next"]
-        life_step_rect(cells, nxt, 0, 0, ctx.dim, ctx.dim)
-        ctx.data["changes"] = ctx.grid.tile_reduce(nxt != cells, np.logical_or)
+        cells, nxt, dim = ctx.data["cells"], ctx.data["next"], ctx.dim
+        life_step_frame(
+            cells, nxt,
+            self.scratch.get("pad", (dim + 2, dim + 2), np.uint8),
+            self.scratch.get("rows", (dim + 2, dim), np.uint8),
+        )
+        changed = np.not_equal(nxt, cells, out=self.scratch.get("mask", (dim, dim), np.bool_))
+        ctx.data["changes"] = ctx.grid.tile_reduce(changed, np.logical_or)
         return tile_works(tiles, CELL_WORK)
 
     def _begin_iter(self, ctx) -> None:

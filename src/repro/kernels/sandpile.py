@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
-from repro.kernels.api import halo_region, require_square, tile_works
+from repro.kernels.api import FrameScratch, halo_region, require_square, tile_works
 
-__all__ = ["SandpileKernel", "sandpile_step_rect"]
+__all__ = ["SandpileKernel", "sandpile_step_frame", "sandpile_step_rect"]
 
 GRAIN_WORK = 6.0
 
@@ -54,6 +54,29 @@ def sandpile_step_rect(
     return changed
 
 
+def sandpile_step_frame(
+    grains: np.ndarray, nxt: np.ndarray, quarters: np.ndarray, mask: np.ndarray
+) -> int:
+    """``sandpile_step_rect(grains, nxt, 0, 0, dim, dim)`` with no
+    temporaries: the same ``nxt`` and changed-cell count.
+
+    ``quarters`` is a ``(dim + 2, dim + 2)`` buffer whose zero halo is
+    never written (the border sinks) and ``mask`` a ``(dim, dim)`` bool
+    buffer.  On two's-complement integers ``g >> 2 == g // 4`` and
+    ``g & 3 == g % 4``, negative values included.
+    """
+    inner = quarters[1:-1, 1:-1]
+    np.right_shift(grains, 2, out=inner)
+    np.add(quarters[:-2, 1:-1], quarters[2:, 1:-1], out=nxt)
+    nxt += quarters[1:-1, :-2]
+    nxt += quarters[1:-1, 2:]
+    # the stencil has read the quarters: the interior is free again
+    np.bitwise_and(grains, 3, out=inner)
+    nxt += inner
+    np.not_equal(nxt, grains, out=mask)
+    return int(np.count_nonzero(mask))
+
+
 @register_kernel
 class SandpileKernel(Kernel):
     """Kernel ``sandpile`` with variants seq / omp_tiled."""
@@ -62,6 +85,9 @@ class SandpileKernel(Kernel):
     #: the quadtree variant iterates a center-refined adaptive tiling
     #: (small tiles over the active center pile, big tiles elsewhere)
     variant_domains = {"omp_quadtree": "quadtree"}
+
+    def __init__(self) -> None:
+        self.scratch = FrameScratch()
 
     def init(self, ctx) -> None:
         require_square(ctx)
@@ -95,11 +121,18 @@ class SandpileKernel(Kernel):
 
     # -- whole-frame fast path (perf mode) ----------------------------------
     def compute_frame(self, ctx, tiles) -> np.ndarray | None:
-        """Whole-frame toppling step (integer ops — trivially exact)."""
+        """Whole-frame toppling step (integer ops — trivially exact).
+
+        :func:`sandpile_step_frame` works in this instance's scratch,
+        sized once per run, so a step allocates nothing.
+        """
         if len(tiles) != len(ctx.grid):
             return None
-        changed = sandpile_step_rect(
-            ctx.data["grains"], ctx.data["next"], 0, 0, ctx.dim, ctx.dim
+        grains, dim = ctx.data["grains"], ctx.dim
+        changed = sandpile_step_frame(
+            grains, ctx.data["next"],
+            self.scratch.get("quarters", (dim + 2, dim + 2), grains.dtype),
+            self.scratch.get("mask", (dim, dim), np.bool_),
         )
         if changed:
             ctx.data["changed"] = True

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run
-from repro.kernels.heat import TOLERANCE, jacobi_step_rect
+from repro.kernels.heat import TOLERANCE, _make_field, jacobi_step_rect
 from tests.conftest import make_config
 
 
@@ -101,6 +101,14 @@ class TestHeatKernel:
     def test_bad_dataset(self):
         with pytest.raises(ValueError):
             run(make_config(kernel="heat", variant="seq", arg="nope"))
+
+    @pytest.mark.parametrize("dim", [4, 12, 20, 65])
+    def test_bar_is_centred(self, dim):
+        _, sources = _make_field("bar", dim)
+        cols = np.flatnonzero(~np.isnan(sources).all(axis=0))
+        left, right = cols[0], dim - 1 - cols[-1]
+        assert left == right == dim // 8
+        assert len(cols) == dim - 2 * (dim // 8)
 
     def test_refresh_produces_colors(self):
         r = run(make_config(kernel="heat", variant="seq", dim=32, tile_w=8,
