@@ -8,6 +8,9 @@ paper-claim vs measured comparison based on these outputs.
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -38,6 +41,50 @@ def gate_skip_reason(measured: dict, needs_cpus: int = 2) -> str | None:
     if cpus < needs_cpus:
         return f"host has {cpus} CPU(s); the gate needs >= {needs_cpus}"
     return None
+
+
+def perf_gate_main(argv, *, name: str, description: str, measure, render, check,
+                   reps: tuple[int, int], tolerance: float, tolerance_help: str,
+                   ok: str, cleanup=None) -> int:
+    """The command line every perf-gate script shares.
+
+    Measures ``reps`` paired reps (default, ``--quick``; ``--reps``
+    overrides), runs ``cleanup`` after, reports under ``name``, writes
+    the payload to ``--out`` and, with ``--check BASELINE``, prints the
+    failures ``check(payload, baseline, tolerance)`` returns and exits 1,
+    or prints ``ok`` formatted with ``check`` and ``tolerance``.
+    """
+    ap = argparse.ArgumentParser(description=description)
+    ap.add_argument("--quick", action="store_true", help="fewer reps (CI smoke)")
+    ap.add_argument("--reps", type=int, default=None,
+                    help=f"paired reps; default {reps[0]}, {reps[1]} with --quick")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="write the measured baseline JSON here")
+    ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
+                    help="compare against a committed baseline; exit 1 on regression")
+    ap.add_argument("--tolerance", type=float, default=tolerance, help=tolerance_help)
+    args = ap.parse_args(argv)
+
+    try:
+        payload = measure(args.reps if args.reps is not None
+                          else reps[1] if args.quick else reps[0])
+    finally:
+        if cleanup is not None:
+            cleanup()
+    report(name, render(payload))
+
+    if args.out:
+        args.out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"baseline written to {args.out}")
+    if args.check:
+        failures = check(payload, args.check, args.tolerance)
+        if failures:
+            print("PERF REGRESSION:", file=sys.stderr)
+            for f in failures:
+                print(f"  - {f}", file=sys.stderr)
+            return 1
+        print(ok.format(check=args.check, tolerance=args.tolerance))
+    return 0
 
 
 def fmt_table(headers: list[str], rows: list[list]) -> str:

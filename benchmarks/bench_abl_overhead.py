@@ -13,31 +13,12 @@ zero-overhead counterfactual in which the smallest tiles always win.
 """
 
 from _common import fmt_table, report
-from repro.core.config import RunConfig
-from repro.core.engine import run
-from repro.expt.replay import capture_log, replay_log
-
-GRAINS = [4, 8, 16, 32, 64, 128]
-
-
-def run_abl1():
-    results = {}
-    for grain in GRAINS:
-        cfg = RunConfig(kernel="mandel", variant="omp_tiled", dim=256,
-                        tile_w=grain, tile_h=grain, iterations=2, nthreads=4,
-                        schedule="dynamic", arg="128")
-        log, model, _ = capture_log(cfg)
-        with_ovh, _ = replay_log(log, nthreads=4, policy=cfg.policy(), model=model)
-        no_ovh, _ = replay_log(log, nthreads=4, policy=cfg.policy(),
-                               model=model.zero_overhead())
-        none_cfg = cfg.with_(kernel="none")
-        none_time = run(none_cfg).virtual_time
-        results[grain] = (with_ovh, no_ovh, none_time)
-    return results
+from claims import abl_overhead, measure_abl_overhead
 
 
 def test_abl_overhead(benchmark):
-    results = benchmark.pedantic(run_abl1, rounds=1, iterations=1)
+    results = benchmark.pedantic(measure_abl_overhead, args=(256, 2), rounds=1,
+                                 iterations=1)
     rows = [
         [g, f"{w * 1e3:.3f}", f"{n * 1e3:.3f}", f"{(w - n) * 1e3:.3f}",
          f"{o * 1e6:.1f}"]
@@ -49,7 +30,6 @@ def test_abl_overhead(benchmark):
         rows,
     )
     with_t = {g: w for g, (w, _, _) in results.items()}
-    none_t = {g: o for g, (_, _, o) in results.items()}
     best = min(with_t, key=with_t.get)
     text = (
         table
@@ -59,11 +39,4 @@ def test_abl_overhead(benchmark):
         + "(counterfactual shows the model is what creates the trade-off)."
     )
     report("abl_overhead", text)
-
-    # U-curve: the optimum is strictly inside the sweep
-    assert best not in (GRAINS[0], GRAINS[-1])
-    # pure-overhead probe: finer tiles strictly more expensive
-    assert none_t[4] > none_t[16] > none_t[128]
-    # counterfactual: without overheads, 4 <= 8 <= ... (no U-curve)
-    no_t = {g: n for g, (_, n, _) in results.items()}
-    assert no_t[4] <= no_t[64] and no_t[8] <= no_t[128]
+    abl_overhead(results)

@@ -8,38 +8,11 @@ operations; on balanced work neither steals at all.
 """
 
 from _common import fmt_table, report
-from repro.core.config import RunConfig
-from repro.expt.replay import capture_log
-from repro.sched.policies import NonMonotonicDynamic
-from repro.sched.simulator import simulate
-
-
-def run_abl2():
-    cfg = RunConfig(kernel="mandel", variant="omp_tiled", dim=256, tile_w=8,
-                    tile_h=8, iterations=1, nthreads=4, arg="128")
-    log, model, _ = capture_log(cfg)
-    works = next(e[1] for e in log if e[0] == "par")
-    costs = model.times_of(works)
-    out = {}
-    for label, policy in [
-        ("steal-one", NonMonotonicDynamic(1)),
-        ("steal-half", NonMonotonicDynamic(1, steal_half=True)),
-    ]:
-        res = simulate(costs, policy, 4, model=model)
-        out[label] = (res.makespan, res.steals)
-    # balanced workload control
-    uniform = [costs[0]] * len(costs)
-    for label, policy in [
-        ("steal-one (uniform)", NonMonotonicDynamic(1)),
-        ("steal-half (uniform)", NonMonotonicDynamic(1, steal_half=True)),
-    ]:
-        res = simulate(uniform, policy, 4, model=model)
-        out[label] = (res.makespan, res.steals)
-    return out
+from claims import abl_stealing, measure_abl_stealing
 
 
 def test_abl_stealing(benchmark):
-    out = benchmark.pedantic(run_abl2, rounds=1, iterations=1)
+    out = benchmark.pedantic(measure_abl_stealing, args=(256,), rounds=1, iterations=1)
     rows = [[k, f"{ms * 1e3:.3f}", st] for k, (ms, st) in out.items()]
     table = fmt_table(["configuration", "makespan (ms)", "steals"], rows)
     report(
@@ -51,12 +24,4 @@ def test_abl_stealing(benchmark):
         "tail fine-grained, which is why LLVM-style runtimes steal small."
         "\nOn uniform work neither configuration steals at all.",
     )
-
-    one_ms, one_steals = out["steal-one"]
-    half_ms, half_steals = out["steal-half"]
-    assert half_steals < one_steals / 2
-    # the trade-off is real but bounded: no catastrophic regression
-    assert half_ms < 2.0 * one_ms
-    assert half_ms > one_ms  # fine-grained stealing wins on irregular work
-    assert out["steal-one (uniform)"][1] == 0
-    assert out["steal-half (uniform)"][1] == 0
+    abl_stealing(out)

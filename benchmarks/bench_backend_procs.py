@@ -1,10 +1,11 @@
 """Perf-regression harness for the true-parallel ``procs`` backend.
 
 Times a GIL-bound pure-Python kernel (``pymandel``, see
-``kernels_purepy.py``) under three executions — sequential wall-clock
-reference (1 thread), ``backend="threads"`` and ``backend="procs"`` —
-and reports the procs speedups as medians of *paired* ratios, the same
-same-machine statistic ``bench_engine_hotpath.py`` uses.
+``perfbench/kernels/pymandel.py``) under three executions —
+sequential wall-clock reference (1 thread), ``backend="threads"`` and
+``backend="procs"`` — and reports the procs speedups as medians of
+*paired* ratios, the same same-machine statistic
+``bench_engine_hotpath.py`` uses.
 
 On a GIL-bound workload the threads backend cannot beat sequential no
 matter how many cores the host has; the procs pool can, because its
@@ -30,21 +31,20 @@ gate a multicore run.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from _common import fmt_table, gate_skip_reason, report
+from _common import fmt_table, gate_skip_reason, perf_gate_main
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.core.kernel import load_kernel_module
 from repro.omp.procs import shutdown_pools
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-KERNEL_FILE = Path(__file__).resolve().parent / "kernels_purepy.py"
+KERNEL_FILE = REPO_ROOT / "perfbench" / "kernels" / "pymandel.py"
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_procs.json"
 
 #: acceptance gate (multicore hosts only): procs with 2 workers must
@@ -145,39 +145,12 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="fewer reps (CI smoke)")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="paired reps; default 7, 3 with --quick")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="write the measured baseline JSON here")
-    ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                    help="compare against a committed baseline; exit 1 on regression")
-    ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="allowed fractional speedup regression (default 0.30)")
-    args = ap.parse_args(argv)
-
-    reps = args.reps if args.reps is not None else (3 if args.quick else 7)
-    try:
-        payload = measure(reps)
-    finally:
-        shutdown_pools()
-    report("backend_procs", render(payload))
-
-    if args.out:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        failures = check(payload, args.check, args.tolerance)
-        if failures:
-            print("PERF REGRESSION:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"procs perf check OK vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
+    return perf_gate_main(
+        argv, name="backend_procs", description=__doc__.splitlines()[0],
+        measure=measure, render=render, check=check, reps=(7, 3), tolerance=0.30,
+        tolerance_help="allowed fractional speedup regression (default 0.30)",
+        ok="procs perf check OK vs {check} (tolerance {tolerance:.0%})",
+        cleanup=shutdown_pools)
 
 
 if __name__ == "__main__":

@@ -26,13 +26,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from pathlib import Path
 
-from _common import fmt_table, report
+from _common import fmt_table, perf_gate_main
 from repro.core.config import RunConfig
 from repro.core.engine import run
 
@@ -184,36 +183,12 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="fewer reps per config (CI smoke)")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="paired reps per config; default 5, 3 with --quick")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="write the measured baseline JSON here")
-    ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                    help="compare against a committed baseline; exit 1 on regression")
-    ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="allowed fractional speedup regression (default 0.30)")
-    args = ap.parse_args(argv)
-
-    reps = args.reps if args.reps is not None else (3 if args.quick else 5)
-    payload = measure(reps)
-    report("engine_hotpath", render(payload))
-
-    if args.out:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        failures = check(payload, args.check, args.tolerance)
-        if failures:
-            print("PERF REGRESSION:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"perf check OK vs {args.check} "
-              f"(tolerance {args.tolerance:.0%}, gate >= {GATE_SPEEDUP:.0f}x)")
-    return 0
+    return perf_gate_main(
+        argv, name="engine_hotpath", description=__doc__.splitlines()[0],
+        measure=measure, render=render, check=check, reps=(5, 3), tolerance=0.30,
+        tolerance_help="allowed fractional speedup regression (default 0.30)",
+        ok="perf check OK vs {check} (tolerance {tolerance:.0%}, "
+           f"gate >= {GATE_SPEEDUP:.0f}x)")
 
 
 if __name__ == "__main__":

@@ -12,42 +12,11 @@ accesses; this bench explores two textbook effects:
 """
 
 from _common import fmt_table, report
-from repro.core.config import RunConfig
-from repro.core.engine import run
-from repro.monitor.cache import (
-    CacheSpec,
-    simulate_trace_cache,
-    stencil_access_pattern,
-    transpose_access_pattern,
-)
-
-DIM = 128
-
-
-def run_ext1():
-    out = {"blur": {}, "transpose": {}}
-    blur = run(RunConfig(kernel="blur", variant="omp_tiled", dim=DIM,
-                         tile_w=16, tile_h=16, iterations=2, nthreads=2,
-                         trace=True))
-    for size_kb in (4, 32, 256):
-        res = simulate_trace_cache(blur.trace, DIM, stencil_access_pattern,
-                                   CacheSpec(size_bytes=size_kb * 1024))
-        hits = sum(c.hits for _, c in res)
-        total = sum(c.accesses for _, c in res)
-        out["blur"][size_kb] = hits / total
-    for grain in (4, 8, 16, 32):
-        tr = run(RunConfig(kernel="transpose", variant="omp_tiled", dim=DIM,
-                           tile_w=grain, tile_h=grain, iterations=1,
-                           nthreads=2, trace=True))
-        res = simulate_trace_cache(tr.trace, DIM, transpose_access_pattern,
-                                   CacheSpec(size_bytes=32 * 1024))
-        misses = sum(c.misses for _, c in res)
-        out["transpose"][grain] = misses / (DIM * DIM)
-    return out
+from claims import ext_cache, measure_ext_cache
 
 
 def test_ext_cache(benchmark):
-    out = benchmark.pedantic(run_ext1, rounds=1, iterations=1)
+    out = benchmark.pedantic(measure_ext_cache, args=(128,), rounds=1, iterations=1)
     blur_rows = [[f"{kb} KiB", f"{hr * 100:.1f}%"] for kb, hr in out["blur"].items()]
     tr_rows = [[g, f"{m:.3f}"] for g, m in out["transpose"].items()]
     text = (
@@ -59,9 +28,4 @@ def test_ext_cache(benchmark):
         "(event.extra['cache']), ready for EASYVIEW display."
     )
     report("ext_cache", text)
-
-    hr = out["blur"]
-    assert hr[256] >= hr[32] >= hr[4]
-    assert hr[256] > 0.2  # halo reuse is visible
-    mt = out["transpose"]
-    assert mt[4] > mt[16]  # tiny tiles waste write lines
+    ext_cache(out)

@@ -8,6 +8,7 @@ history grows; the Tiling window shows contiguous per-thread blocks.
 
 
 from _common import fmt_table, report
+from claims import fig03_monitoring
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.view.ascii import render_activity, render_idleness_history, render_tiling
@@ -54,8 +55,4 @@ def test_fig03_monitoring(benchmark):
         "(load imbalance); measured above."
     )
     report("fig03_monitoring", text)
-
-    # shape assertions (the claim itself)
-    assert static.monitor.load_imbalance() > 1.4
-    assert dynamic.monitor.load_imbalance() < 1.15
-    assert static.monitor.cumulated_idleness > 3 * dynamic.monitor.cumulated_idleness
+    fig03_monitoring(static, dynamic)

@@ -8,9 +8,8 @@ Paper claims (Fig. 4):
   (d) guided          — chunk sizes decrease over time.
 """
 
-import numpy as np
-
 from _common import fmt_table, report
+from claims import fig04_schedules, ownership_changes
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.sched.costmodel import DEFAULT_COST_MODEL
@@ -25,12 +24,7 @@ SCHEDULES = ["static", "dynamic,2", "nonmonotonic:dynamic", "guided"]
 
 
 def run_fig4():
-    return {s: run(RunConfig(schedule=s, **CFG))for s in SCHEDULES}
-
-
-def _ownership_changes(tiling: np.ndarray) -> int:
-    flat = tiling.ravel()
-    return int((np.diff(flat) != 0).sum())
+    return {s: run(RunConfig(schedule=s, **CFG)) for s in SCHEDULES}
 
 
 def test_fig04_schedules(benchmark):
@@ -42,7 +36,7 @@ def test_fig04_schedules(benchmark):
         rec = results[s].monitor.records[0]
         rows.append([
             s,
-            _ownership_changes(rec.tiling),
+            ownership_changes(rec.tiling),
             int(rec.stolen.sum()),
             f"{results[s].virtual_time * 1e3:.2f} ms",
         ])
@@ -63,11 +57,4 @@ def test_fig04_schedules(benchmark):
         "decrease."
     )
     report("fig04_schedules", text)
-
-    recs = {s: results[s].monitor.records[0] for s in SCHEDULES}
-    assert _ownership_changes(recs["static"].tiling) == CFG["nthreads"] - 1
-    assert _ownership_changes(recs["dynamic,2"].tiling) > 8
-    assert recs["nonmonotonic:dynamic"].stolen.sum() > 0
-    assert not recs["static"].stolen.any()
-    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    assert sizes[0] == 8  # ceil(64 / (2 * 4 cpus))
+    fig04_schedules(results, sizes)

@@ -6,9 +6,8 @@ Paper claims: with brightness proportional to task duration,
       tiles.
 """
 
-import numpy as np
-
 from _common import OUT_DIR, report
+from claims import border_inner_ratio, fig09_heatmap, heat_set_correlation
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.view.ascii import render_heatmap
@@ -31,16 +30,8 @@ def test_fig09_heatmap(benchmark):
     mheat = mandel.monitor.records[0].heat
     bheat = blur.monitor.records[0].heat
 
-    # (a) heat correlates with in-set pixel density per tile
-    dark = (mandel.image >> 8) == 0
-    rows, cols = mheat.shape
-    frac = dark.reshape(rows, 256 // rows, cols, 256 // cols).mean(axis=(1, 3))
-    corr = float(np.corrcoef(frac.ravel(), mheat.ravel())[0, 1])
-
-    # (b) border vs inner brightness
-    border = np.concatenate([bheat[0], bheat[-1], bheat[1:-1, 0], bheat[1:-1, -1]])
-    inner = bheat[1:-1, 1:-1].ravel()
-    ratio = float(border.mean() / inner.mean())
+    corr = heat_set_correlation(mandel)
+    ratio = border_inner_ratio(bheat)
 
     save_ppm(heat_tile_image(mheat), OUT_DIR / "fig09a_mandel_heat.ppm")
     save_ppm(heat_tile_image(bheat), OUT_DIR / "fig09b_blur_heat.ppm")
@@ -56,6 +47,4 @@ def test_fig09_heatmap(benchmark):
         + f"\n\nPPM images: {OUT_DIR}/fig09a_mandel_heat.ppm, fig09b_blur_heat.ppm"
     )
     report("fig09_heatmap", text)
-
-    assert corr > 0.6, "Mandelbrot shape not visible in heat map"
-    assert ratio > 4.0, "border tiles not distinctly slower than inner tiles"
+    fig09_heatmap(mandel, blur)

@@ -11,11 +11,9 @@ Paper claims:
 
 
 from _common import OUT_DIR, fmt_table, report
+from claims import chained_makespan, fig12_taskwave, task_waves
 from repro.core.config import RunConfig
 from repro.core.engine import run
-from repro.sched.costmodel import CostModel
-from repro.sched.dag_sim import simulate_dag
-from repro.sched.taskgraph import TaskGraph
 from repro.trace.gantt import GanttChart
 
 CFG = RunConfig(kernel="cc", variant="omp_task", dim=256, tile_w=32,
@@ -28,45 +26,20 @@ def run_fig12():
 
 def test_fig12_taskwave(benchmark):
     result = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
-    trace = result.trace
-    events = [e for e in trace.events if e.kind == "task_dr" and e.iteration == 1]
-
-    # group tasks by anti-diagonal; report each wave's start window
-    waves: dict[int, list[float]] = {}
-    for e in events:
-        waves.setdefault(e.y // 32 + e.x // 32, []).append(e.start)
-    rows = []
-    prev_min = -1.0
-    monotone = True
-    for d in sorted(waves):
-        lo, hi = min(waves[d]), max(waves[d])
-        rows.append([d, len(waves[d]), f"{lo * 1e6:.1f}", f"{hi * 1e6:.1f}"])
-        if lo < prev_min:
-            monotone = False
-        prev_min = lo
+    waves = task_waves(result.trace, CFG.tile_w)
+    rows = [[d, len(waves[d]), f"{min(waves[d]) * 1e6:.1f}", f"{max(waves[d]) * 1e6:.1f}"]
+            for d in sorted(waves)]
     table = fmt_table(["anti-diagonal", "tasks", "first start (us)",
                        "last start (us)"], rows)
 
-    # the student bug: chain every task after the previous submission
-    zero = CostModel(1.0, 0.0, 0.0, 0.0)
-    g = TaskGraph()
-    prev = None
-    for i in range(64):
-        prev = g.add_task(i, cost=1.0,
-                          depends_on=[] if prev is None else [prev])
-    serial = simulate_dag(g, 8, model=zero).makespan
-
-    svg = GanttChart(trace, 1, 1).to_svg().save(OUT_DIR / "fig12_wave.svg")
+    serial = chained_makespan()
+    svg = GanttChart(result.trace, 1, 1).to_svg().save(OUT_DIR / "fig12_wave.svg")
     text = (
         "down-right phase, iteration 1 (8x8 tile grid, 8 CPUs):\n"
         + table
-        + f"\n\nwave fronts monotone: {monotone}"
-        + f"\nover-constrained version (student bug): 64 unit tasks on 8 "
+        + f"\n\nover-constrained version (student bug): 64 unit tasks on 8 "
         + f"CPUs -> makespan {serial:.0f} units (fully serialized)"
         + f"\nGantt SVG of the wave: {svg}"
     )
     report("fig12_taskwave", text)
-
-    assert monotone, "wave fronts must start in anti-diagonal order"
-    assert len(waves) == 15  # 2*8 - 1 anti-diagonals
-    assert serial == 64.0
+    fig12_taskwave(result, serial)

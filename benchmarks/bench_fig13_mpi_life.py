@@ -27,7 +27,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -36,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import fmt_table, gate_skip_reason, report
+from _common import fmt_table, gate_skip_reason, perf_gate_main, report
+from claims import fig13_mpi_life, rank_threads
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.mpi.substrate import shutdown_mpi_pools
@@ -67,23 +67,18 @@ def run_fig13():
 
 def test_fig13_mpi_life(benchmark):
     result = benchmark.pedantic(run_fig13, rounds=1, iterations=1)
-
-    # correctness first: distributed == sequential
     ref = run(RunConfig(kernel="life", variant="seq", dim=256, tile_w=16,
                         tile_h=16, iterations=8, arg="diag"))
-    assert np.array_equal(result.image, ref.image)
 
     rows = []
     tilings = []
-    half = 256 // 16 // 2
     for rank, rr in enumerate(result.rank_results):
         rec = rr.monitor.records[-1]
         computed = np.argwhere(rec.tiling >= 0)
-        threads = len(set(np.unique(rec.tiling[rec.tiling >= 0]).tolist()))
         comm = rr.context.mpi.comm.stats
         rows.append([
             rank,
-            threads,
+            rank_threads(rec),
             f"rows {computed[:, 0].min()}..{computed[:, 0].max()}",
             f"{rec.computed_fraction() * 100:.1f}%",
             comm.messages_sent,
@@ -106,17 +101,7 @@ def test_fig13_mpi_life(benchmark):
         "and only diagonal tiles are computed."
     )
     report("fig13_mpi_life", text)
-
-    for rank, rr in enumerate(result.rank_results):
-        rec = rr.monitor.records[-1]
-        computed_rows = np.argwhere(rec.tiling >= 0)[:, 0]
-        if rank == 0:
-            assert computed_rows.max() < half
-        else:
-            assert computed_rows.min() >= half
-        assert rec.computed_fraction() < 0.5  # sparse: diagonals only
-        threads = set(np.unique(rec.tiling[rec.tiling >= 0]).tolist())
-        assert len(threads) == 4
+    fig13_mpi_life(result, ref.image)
 
 
 # --------------------------------------------------------------------------
@@ -201,40 +186,13 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        description="perf gate: MPI life at -np 2 vs -np 1 (procs substrate)")
-    ap.add_argument("--quick", action="store_true",
-                    help="fewer reps (CI smoke)")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="paired reps; default 7, 3 with --quick")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="write the measured baseline JSON here")
-    ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                    help="compare against a committed baseline; exit 1 on regression")
-    ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="allowed fractional speedup regression (default 0.30)")
-    args = ap.parse_args(argv)
-
-    reps = args.reps if args.reps is not None else (3 if args.quick else 7)
-    try:
-        payload = measure(reps)
-    finally:
-        shutdown_mpi_pools()
-    report("fig13_mpi_perf", render(payload))
-
-    if args.out:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        failures = check(payload, args.check, args.tolerance)
-        if failures:
-            print("PERF REGRESSION:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"mpi perf check OK vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
+    return perf_gate_main(
+        argv, name="fig13_mpi_perf",
+        description="perf gate: MPI life at -np 2 vs -np 1 (procs substrate)",
+        measure=measure, render=render, check=check, reps=(7, 3), tolerance=0.30,
+        tolerance_help="allowed fractional speedup regression (default 0.30)",
+        ok="mpi perf check OK vs {check} (tolerance {tolerance:.0%})",
+        cleanup=shutdown_mpi_pools)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import io
 from contextlib import redirect_stdout
 
 from _common import report
+from claims import perfmode
 from repro.cli import main as easypap_main
 from repro.expt.csvdb import read_rows
 
@@ -45,6 +46,4 @@ def test_perfmode(benchmark, tmp_path):
         "virtual-time magnitude depends on cost-model calibration."
     )
     report("perfmode", text)
-    assert rc == 0
-    assert "50 iterations completed in" in output
-    assert rows[-1]["kernel"] == "mandel" and rows[-1]["time_us"] > 0
+    perfmode(rc, output, rows[-1], iterations=50)

@@ -3,8 +3,8 @@
 The unified telemetry pipeline must be effectively free: a traced run
 may cost at most 5% more wall-clock than the identical uninstrumented
 run.  This harness times the GIL-bound ``pymandel`` kernel (see
-``kernels_purepy.py``) plain vs ``trace=True`` on both the ``sim``
-channel (in-process bus dispatch into the TraceRecorder) and the
+``perfbench/kernels/pymandel.py``) plain vs ``trace=True`` on both the
+``sim`` channel (in-process bus dispatch into the TraceRecorder) and the
 ``procs`` channel (workers return ``(pos, start, end)`` triples in
 their region reply, the master decodes them into the timeline), and
 reports the overhead as medians of *paired* ratios — the same
@@ -34,21 +34,20 @@ the committed baseline.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from _common import fmt_table, report
+from _common import fmt_table, perf_gate_main
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.core.kernel import load_kernel_module
 from repro.omp.procs import shutdown_pools
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-KERNEL_FILE = Path(__file__).resolve().parent / "kernels_purepy.py"
+KERNEL_FILE = REPO_ROOT / "perfbench" / "kernels" / "pymandel.py"
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_telemetry.json"
 
 #: instrumentation-overhead ceiling: traced / plain, median paired ratio
@@ -155,40 +154,13 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="fewer reps (CI smoke)")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="paired reps; default 7, 3 with --quick")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="write the measured baseline JSON here")
-    ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                    help="compare against a committed baseline; exit 1 on regression")
-    ap.add_argument("--tolerance", type=float, default=0.05,
-                    help="allowed additive ratio regression above baseline "
-                         "(default 0.05)")
-    args = ap.parse_args(argv)
-
-    reps = args.reps if args.reps is not None else (3 if args.quick else 7)
-    try:
-        payload = measure(reps)
-    finally:
-        shutdown_pools()
-    report("telemetry_overhead", render(payload))
-
-    if args.out:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        failures = check(payload, args.check, args.tolerance)
-        if failures:
-            print("PERF REGRESSION:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"telemetry overhead check OK vs {args.check} "
-              f"(ceiling {GATE_RATIO:.2f}x, tolerance +{args.tolerance:.2f})")
-    return 0
+    return perf_gate_main(
+        argv, name="telemetry_overhead", description=__doc__.splitlines()[0],
+        measure=measure, render=render, check=check, reps=(7, 3), tolerance=0.05,
+        tolerance_help="allowed additive ratio regression above baseline (default 0.05)",
+        ok="telemetry overhead check OK vs {check} "
+           f"(ceiling {GATE_RATIO:.2f}x, tolerance +{{tolerance:.2f}})",
+        cleanup=shutdown_pools)
 
 
 if __name__ == "__main__":

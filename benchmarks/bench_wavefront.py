@@ -1,165 +1,29 @@
-"""Wavefront-domain scheduling benchmark (the WorkDomain acceptance story).
+"""Wavefront-domain scheduling (the WorkDomain acceptance story).
 
 Runs the blocked-LU wavefront kernel under the schedule families and
-reports the *virtual* makespan of each — the simulator's deterministic
-clock, so the numbers are bit-stable across hosts and the committed
-baseline can be compared tightly.  The headline claim: on a
+reports the *virtual* makespan of each: the simulator's deterministic
+clock, so the numbers are the same on every host.  The claim: on a
 dependency-carrying domain, ``static`` scheduling idles on unmet
 dependencies while ``dynamic`` keeps pulling ready tasks, so dynamic
-must beat static by a wide margin (the gate below).
+beats static by a wide margin.  ``tests/test_paper_claims.py`` checks
+the same claim in the tier-1 suite and pins these makespans exactly.
 
 A second table runs one dependency-free kernel under the other domain
 kinds (grid / wavefront / slab3d) as an end-to-end smoke of the domain
 plumbing: same pixels, different decompositions.
-
-Usage::
-
-    PYTHONPATH=src:benchmarks python benchmarks/bench_wavefront.py
-    PYTHONPATH=src:benchmarks python benchmarks/bench_wavefront.py \
-        --out BENCH_domains.json
-    PYTHONPATH=src:benchmarks python benchmarks/bench_wavefront.py \
-        --quick --check BENCH_domains.json
-
-``--check`` exits non-zero when the dynamic-over-static speedup falls
-below the gate or drifts more than ``--tolerance`` from the committed
-baseline (virtual clocks are deterministic, so real drift means the
-scheduler semantics changed).
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-from pathlib import Path
-
 from _common import fmt_table, report
-from repro.core.config import RunConfig
-from repro.core.engine import run
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = REPO_ROOT / "BENCH_domains.json"
-
-#: acceptance gate: dynamic dispatch must beat the static assignment on
-#: the wavefront DAG by at least this factor (virtual makespan ratio)
-GATE_SPEEDUP = 1.5
-
-SCHEDULES = ("static", "dynamic", "nonmonotonic:dynamic")
-
-LU_CONFIG = dict(
-    kernel="lu_wavefront", variant="omp_tiled", dim=128, tile_w=16, tile_h=16,
-    iterations=1, nthreads=4,
-)
-
-#: domain-plumbing smoke: one plain kernel under three decompositions
-DOMAIN_CONFIG = dict(
-    kernel="mandel", variant="omp_tiled", dim=64, tile_w=16, tile_h=16,
-    iterations=1, nthreads=4, schedule="dynamic",
-)
-DOMAIN_KINDS = ("grid", "wavefront", "slab3d")
+from claims import measure_wavefront, wavefront_schedules
 
 
-def measure() -> dict:
-    lu = {}
-    for schedule in SCHEDULES:
-        r = run(RunConfig(schedule=schedule, **LU_CONFIG))
-        lu[schedule] = r.virtual_time
-    domains = {}
-    for kind in DOMAIN_KINDS:
-        r = run(RunConfig(domain=kind, **DOMAIN_CONFIG))
-        domains[kind] = r.virtual_time
-    speedup = lu["static"] / lu["dynamic"] if lu["dynamic"] else 0.0
-    return {
-        "schema": 1,
-        "cpu_count": os.cpu_count() or 1,
-        "gate": {"min_dynamic_speedup": GATE_SPEEDUP},
-        "results": {
-            "lu_makespan_s": {k: round(v, 9) for k, v in lu.items()},
-            "dynamic_speedup": round(speedup, 3),
-            "domain_makespan_s": {k: round(v, 9) for k, v in domains.items()},
-        },
-    }
-
-
-def render(payload: dict) -> str:
-    r = payload["results"]
-    lu_rows = [
-        [f"lu_wavefront-{LU_CONFIG['dim']}-{LU_CONFIG['nthreads']}t", s,
-         f"{r['lu_makespan_s'][s] * 1e3:.3f} ms"]
-        for s in SCHEDULES
-    ]
-    dom_rows = [
-        [f"{DOMAIN_CONFIG['kernel']}-{DOMAIN_CONFIG['dim']}", k,
-         f"{r['domain_makespan_s'][k] * 1e3:.3f} ms"]
-        for k in DOMAIN_KINDS
-    ]
-    return "\n".join([
+def test_wavefront(benchmark):
+    lu, domains = benchmark.pedantic(measure_wavefront, rounds=1, iterations=1)
+    lu_rows = [["lu_wavefront-128-4t", s, f"{t * 1e3:.3f} ms"] for s, t in lu.items()]
+    dom_rows = [["mandel-64", k, f"{t * 1e3:.3f} ms"] for k, t in domains.items()]
+    report("wavefront_domains", "\n".join([
         fmt_table(["config", "schedule", "virtual makespan"], lu_rows),
-        f"\ndynamic speedup over static: {r['dynamic_speedup']:.2f}x "
-        f"(gate >= {GATE_SPEEDUP:.1f}x)\n",
+        f"\ndynamic speedup over static: {lu['static'] / lu['dynamic']:.2f}x\n",
         fmt_table(["config", "domain", "virtual makespan"], dom_rows),
-    ])
-
-
-def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
-    """Return a list of failures (empty == pass)."""
-    failures = []
-    got = measured["results"]
-    if got["dynamic_speedup"] < GATE_SPEEDUP:
-        failures.append(
-            f"dynamic speedup {got['dynamic_speedup']:.2f}x over static is "
-            f"below the {GATE_SPEEDUP:.1f}x floor — static no longer idles "
-            "on dependencies, or dynamic lost its edge"
-        )
-    baseline = json.loads(baseline_path.read_text())
-    base = baseline["results"]
-    lo = base["dynamic_speedup"] * (1.0 - tolerance)
-    hi = base["dynamic_speedup"] * (1.0 + tolerance)
-    if not (lo <= got["dynamic_speedup"] <= hi):
-        failures.append(
-            f"dynamic speedup {got['dynamic_speedup']:.2f}x drifted from the "
-            f"baseline {base['dynamic_speedup']:.2f}x by more than "
-            f"{tolerance:.0%} — virtual clocks are deterministic, so the "
-            "scheduler semantics changed"
-        )
-    for kind, v in base["domain_makespan_s"].items():
-        if kind not in got["domain_makespan_s"]:
-            failures.append(f"domain {kind!r} missing from the measured run")
-            continue
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="accepted for CI symmetry; the virtual-clock "
-                    "measurement is already a single deterministic pass")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="write the measured baseline JSON here")
-    ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                    help="compare against a committed baseline; exit 1 on drift")
-    ap.add_argument("--tolerance", type=float, default=0.05,
-                    help="allowed fractional speedup drift (default 0.05)")
-    args = ap.parse_args(argv)
-
-    payload = measure()
-    report("wavefront_domains", render(payload))
-
-    if args.out:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline written to {args.out}")
-    if args.check:
-        failures = check(payload, args.check, args.tolerance)
-        if failures:
-            print("PERF REGRESSION:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"wavefront domain check OK vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    ]))
+    wavefront_schedules(lu)

@@ -136,13 +136,31 @@ class HeatKernel(Kernel):
         self._source_cells = fixed, sources.ravel()[fixed]
 
     def refresh_img(self, ctx) -> None:
+        """Red for hot, blue for cold: the pixel ``(r << 24) | (b << 8) |
+        0xFF`` with ``r = int(255 * t)`` and ``b = int(255 * (1 - t))``
+        of the temperature ``t`` clipped to [0, 1].
+
+        The channels and the pixel are whole numbers below 2**32, which
+        float64 holds exactly, so the shifts are products and the ORs
+        of disjoint bit fields are sums, computed in two scratch
+        buffers; the one cast to uint32 writes the image.
+        """
         temp = ctx.data.get("temp")
         if temp is None:
             return
-        t = np.clip(temp, 0.0, 1.0)
-        r = (255 * t).astype(np.uint32)
-        b = (255 * (1.0 - t)).astype(np.uint32)
-        ctx.img.cur[:] = (r << 24) | (b << 8) | np.uint32(0xFF)
+        t = self.scratch.get("img_t", temp.shape, np.float64)
+        px = self.scratch.get("img_px", temp.shape, np.float64)
+        np.clip(temp, 0.0, 1.0, out=t)
+        np.subtract(1.0, t, out=px)
+        px *= 255
+        np.trunc(px, out=px)  # b
+        t *= 255
+        np.trunc(t, out=t)  # r
+        px *= 1 << 8
+        t *= 1 << 24
+        px += t
+        px += 0xFF
+        np.copyto(ctx.img.cur, px, casting="unsafe")
 
     def do_tile_delta(self, ctx, tile: Tile) -> tuple[float, float]:
         """Tile body in reduction style: returns (work, local max delta)."""

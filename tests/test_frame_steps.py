@@ -96,6 +96,27 @@ def test_life_frame_step_matches_rect(dim, arg):
         got, got_next = got_next, got
 
 
+@pytest.mark.parametrize("dim", [1, 33, 47])
+def test_heat_refresh_img_matches_the_channel_formula(dim):
+    """``refresh_img`` writes through scratch buffers; two calls on one
+    instance, with temperatures below 0 and above 1, give the pixels of
+    the plain uint32 channel formula."""
+    k = get_kernel("heat")
+    ctx = ExecutionContext(k.run_config(make_config(
+        kernel="heat", variant="seq", dim=dim, tile_w=dim, tile_h=dim)))
+    k.init(ctx)
+    rng = np.random.default_rng(dim)
+    for _ in range(2):
+        temp = rng.uniform(-0.5, 1.5, (dim, dim))
+        temp.flat[:3] = [-0.0, 1.0, 0.5][: temp.size]
+        ctx.data["temp"] = temp
+        k.refresh_img(ctx)
+        t = np.clip(temp, 0.0, 1.0)
+        r = (255 * t).astype(np.uint32)
+        b = (255 * (1.0 - t)).astype(np.uint32)
+        assert np.array_equal(ctx.img.cur, (r << 24) | (b << 8) | np.uint32(0xFF))
+
+
 def test_frame_scratch_reuses_and_resizes():
     scratch = FrameScratch()
     pad = scratch.get("pad", (4, 4), np.float64)

@@ -39,6 +39,7 @@ SECTIONS = [
     ("ABL2 — stealing granularity", "abl_stealing"),
     ("EXT1 — per-task cache counters", "ext_cache"),
     ("EXT2 — OpenCL-style device profiling", "ext_gpu"),
+    ("WAVEFRONT — dependency-aware scheduling on blocked LU", "wavefront_domains"),
 ]
 
 
