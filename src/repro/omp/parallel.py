@@ -6,12 +6,14 @@ The default (``sim``) backend executes bodies sequentially — measuring
 deterministic *work units* — then replays the loop through the
 scheduling simulator to obtain the timeline a real thread team would
 produce under the requested ``schedule(...)`` clause.  The ``threads``
-backend runs a real ``ThreadPoolExecutor`` team and records wall-clock
-times (useful to sanity-check shapes against genuine parallelism; NumPy
-tile bodies release the GIL in their inner loops).  The ``procs``
-backend (:mod:`repro.omp.procs`) dispatches the same worksharing loops
-onto a persistent shared-memory process pool — wall-clock times with
-true parallelism even for pure-Python tile bodies.
+backend runs a real team of ``threading.Thread`` members and records
+wall-clock times (NumPy tile bodies release the GIL in their inner
+loops).  The ``procs`` backend (:mod:`repro.omp.procs`) dispatches the
+same worksharing loops onto a persistent shared-memory process pool —
+wall-clock times with true parallelism even for pure-Python tile
+bodies.  All three hand out chunks with the one claim rule of
+:mod:`repro.sched.claim`, so ``threads`` and ``procs`` members steal
+under ``nonmonotonic:dynamic`` exactly as the simulated team does.
 
 Every sim-backend region — these three loops, the policy-aware DAG of
 a wavefront domain and :class:`repro.omp.tasks.TaskRegion` — ends in
@@ -53,16 +55,9 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core import access
-from repro.errors import ScheduleError
+from repro.sched.claim import claim, plan
 from repro.sched.costmodel import perturb
-from repro.sched.policies import (
-    DynamicSchedule,
-    GuidedSchedule,
-    NonMonotonicDynamic,
-    SchedulePolicy,
-    StaticSchedule,
-    parse_schedule,
-)
+from repro.sched.policies import SchedulePolicy, parse_schedule
 from repro.sched.dag_sim import simulate_dag_policy
 from repro.sched.simulator import SimResult, simulate
 from repro.sched.timeline import TaskExec, Timeline
@@ -353,14 +348,16 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
     """Run a real thread team; record wall-clock start/end per item (a
     reduction's values land at their item's index in ``values``).
 
-    Scheduling semantics: ``static`` uses the precomputed assignment;
-    every dynamic family policy (dynamic, guided, nonmonotonic) shares a
-    central chunk queue — real stealing cannot be faithfully observed
-    under the GIL (see DESIGN.md), so the dynamic behaviour is the
-    honest common denominator.
+    Each member claims its chunks with :func:`repro.sched.claim.claim`
+    under one lock — the rule the simulator and the procs workers run —
+    so ``static`` members walk their assignment, dynamic and guided take
+    the queue head, and ``nonmonotonic:dynamic`` members steal from the
+    back of the most-loaded block; the steal count is published.
     """
     n = len(items)
     nthreads = ctx.nthreads
+    rule, state = plan(policy, n, nthreads)
+    lock = threading.Lock()
     records: list[list[tuple[int, float, float]]] = [[] for _ in range(nthreads)]
     # the active footprint collector is thread-local, so each team member
     # records its own tasks; every idx runs exactly once, so the slot
@@ -379,46 +376,21 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
 
     t0 = time.perf_counter()
 
-    if isinstance(policy, StaticSchedule):
-        assignments = policy.assignment(n, nthreads)
-
-        def worker_static(rank: int) -> None:
-            recs = records[rank]
-            for chunk in assignments[rank]:
-                for idx in chunk.indices():
-                    s = time.perf_counter() - t0
-                    run_item(idx)
-                    e = time.perf_counter() - t0
-                    recs.append((idx, s, e))
-
-        target, args_of = worker_static, lambda r: (r,)
-    else:
-        if isinstance(policy, NonMonotonicDynamic):
-            policy = DynamicSchedule(policy.chunk)
-        elif not isinstance(policy, (DynamicSchedule, GuidedSchedule)):
-            raise ScheduleError(f"unsupported policy {policy!r}")  # pragma: no cover
-        queue = policy.chunk_queue(n, nthreads)
-        lock = threading.Lock()
-        state = {"next": 0}
-
-        def worker_dynamic(rank: int) -> None:
-            recs = records[rank]
-            while True:
-                with lock:
-                    qi = state["next"]
-                    if qi >= len(queue):
-                        return
-                    state["next"] = qi + 1
-                for idx in queue[qi].indices():
-                    s = time.perf_counter() - t0
-                    run_item(idx)
-                    e = time.perf_counter() - t0
-                    recs.append((idx, s, e))
-
-        target, args_of = worker_dynamic, lambda r: (r,)
+    def worker(rank: int) -> None:
+        recs = records[rank]
+        while True:
+            with lock:
+                got = claim(rule, state, rank)
+            if got is None:
+                return
+            for idx in range(got[0], got[1]):
+                s = time.perf_counter() - t0
+                run_item(idx)
+                e = time.perf_counter() - t0
+                recs.append((idx, s, e))
 
     threads = [
-        threading.Thread(target=target, args=args_of(r), name=f"easypap-{r}")
+        threading.Thread(target=worker, args=(r,), name=f"easypap-{r}")
         for r in range(nthreads)
     ]
     for t in threads:
@@ -434,5 +406,6 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
             m["index"] = idx
             timeline.append(TaskExec(items[idx], rank, ctx.vclock + s, ctx.vclock + e, m))
     ctx.vclock += elapsed
-    publish_region(ctx, timeline, footprints=fps)
-    return SimResult(timeline, grabs=[], steals=0)
+    steals = state[1]
+    publish_region(ctx, timeline, steals, footprints=fps)
+    return SimResult(timeline, grabs=[], steals=steals)

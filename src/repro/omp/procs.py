@@ -37,11 +37,13 @@ Architecture
     sweep points; spawning, teardown, the worker loop and the registry
     are shared with the MPI rank pool.  Per region the master writes the
     chunk table and item indices into shared blocks and sends one small
-    dispatch message per worker — frames are **never** pickled.  Chunks
-    are claimed through a shared int64 index array (one lock, one
-    counter — contention is per *chunk*, not per tile); the
-    ``nonmonotonic:dynamic`` family uses per-worker chunk deques in the
-    same array, stolen from the tail of the most-loaded victim.
+    dispatch message per worker — frames are **never** pickled.  The
+    master copies the claim state of :func:`repro.sched.claim.plan`
+    into a shared int64 ``ctrl`` array, and each worker claims its
+    chunks with :func:`repro.sched.claim.claim` — the rule the
+    simulator runs — under the pool lock, so contention is per
+    *chunk*, not per tile, and ``nonmonotonic:dynamic`` workers steal
+    iterations from the back of the most-loaded victim's block.
     Each worker returns its telemetry — wall-clock execution records
     and, when ``--check-races`` is on, each task's read/write
     footprints — in the ``done`` reply the master already waits for;
@@ -69,14 +71,9 @@ import numpy as np
 
 from repro.core import access
 from repro.core.kernel import TileBody
-from repro.errors import ExecutionError, ScheduleError
-from repro.sched.policies import (
-    DynamicSchedule,
-    GuidedSchedule,
-    NonMonotonicDynamic,
-    SchedulePolicy,
-    StaticSchedule,
-)
+from repro.errors import ExecutionError
+from repro.sched.claim import claim, plan, state_words
+from repro.sched.policies import SchedulePolicy
 from repro.sched.simulator import SimResult
 from repro.sched.timeline import Timeline
 from repro.telemetry.ring import drain_lane
@@ -104,12 +101,6 @@ __all__ = [
 SETUP_TIMEOUT = 120.0
 
 _SESSION_IDS = itertools.count(1)
-
-
-def _ctrl_words(nworkers: int) -> int:
-    """Size of the shared int64 ``ctrl`` array: the queue cursor, the
-    steal count, then each worker's chunk deque ``[head, tail)``."""
-    return 2 + 2 * nworkers
 
 
 def new_session_id() -> int:
@@ -307,43 +298,7 @@ def _worker_setup(state: dict, setup: dict) -> None:
     )
 
 
-def _worker_claim_queue(ctrl, lock, nchunks: int) -> int:
-    with lock:
-        cid = int(ctrl[0])
-        if cid >= nchunks:
-            return -1
-        ctrl[0] = cid + 1
-        return cid
-
-
-def _worker_claim_steal(ctrl, lock, rank: int, nworkers: int, steal_half: bool) -> int:
-    """Pop the front of our deque, or steal from the tail of the victim
-    with the most remaining chunks.  Returns a chunk id or -1."""
-    with lock:
-        h, t = int(ctrl[2 + 2 * rank]), int(ctrl[3 + 2 * rank])
-        if h < t:
-            ctrl[2 + 2 * rank] = h + 1
-            return h
-        best, remaining = -1, 0
-        for v in range(nworkers):
-            if v == rank:
-                continue
-            r = int(ctrl[3 + 2 * v]) - int(ctrl[2 + 2 * v])
-            if r > remaining:
-                best, remaining = v, r
-        if best < 0:
-            return -1
-        vt = int(ctrl[3 + 2 * best])
-        take = max((remaining + 1) // 2, 1) if steal_half else 1
-        ctrl[3 + 2 * best] = vt - take
-        # adopt all stolen chunks but the one we run now
-        ctrl[2 + 2 * rank] = vt - take + 1
-        ctrl[3 + 2 * rank] = vt
-        ctrl[1] += 1
-        return vt - take
-
-
-def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -> dict:
+def _worker_region(state: dict, lock, ctrl, rank: int, r: dict) -> dict:
     from repro.core.kernel import get_kernel
 
     ctx = state["ctx"]
@@ -372,24 +327,8 @@ def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -
         grid = ctx.grid
         items = [grid[int(i)] for i in idx]
 
-    chunks = _worker_view(state, r["chunk_block"], (r["nchunks"], 2), np.int64)
-
-    mode = r["mode"]
-    if mode == "static":
-        my_chunks = iter(r["static_chunks"][rank])
-
-        def next_chunk() -> int:
-            return next(my_chunks, -1)
-
-    elif mode == "queue":
-
-        def next_chunk() -> int:
-            return _worker_claim_queue(ctrl, lock, r["nchunks"])
-
-    else:  # steal
-
-        def next_chunk() -> int:
-            return _worker_claim_steal(ctrl, lock, rank, nworkers, r["steal_half"])
+    table = _worker_view(state, r["chunk_block"], (r["nchunks"], 2), np.int64)
+    rule = r["rule"]._replace(table=table)
 
     reduce_values = [] if r["reduce"] else None
     # telemetry travels back in the reply: (pos, start, end) per task and,
@@ -398,11 +337,11 @@ def _worker_region(state: dict, lock, ctrl, rank: int, nworkers: int, r: dict) -
     footprints: list | None = [] if r["footprints"] else None
     perf = time.perf_counter
     while True:
-        cid = next_chunk()
-        if cid < 0:
+        with lock:
+            got = claim(rule, ctrl, rank)
+        if got is None:
             break
-        lo, hi = int(chunks[cid, 0]), int(chunks[cid, 1])
-        for pos in range(lo, hi):
+        for pos in range(got[0], got[1]):
             item = items[pos]
             if footprints is not None:
                 with access.collect() as col:
@@ -427,13 +366,13 @@ def _procs_worker(rank: int, bufs: list, lock, nworkers: int):
     """The request handler of one pool worker: ``setup`` (re)builds the
     shadow context, ``region`` runs this worker's share of a loop."""
     state: dict[str, Any] = {"shms": {}}
-    ctrl = np.ndarray((_ctrl_words(nworkers),), dtype=np.int64, buffer=bufs[0])
+    ctrl = np.ndarray((state_words(nworkers),), dtype=np.int64, buffer=bufs[0])
 
     def handle(tag: str, payload: dict) -> tuple[str, Any]:
         if tag == "setup":
             _worker_setup(state, payload)
             return "ready", None
-        return "done", _worker_region(state, lock, ctrl, rank, nworkers, payload)
+        return "done", _worker_region(state, lock, ctrl, rank, payload)
 
     return handle
 
@@ -468,37 +407,6 @@ class _GrowBlock:
         return self.arr[:flat].reshape(shape)
 
 
-def _chunk_plan(policy: SchedulePolicy, n: int, nworkers: int) -> dict:
-    """Turn a schedule policy into a chunk table + dispatch mode."""
-    if isinstance(policy, StaticSchedule):
-        table: list[tuple[int, int]] = []
-        static_chunks: list[list[int]] = []
-        for chunks in policy.assignment(n, nworkers):
-            ids = []
-            for c in chunks:
-                ids.append(len(table))
-                table.append((c.lo, c.hi))
-            static_chunks.append(ids)
-        return {"mode": "static", "table": table, "static_chunks": static_chunks}
-    if isinstance(policy, NonMonotonicDynamic):
-        k = policy.chunk
-        table = []
-        deques = []  # per-worker [head, tail) over the chunk table
-        for block in policy.initial_blocks(n, nworkers):
-            head = len(table)
-            for lo in range(block.lo, block.hi, k):
-                table.append((lo, min(lo + k, block.hi)))
-            deques.append((head, len(table)))
-        return {
-            "mode": "steal", "table": table, "deques": deques,
-            "steal_half": policy.steal_half,
-        }
-    if isinstance(policy, (DynamicSchedule, GuidedSchedule)):
-        table = [(c.lo, c.hi) for c in policy.chunk_queue(n, nworkers)]
-        return {"mode": "queue", "table": table}
-    raise ScheduleError(f"unsupported policy {policy!r}")  # pragma: no cover
-
-
 class ProcPool(WorkerPool):
     """A persistent team of worker processes (one per virtual CPU)."""
 
@@ -507,7 +415,8 @@ class ProcPool(WorkerPool):
     def __init__(self, nworkers: int):
         super().__init__("ezpap_pool_", nworkers)
         self.lock = self._mp.Lock()
-        words = _ctrl_words(nworkers)
+        # the shared claim state: queue cursor, steal count, [head, tail)s
+        words = state_words(nworkers)
         ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, words * 8)
         self.ctrl = np.ndarray((words,), dtype=np.int64, buffer=ctrl_shm.buf)
         self._chunks = _GrowBlock(self.prefix, "chunks_", np.int64)
@@ -603,10 +512,11 @@ class ProcPool(WorkerPool):
                 "values": [], "sets": {}, "steals": 0, "footprints": None,
             }
 
-        plan = _chunk_plan(policy, n, self.nworkers)
-        table = plan["table"]
+        rule, state = plan(policy, n, self.nworkers)
+        table = rule.table
         chunk_arr = self._chunks.ensure((max(len(table), 1), 2))
-        chunk_arr[: len(table)] = table
+        if table:
+            chunk_arr[: len(table)] = table
 
         items_pickled = None
         items_block = None
@@ -625,13 +535,7 @@ class ProcPool(WorkerPool):
 
         want_fp = bool(ctx.collect_footprints)
 
-        # region control words: queue cursor, steal count, per-worker deques
-        self.ctrl[0] = 0
-        self.ctrl[1] = 0
-        if plan["mode"] == "steal":
-            for rank, (h, t) in enumerate(plan["deques"]):
-                self.ctrl[2 + 2 * rank] = h
-                self.ctrl[3 + 2 * rank] = t
+        self.ctrl[:] = state
 
         arrays, scalars = ctx.data.manifest()
         msg = {
@@ -646,9 +550,7 @@ class ProcPool(WorkerPool):
             "chunk_block": self._chunks.name,
             "nchunks": len(table),
             "footprints": want_fp,
-            "mode": plan["mode"],
-            "static_chunks": plan.get("static_chunks"),
-            "steal_half": plan.get("steal_half", False),
+            "rule": rule._replace(table=()),
             "reduce": reduce,
         }
         t0 = time.perf_counter()

@@ -7,8 +7,8 @@ in LLVM's runtime, as a static initial distribution corrected by work
 stealing).
 
 A policy only decides *which indices go together and to whom*; the
-single decision routine that hands chunks to virtual CPUs over time
-lives in :mod:`repro.sched.simulator`.
+one rule that hands its chunks to CPUs, simulated or real, lives in
+:mod:`repro.sched.claim`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,22 @@
-"""Simulation of OpenMP loop scheduling: one decision routine per policy.
+"""Simulation of OpenMP loop scheduling: one routine for every policy.
 
 Given per-item costs and a :class:`~repro.sched.policies.SchedulePolicy`,
 :func:`simulate` computes the exact timeline a pool of ``ncpus`` virtual
 CPUs would produce under every policy of the paper's Fig. 4, and
 :func:`simulate_makespan` its makespan.  Both run the same routine,
 :func:`_schedule`, which emits the chunk grabs
-``(cpu, start, lo, hi, stolen, end)`` in hand-out order:
+``(cpu, start, lo, hi, stolen, end)`` in hand-out order.  Which chunk a
+CPU gets is decided by :func:`repro.sched.claim.claim`, the claim rule
+the ``threads`` and ``procs`` backends run too; the simulator only
+decides *when* each CPU asks:
 
-* **static** walks the fixed per-CPU assignment in CPU order;
+* **static** CPUs ask in CPU order, each until its assignment is spent;
 * **dynamic, guided and nonmonotonic** run one loop in which the
   earliest-free CPU (lowest index on ties, as a barrier-released team
-  racing in rank order) asks the policy for its next chunk: the head
-  of the central chunk queue, or — for ``nonmonotonic:dynamic`` — the
-  front of its own block or a steal from the back of a victim's.
+  racing in rank order) asks next: for the head of the central chunk
+  queue, or — for ``nonmonotonic:dynamic`` — the front of its own block
+  or a steal from the back of a victim's.  A CPU that gets nothing
+  leaves the team.
 
 A chunk's end time is its start plus its item costs summed strictly
 left to right (:func:`_fold`), so the makespan is the largest grab end
@@ -22,32 +26,22 @@ allocates a :class:`TaskExec`.
 
 Work stealing (Fig. 4c): *"tiles are first distributed in a static
 manner, but work-stealing is eventually used to correct load
-imbalance"*.  Each CPU owns a contiguous block of the iteration space
-and consumes it from the front in chunks of ``k``; a CPU whose block is
-exhausted steals from the *back* of the block of the victim with the
-most remaining iterations (lowest index on ties), or half the victim's
-block with ``steal_half=True`` — the ABL2 ablation knob.  A CPU that
-finds nothing left to steal leaves the team.
+imbalance"*.  A grab starts after ``model.steal_overhead`` when it was
+stolen and after ``model.dispatch_overhead`` otherwise.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sched.policies import (
-    Chunk,
-    DynamicSchedule,
-    GuidedSchedule,
-    NonMonotonicDynamic,
-    SchedulePolicy,
-    StaticSchedule,
-)
+from repro.sched.claim import claim, plan
+from repro.sched.policies import Chunk, SchedulePolicy, StaticSchedule
 from repro.sched.timeline import TaskExec, Timeline
 
 __all__ = ["simulate", "simulate_makespan", "SimResult", "ChunkGrab"]
@@ -222,64 +216,6 @@ def _fold(c: np.ndarray, cl: list[float], t: float, lo: int, hi: int) -> float:
     return t
 
 
-class _Block:
-    """A [lo, hi) range consumed from both ends (owner: front, thief: back)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def remaining(self) -> int:
-        return max(self.hi - self.lo, 0)
-
-    def take_front(self, k: int) -> tuple[int, int]:
-        lo = self.lo
-        self.lo = min(lo + k, self.hi)
-        return lo, self.lo
-
-    def take_back(self, k: int) -> tuple[int, int]:
-        hi = self.hi
-        self.hi = max(hi - k, self.lo)
-        return self.hi, hi
-
-
-#: a policy's next chunk for an idle CPU: ``(lo, hi, stolen, overhead)``,
-#: or None when nothing is left for it
-NextChunk = Callable[[int], "tuple[int, int, bool, float] | None"]
-
-
-def _queue_head(queue: list[Chunk], dispatch: float) -> NextChunk:
-    """dynamic/guided: every CPU takes the head of the central queue."""
-    it = iter(queue)
-
-    def head(cpu: int):
-        chunk = next(it, None)
-        return None if chunk is None else (chunk.lo, chunk.hi, False, dispatch)
-
-    return head
-
-
-def _stealing(policy: NonMonotonicDynamic, n: int, ncpus: int, model: CostModel) -> NextChunk:
-    """nonmonotonic:dynamic: own block's front, else steal a victim's back."""
-    blocks = [_Block(b.lo, b.hi) for b in policy.initial_blocks(n, ncpus)]
-    k = policy.chunk
-
-    def next_chunk(cpu: int):
-        own = blocks[cpu]
-        if own.remaining > 0:
-            return (*own.take_front(k), False, model.dispatch_overhead)
-        victim = blocks[max(range(ncpus), key=lambda c: (blocks[c].remaining, -c))]
-        if victim.remaining == 0:
-            return None
-        amount = max(victim.remaining // 2, k) if policy.steal_half else k
-        return (*victim.take_back(amount), True, model.steal_overhead)
-
-    return next_chunk
-
-
 def _schedule(
     costs: Sequence[float],
     policy: SchedulePolicy,
@@ -293,32 +229,28 @@ def _schedule(
     n = len(costs)
     c = np.ascontiguousarray(costs, dtype=np.float64)
     cl = c.tolist()
-    d = model.dispatch_overhead
+    d, s = model.dispatch_overhead, model.steal_overhead
+    rule, state = plan(policy, n, ncpus)
     grabs: list[Grab] = []
     if isinstance(policy, StaticSchedule):
-        for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
+        for cpu in range(ncpus):
             t = start_time
-            for chunk in chunks:
+            while (got := claim(rule, state, cpu)) is not None:
+                lo, hi, _ = got
                 t += d
-                end = _fold(c, cl, t, chunk.lo, chunk.hi)
-                grabs.append((cpu, t, chunk.lo, chunk.hi, False, end))
+                end = _fold(c, cl, t, lo, hi)
+                grabs.append((cpu, t, lo, hi, False, end))
                 t = end
         return grabs
-    if isinstance(policy, NonMonotonicDynamic):
-        next_chunk = _stealing(policy, n, ncpus, model)
-    elif isinstance(policy, (DynamicSchedule, GuidedSchedule)):
-        next_chunk = _queue_head(policy.chunk_queue(n, ncpus), d)
-    else:
-        raise SimulationError(f"unsupported policy {policy!r}")
     # (free_time, cpu) in increasing order is already a valid heap
     free = [(start_time, cpu) for cpu in range(ncpus)]
     while free:
         t, cpu = heapq.heappop(free)
-        got = next_chunk(cpu)
+        got = claim(rule, state, cpu)
         if got is None:
             continue  # nothing left for this CPU: it leaves the team
-        lo, hi, stolen, overhead = got
-        t += overhead
+        lo, hi, stolen = got
+        t += s if stolen else d
         end = _fold(c, cl, t, lo, hi)
         grabs.append((cpu, t, lo, hi, stolen, end))
         heapq.heappush(free, (end, cpu))
