@@ -5,8 +5,9 @@ may cost at most 5% more wall-clock than the identical uninstrumented
 run.  This harness times the GIL-bound ``pymandel`` kernel (see
 ``perfbench/kernels/pymandel.py``) plain vs ``trace=True`` on both the
 ``sim`` channel (in-process bus dispatch into the TraceRecorder) and the
-``procs`` channel (workers return ``(pos, start, end)`` triples in
-their region reply, the master decodes them into the timeline), and
+``procs`` channel (workers return ``(pos, start, end)`` triples and
+their stolen ranges in the region reply, the master decodes them into
+the timeline), and
 reports the overhead as medians of *paired* ratios — the same
 same-machine statistic the other perf harnesses use.  The footprint
 path (``--check-races``-grade collection, returned in the same reply)

@@ -350,15 +350,17 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
 
     Each member claims its chunks with :func:`repro.sched.claim.claim`
     under one lock — the rule the simulator and the procs workers run —
-    so ``static`` members walk their assignment, dynamic and guided take
-    the queue head, and ``nonmonotonic:dynamic`` members steal from the
-    back of the most-loaded block; the steal count is published.
+    so ``static`` members walk their own range, dynamic and guided take
+    the iterations under the cursor, and ``nonmonotonic:dynamic``
+    members steal from the back of the most-loaded block; stolen tasks
+    are marked in their meta, as the simulator marks them, and the
+    steal count is published.
     """
     n = len(items)
     nthreads = ctx.nthreads
     rule, state = plan(policy, n, nthreads)
     lock = threading.Lock()
-    records: list[list[tuple[int, float, float]]] = [[] for _ in range(nthreads)]
+    records: list[list[tuple[int, float, float, bool]]] = [[] for _ in range(nthreads)]
     # the active footprint collector is thread-local, so each team member
     # records its own tasks; every idx runs exactly once, so the slot
     # writes below never contend
@@ -383,11 +385,12 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
                 got = claim(rule, state, rank)
             if got is None:
                 return
-            for idx in range(got[0], got[1]):
+            lo, hi, stolen = got
+            for idx in range(lo, hi):
                 s = time.perf_counter() - t0
                 run_item(idx)
                 e = time.perf_counter() - t0
-                recs.append((idx, s, e))
+                recs.append((idx, s, e, stolen))
 
     threads = [
         threading.Thread(target=worker, args=(r,), name=f"easypap-{r}")
@@ -401,11 +404,13 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
 
     timeline = Timeline(ncpus=nthreads)
     for rank, recs in enumerate(records):
-        for idx, s, e in recs:
+        for idx, s, e, stolen in recs:
             m = dict(meta)
             m["index"] = idx
+            if stolen:
+                m["stolen"] = True
             timeline.append(TaskExec(items[idx], rank, ctx.vclock + s, ctx.vclock + e, m))
     ctx.vclock += elapsed
     steals = state[1]
     publish_region(ctx, timeline, steals, footprints=fps)
-    return SimResult(timeline, grabs=[], steals=steals)
+    return SimResult(timeline, steals=steals)

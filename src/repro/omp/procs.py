@@ -36,18 +36,21 @@ Architecture
     size, spawned once and reused across iterations, runs and expTools
     sweep points; spawning, teardown, the worker loop and the registry
     are shared with the MPI rank pool.  Per region the master writes the
-    chunk table and item indices into shared blocks and sends one small
-    dispatch message per worker — frames are **never** pickled.  The
-    master copies the claim state of :func:`repro.sched.claim.plan`
-    into a shared int64 ``ctrl`` array, and each worker claims its
-    chunks with :func:`repro.sched.claim.claim` — the rule the
-    simulator runs — under the pool lock, so contention is per
-    *chunk*, not per tile, and ``nonmonotonic:dynamic`` workers steal
-    iterations from the back of the most-loaded victim's block.
-    Each worker returns its telemetry — wall-clock execution records
-    and, when ``--check-races`` is on, each task's read/write
-    footprints — in the ``done`` reply the master already waits for;
-    the master decodes the replies (:func:`repro.telemetry.ring.drain_lane`)
+    item indices into a shared block and sends one small dispatch
+    message per worker — frames are **never** pickled.  The master
+    copies the claim state of :func:`repro.sched.claim.plan` into a
+    shared int64 ``ctrl`` array and sends the plan's few ints in the
+    message; each worker claims its chunks with
+    :func:`repro.sched.claim.claim` — the rule the simulator runs,
+    computing every chunk's bounds from those ints — under the pool
+    lock, so contention is per *chunk*, not per tile, and
+    ``nonmonotonic:dynamic`` workers steal iterations from the back of
+    the most-loaded victim's block.
+    Each worker returns its telemetry — wall-clock execution records,
+    the ranges it stole and, when ``--check-races`` is on, each task's
+    read/write footprints — in the ``done`` reply the master already
+    waits for; the master decodes the replies
+    (:func:`repro.telemetry.ring.drain_lane`)
     and re-publishes everything on the context's telemetry bus
     (monitoring, ``--trace``, the race analyzer, EASYVIEW).  Nothing is
     dropped: a task that ran is in the region's timeline.
@@ -327,13 +330,13 @@ def _worker_region(state: dict, lock, ctrl, rank: int, r: dict) -> dict:
         grid = ctx.grid
         items = [grid[int(i)] for i in idx]
 
-    table = _worker_view(state, r["chunk_block"], (r["nchunks"], 2), np.int64)
-    rule = r["rule"]._replace(table=table)
-
+    rule = r["rule"]
     reduce_values = [] if r["reduce"] else None
-    # telemetry travels back in the reply: (pos, start, end) per task and,
-    # when collected, (pos, Footprint) per task
+    # telemetry travels back in the reply: (pos, start, end) per task,
+    # (lo, hi) per stolen chunk and, when collected, (pos, Footprint)
+    # per task
     execs: list[tuple[int, float, float]] = []
+    stolen: list[tuple[int, int]] = []
     footprints: list | None = [] if r["footprints"] else None
     perf = time.perf_counter
     while True:
@@ -341,7 +344,10 @@ def _worker_region(state: dict, lock, ctrl, rank: int, r: dict) -> dict:
             got = claim(rule, ctrl, rank)
         if got is None:
             break
-        for pos in range(got[0], got[1]):
+        lo, hi, was_stolen = got
+        if was_stolen:
+            stolen.append((int(lo), int(hi)))
+        for pos in range(lo, hi):
             item = items[pos]
             if footprints is not None:
                 with access.collect() as col:
@@ -358,7 +364,7 @@ def _worker_region(state: dict, lock, ctrl, rank: int, r: dict) -> dict:
                 reduce_values.append((pos, ret[1]))
     return {
         "values": reduce_values, "sets": data.sets,
-        "execs": execs, "footprints": footprints,
+        "execs": execs, "stolen": stolen, "footprints": footprints,
     }
 
 
@@ -419,7 +425,6 @@ class ProcPool(WorkerPool):
         words = state_words(nworkers)
         ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, words * 8)
         self.ctrl = np.ndarray((words,), dtype=np.int64, buffer=ctrl_shm.buf)
-        self._chunks = _GrowBlock(self.prefix, "chunks_", np.int64)
         self._items = _GrowBlock(self.prefix, "items_", np.int64)
         self.session: int | None = None
         self._spawn(_procs_worker, [ctrl_shm.name], self.lock, nworkers)
@@ -513,11 +518,6 @@ class ProcPool(WorkerPool):
             }
 
         rule, state = plan(policy, n, self.nworkers)
-        table = rule.table
-        chunk_arr = self._chunks.ensure((max(len(table), 1), 2))
-        if table:
-            chunk_arr[: len(table)] = table
-
         items_pickled = None
         items_block = None
         from repro.core.tiling import Tile
@@ -547,10 +547,8 @@ class ProcPool(WorkerPool):
             "n": n,
             "items_block": items_block,
             "items_pickled": items_pickled,
-            "chunk_block": self._chunks.name,
-            "nchunks": len(table),
             "footprints": want_fp,
-            "rule": rule._replace(table=()),
+            "rule": rule,
             "reduce": reduce,
         }
         t0 = time.perf_counter()
@@ -608,4 +606,4 @@ def procs_parallel_for(ctx, body, items, policy, meta, values=None) -> SimResult
         values[:] = extra["values"]
     ctx.vclock += elapsed
     publish_region(ctx, timeline, extra["steals"], extra["footprints"])
-    return SimResult(timeline, grabs=[], steals=extra["steals"])
+    return SimResult(timeline, steals=extra["steals"])

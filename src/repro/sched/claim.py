@@ -8,27 +8,28 @@ flat int *state*, the layout of the procs pool's shared ``ctrl`` array::
 
     [queue cursor, steal count, head0, tail0, head1, tail1, ...]
 
-:func:`plan` builds that state and a chunk table for a policy:
+and a :class:`Plan` of a few ints; every chunk's bounds are arithmetic
+on the two.  :func:`plan` builds both for a policy:
 
-* **static** gives each CPU a ``[head, tail)`` range of table ids from
-  :meth:`~repro.sched.policies.StaticSchedule.assignment`; the cursor
-  starts past the table, so the queue is empty;
-* **dynamic, guided** put :meth:`chunk_queue` in the table and leave
-  the CPU ranges empty: every CPU takes the entry under the cursor;
-* **nonmonotonic:dynamic** gives each CPU a ``[lo, hi)`` block of
-  iterations from :meth:`initial_blocks` and needs no table.
+* **dynamic, guided** start the cursor at iteration 0 and leave the CPU
+  ranges empty: every CPU takes the ``k`` iterations under the cursor —
+  guided ``max(ceil((n - cursor) / (2 * ncpus)), k)`` — clipped to ``n``;
+* **static, nonmonotonic:dynamic** park the cursor at ``n`` and give
+  each CPU a ``[head, tail)`` range of iterations: plain ``static`` and
+  the stealing family the ``divmod`` block, ``static,k`` the range from
+  ``cpu * k`` to ``n``, stepping by ``ncpus * k``.
 
-A CPU takes, in order: the queue head; the front of its own range (one
-table id, or ``k`` iterations of its block); else — stealing family
-only — ``k`` iterations (``steal_half``: ``max(remaining // 2, k)``)
-from the *back* of the block of the victim with the most remaining
-iterations, lowest index on ties, and the steal count goes up by one.
-``None`` means nothing is left for that CPU.
+A CPU takes, in order: ``k`` iterations under the cursor; ``k``
+iterations from the front of its own range (plain ``static``: all of
+it); else — stealing family only — ``k`` iterations (``steal_half``:
+``max(remaining // 2, k)``) from the *back* of the block of the victim
+with the most remaining iterations, lowest index on ties, and the steal
+count goes up by one.  ``None`` means nothing is left for that CPU.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from repro.errors import ScheduleError
 from repro.sched.policies import (
@@ -45,12 +46,17 @@ __all__ = ["Plan", "plan", "claim", "state_words"]
 class Plan(NamedTuple):
     """What :func:`claim` reads besides the state."""
 
-    #: ``(lo, hi)`` rows: the queue (dynamic, guided) or the per-CPU
-    #: chunks the static ranges index; empty for the stealing family
-    table: Sequence
-    #: the stealing family's chunk; 0 when the CPU ranges hold table ids
-    #: and nobody steals
-    k: int = 0
+    #: the loop's iteration count: where the cursor stops
+    n: int
+    #: iterations per claim (guided: the least chunk)
+    k: int
+    #: ``static,k``: distance between one CPU's chunks; 0 when a CPU's
+    #: range is contiguous
+    stride: int = 0
+    #: guided: ``2 * ncpus``, the divisor of the remaining iterations
+    guided: int = 0
+    #: the stealing family: an idle CPU robs the most-loaded block
+    steal: bool = False
     steal_half: bool = False
 
 
@@ -59,46 +65,56 @@ def state_words(ncpus: int) -> int:
     return 2 + 2 * ncpus
 
 
+def _blocks(state: list[int], n: int, ncpus: int) -> None:
+    """Give each CPU its ``divmod`` block: the first ``n % ncpus`` get
+    one iteration more (LLVM/GCC static)."""
+    base, extra = divmod(n, ncpus)
+    lo = 0
+    for cpu in range(ncpus):
+        hi = lo + base + (cpu < extra)
+        state[2 + 2 * cpu : 4 + 2 * cpu] = lo, hi
+        lo = hi
+
+
 def plan(policy: SchedulePolicy, n: int, ncpus: int) -> tuple[Plan, list[int]]:
     """The plan and initial state of ``policy`` over ``n`` iterations."""
+    if ncpus < 1:
+        raise ScheduleError(f"need at least one cpu, got {ncpus}")
     state = [0] * state_words(ncpus)
-    if isinstance(policy, StaticSchedule):
-        table: list[tuple[int, int]] = []
-        for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
-            state[2 + 2 * cpu] = len(table)
-            table += [(c.lo, c.hi) for c in chunks]
-            state[3 + 2 * cpu] = len(table)
-        state[0] = len(table)
-        return Plan(table), state
-    if isinstance(policy, NonMonotonicDynamic):
-        for cpu, block in enumerate(policy.initial_blocks(n, ncpus)):
-            state[2 + 2 * cpu : 4 + 2 * cpu] = block.lo, block.hi
-        return Plan((), policy.chunk, policy.steal_half), state
     if isinstance(policy, (DynamicSchedule, GuidedSchedule)):
-        return Plan([(c.lo, c.hi) for c in policy.chunk_queue(n, ncpus)]), state
+        guided = 2 * ncpus if isinstance(policy, GuidedSchedule) else 0
+        return Plan(n, policy.chunk, guided=guided), state
+    state[0] = n
+    if isinstance(policy, StaticSchedule):
+        k = policy.chunk
+        if k is None:
+            _blocks(state, n, ncpus)
+            return Plan(n, n), state  # k = n: one claim takes the block
+        for cpu in range(ncpus):
+            state[2 + 2 * cpu : 4 + 2 * cpu] = cpu * k, n
+        return Plan(n, k, stride=ncpus * k), state
+    if isinstance(policy, NonMonotonicDynamic):
+        _blocks(state, n, ncpus)
+        return Plan(n, policy.chunk, steal=True, steal_half=policy.steal_half), state
     raise ScheduleError(f"unsupported policy {policy!r}")
 
 
 def claim(plan: Plan, state, cpu: int) -> tuple[int, int, bool] | None:
     """``cpu``'s next chunk ``(lo, hi, stolen)``, updating ``state``; the
     caller holds whatever lock guards ``state``."""
-    table = plan.table
-    q = state[0]
-    if q < len(table):
-        state[0] = q + 1
-        lo, hi = table[q]
+    lo, n, k = state[0], plan.n, plan.k
+    if lo < n:
+        if plan.guided:
+            k = max(-(-(n - lo) // plan.guided), k)
+        state[0] = hi = min(lo + k, n)
         return lo, hi, False
     w = 2 + 2 * cpu
     lo, hi = state[w], state[w + 1]
-    k = plan.k
     if lo < hi:
-        if not k:
-            state[w] = lo + 1
-            lo, hi = table[lo]
-            return lo, hi, False
-        state[w] = top = min(lo + k, hi)
+        top = min(lo + k, hi)
+        state[w] = lo + plan.stride if plan.stride else top
         return lo, top, False
-    if not k:
+    if not plan.steal:
         return None
     victim, remaining = -1, 0
     for v in range(2, len(state), 2):

@@ -24,6 +24,7 @@ import heapq
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SimulationError
+from repro.sched.claim import claim, plan
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sched.policies import SchedulePolicy, StaticSchedule
 from repro.sched.taskgraph import TaskGraph
@@ -149,11 +150,12 @@ def _schedule_policy(
     # lower indices.
     cpu_of = [0] * n
     chunk_head = [False] * n
-    for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
-        for chunk in chunks:
-            for idx in chunk.indices():
-                cpu_of[idx] = cpu
-            chunk_head[chunk.lo] = True
+    rule, state = plan(policy, n, ncpus)
+    for cpu in range(ncpus):
+        while (got := claim(rule, state, cpu)) is not None:
+            lo, hi, _ = got
+            cpu_of[lo:hi] = [cpu] * (hi - lo)
+            chunk_head[lo] = True
     free = [start_time] * ncpus
     finish = [0.0] * n
     out: list[tuple[int, float, float]] = []

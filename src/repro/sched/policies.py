@@ -6,15 +6,14 @@ EASYPAP (paper Fig. 4): ``static``, ``static,k``, ``dynamic,k``,
 in LLVM's runtime, as a static initial distribution corrected by work
 stealing).
 
-A policy only decides *which indices go together and to whom*; the
-one rule that hands its chunks to CPUs, simulated or real, lives in
-:mod:`repro.sched.claim`.
+A policy is plain data, its kind and chunk size; the one rule that
+turns it into chunks and hands them to CPUs, simulated or real, lives
+in :mod:`repro.sched.claim`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.errors import ScheduleError
 
@@ -29,31 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous range [lo, hi) of the collapsed iteration space."""
-
-    lo: int
-    hi: int
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def indices(self) -> range:
-        return range(self.lo, self.hi)
-
-
 class SchedulePolicy(ABC):
-    """Base class: a named chunking/assignment strategy."""
-
-    #: canonical OMP_SCHEDULE spelling, e.g. ``"dynamic,2"``
-    name: str = "?"
-
-    #: True when the assignment is fixed before execution (static family)
-    is_static: bool = False
-
-    #: True when idle threads steal from busy ones (nonmonotonic family)
-    uses_stealing: bool = False
+    """Base class: a schedule clause as plain data (kind and chunk)."""
 
     @abstractmethod
     def spec(self) -> str:
@@ -76,9 +52,6 @@ class StaticSchedule(SchedulePolicy):
     blocks of ``k`` iterations are dealt round-robin.
     """
 
-    name = "static"
-    is_static = True
-
     def __init__(self, chunk: int | None = None):
         _check_chunk(chunk)
         self.chunk = chunk
@@ -86,33 +59,9 @@ class StaticSchedule(SchedulePolicy):
     def spec(self) -> str:
         return "static" if self.chunk is None else f"static,{self.chunk}"
 
-    def assignment(self, n: int, ncpus: int) -> list[list[Chunk]]:
-        """Per-CPU ordered chunk lists for ``n`` iterations."""
-        if ncpus < 1:
-            raise ScheduleError(f"need at least one cpu, got {ncpus}")
-        per_cpu: list[list[Chunk]] = [[] for _ in range(ncpus)]
-        if n == 0:
-            return per_cpu
-        if self.chunk is None:
-            # LLVM/GCC static: first (n % p) threads get ceil(n/p), rest floor.
-            base, extra = divmod(n, ncpus)
-            lo = 0
-            for cpu in range(ncpus):
-                size = base + (1 if cpu < extra else 0)
-                if size:
-                    per_cpu[cpu].append(Chunk(lo, lo + size))
-                lo += size
-        else:
-            k = self.chunk
-            for i, lo in enumerate(range(0, n, k)):
-                per_cpu[i % ncpus].append(Chunk(lo, min(lo + k, n)))
-        return per_cpu
-
 
 class DynamicSchedule(SchedulePolicy):
     """``schedule(dynamic[,k])`` — a central FIFO of fixed-size chunks."""
-
-    name = "dynamic"
 
     def __init__(self, chunk: int = 1):
         _check_chunk(chunk)
@@ -120,12 +69,6 @@ class DynamicSchedule(SchedulePolicy):
 
     def spec(self) -> str:
         return f"dynamic,{self.chunk}" if self.chunk != 1 else "dynamic"
-
-    def chunk_queue(self, n: int, ncpus: int) -> list[Chunk]:
-        """The chunks handed out in grab order (``ncpus`` does not change
-        them; it is taken for signature parity with guided)."""
-        k = self.chunk
-        return [Chunk(lo, min(lo + k, n)) for lo in range(0, n, k)]
 
 
 class GuidedSchedule(SchedulePolicy):
@@ -137,28 +80,12 @@ class GuidedSchedule(SchedulePolicy):
     moderate, which is what makes guided competitive on irregular loops
     like mandel (paper Fig. 6)."""
 
-    name = "guided"
-
     def __init__(self, chunk: int = 1):
         _check_chunk(chunk)
         self.chunk = chunk
 
     def spec(self) -> str:
         return f"guided,{self.chunk}" if self.chunk != 1 else "guided"
-
-    def chunk_queue(self, n: int, ncpus: int) -> list[Chunk]:
-        """The (deterministic) sequence of chunks handed out in grab order."""
-        if ncpus < 1:
-            raise ScheduleError(f"need at least one cpu, got {ncpus}")
-        out: list[Chunk] = []
-        lo = 0
-        while lo < n:
-            remaining = n - lo
-            size = max(-(-remaining // (2 * ncpus)), self.chunk)
-            size = min(size, remaining)
-            out.append(Chunk(lo, lo + size))
-            lo += size
-        return out
 
 
 class NonMonotonicDynamic(SchedulePolicy):
@@ -171,9 +98,6 @@ class NonMonotonicDynamic(SchedulePolicy):
     remaining work.
     """
 
-    name = "nonmonotonic:dynamic"
-    uses_stealing = True
-
     def __init__(self, chunk: int = 1, steal_half: bool = False):
         _check_chunk(chunk)
         self.chunk = chunk
@@ -184,19 +108,6 @@ class NonMonotonicDynamic(SchedulePolicy):
     def spec(self) -> str:
         base = "nonmonotonic:dynamic"
         return f"{base},{self.chunk}" if self.chunk != 1 else base
-
-    def initial_blocks(self, n: int, ncpus: int) -> list[Chunk]:
-        """Per-CPU contiguous initial blocks (may be empty)."""
-        if ncpus < 1:
-            raise ScheduleError(f"need at least one cpu, got {ncpus}")
-        base, extra = divmod(n, ncpus)
-        blocks = []
-        lo = 0
-        for cpu in range(ncpus):
-            size = base + (1 if cpu < extra else 0)
-            blocks.append(Chunk(lo, lo + size))
-            lo += size
-        return blocks
 
 
 SCHEDULE_NAMES = ("static", "dynamic", "guided", "nonmonotonic:dynamic")

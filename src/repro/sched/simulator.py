@@ -7,16 +7,17 @@ CPUs would produce under every policy of the paper's Fig. 4, and
 :func:`_schedule`, which emits the chunk grabs
 ``(cpu, start, lo, hi, stolen, end)`` in hand-out order.  Which chunk a
 CPU gets is decided by :func:`repro.sched.claim.claim`, the claim rule
-the ``threads`` and ``procs`` backends run too; the simulator only
-decides *when* each CPU asks:
+the ``threads`` and ``procs`` backends run too, which computes its
+bounds from a few ints; the simulator only decides *when* each CPU
+asks:
 
-* **static** CPUs ask in CPU order, each until its assignment is spent;
+* **static** CPUs ask in CPU order, each until its own range is spent;
 * **dynamic, guided and nonmonotonic** run one loop in which the
   earliest-free CPU (lowest index on ties, as a barrier-released team
-  racing in rank order) asks next: for the head of the central chunk
-  queue, or — for ``nonmonotonic:dynamic`` — the front of its own block
-  or a steal from the back of a victim's.  A CPU that gets nothing
-  leaves the team.
+  racing in rank order) asks next: for the iterations under the shared
+  cursor, or — for ``nonmonotonic:dynamic`` — the front of its own
+  block or a steal from the back of a victim's.  A CPU that gets
+  nothing leaves the team.
 
 A chunk's end time is its start plus its item costs summed strictly
 left to right (:func:`_fold`), so the makespan is the largest grab end
@@ -41,7 +42,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sched.claim import claim, plan
-from repro.sched.policies import Chunk, SchedulePolicy, StaticSchedule
+from repro.sched.policies import SchedulePolicy, StaticSchedule
 from repro.sched.timeline import TaskExec, Timeline
 
 __all__ = ["simulate", "simulate_makespan", "SimResult", "ChunkGrab"]
@@ -56,12 +57,13 @@ class ChunkGrab:
 
     cpu: int
     time: float
-    chunk: Chunk
+    lo: int
+    hi: int
     stolen: bool = False
 
     @property
     def size(self) -> int:
-        return len(self.chunk)
+        return self.hi - self.lo
 
 
 class SimResult:
@@ -72,14 +74,9 @@ class SimResult:
     them the first time they are read.
     """
 
-    def __init__(
-        self,
-        timeline: Timeline | None,
-        grabs: list[ChunkGrab] | None = None,
-        steals: int = 0,
-    ):
+    def __init__(self, timeline: Timeline | None, steals: int = 0):
         self._timeline = timeline
-        self._grabs = grabs
+        self._grabs: list[ChunkGrab] | None = None
         self.steals = steals
         self._raw: list[Grab] | None = None
         self._source: tuple = ()
@@ -108,7 +105,7 @@ class SimResult:
     def grabs(self) -> list[ChunkGrab]:
         if self._grabs is None:
             self._grabs = [
-                ChunkGrab(cpu, t, Chunk(lo, hi), stolen)
+                ChunkGrab(cpu, t, lo, hi, stolen)
                 for cpu, t, lo, hi, stolen, _ in self._raw or ()
             ]
         return self._grabs

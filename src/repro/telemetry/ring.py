@@ -3,10 +3,12 @@
 A procs worker returns its telemetry in the ``done`` reply of a
 region: ``execs``, one ``(pos, start, end)`` triple per task it ran
 (``pos`` indexes the region's items, the times are the worker's
-``perf_counter``), and, when the run collects footprints,
-``footprints``, one ``(pos, Footprint)`` pair per task.  The pipe
-carries Python objects, so buffer names, 3D ``(z, d)`` extents and
-every region of every task arrive intact; nothing is dropped.
+``perf_counter``), ``stolen``, one ``(lo, hi)`` position range per
+chunk it stole (empty unless the schedule steals), and, when the run
+collects footprints, ``footprints``, one ``(pos, Footprint)`` pair per
+task.  The pipe carries Python objects, so buffer names, 3D ``(z, d)``
+extents and every region of every task arrive intact; nothing is
+dropped.
 
 The module and function keep their names from the shared-memory ring
 this decoding replaced: the perfbench span layer times
@@ -36,12 +38,16 @@ def drain_lane(
 
     Each executed task becomes a :class:`TaskExec` on ``timeline``,
     placed at ``clock`` plus its offset from the master's dispatch time
-    ``t0`` and carrying ``meta`` plus its ``index``; when ``footprints``
-    is a list, each task's footprint lands at its item position.
+    ``t0`` and carrying ``meta`` plus its ``index`` (and ``stolen`` when
+    it was, as the simulator marks it); when ``footprints`` is a list,
+    each task's footprint lands at its item position.
     """
+    stolen = {pos for lo, hi in reply["stolen"] for pos in range(lo, hi)}
     for pos, start, end in reply["execs"]:
         m = dict(meta)
         m["index"] = pos
+        if pos in stolen:
+            m["stolen"] = True
         timeline.append(
             TaskExec(items[pos], rank, clock + (start - t0), clock + (end - t0), m)
         )

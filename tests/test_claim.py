@@ -25,6 +25,7 @@ from repro.sched.policies import (
     StaticSchedule,
 )
 from tests.conftest import make_config
+from tests.sched_oracle import assignment, chunk_queue
 
 chunks = st.integers(min_value=1, max_value=8)
 policies = st.one_of(
@@ -66,10 +67,11 @@ def test_any_interleaving_partitions_the_loop(policy, n, ncpus, order):
     assert steals == sum(stolen for _, _, stolen in flat)
     if isinstance(policy, StaticSchedule):
         assert steals == 0
-        for cpu, chunks_ in enumerate(policy.assignment(n, ncpus)):
-            assert claims[cpu] == [(c.lo, c.hi, False) for c in chunks_]
+        for cpu, chunks_ in enumerate(assignment(policy, n, ncpus)):
+            assert claims[cpu] == [(lo, hi, False) for lo, hi in chunks_]
     elif not isinstance(policy, NonMonotonicDynamic):
         assert steals == 0
+        assert sorted(flat) == [(lo, hi, False) for lo, hi in chunk_queue(policy, n, ncpus)]
 
 
 def _slow_first_block(seen: list[int]):

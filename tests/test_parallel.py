@@ -128,17 +128,21 @@ class TestThreadsBackend:
 
     def test_static_assignment_is_honoured(self):
         # Structural replacement for "were multiple threads used": under
-        # static scheduling worker r executes exactly assignment[r], so
-        # the timeline's rank->indices map must equal the policy's —
-        # with 64 items on 4 ranks, all 4 workers provably participate.
+        # static scheduling worker r executes exactly the chunks the
+        # claim rule gives CPU r, so the timeline's rank->indices map
+        # must equal the model's — with 64 items on 4 ranks, all 4
+        # workers provably participate.
+        from repro.sched.claim import claim, plan
         from repro.sched.policies import StaticSchedule
 
         ctx = ctx_with(backend="threads", nthreads=4, schedule="static")
         res = ctx.parallel_for(lambda i: 1.0, list(range(64)))
-        expected = StaticSchedule().assignment(64, 4)
+        rule, state = plan(StaticSchedule(), 64, 4)
         for rank in range(4):
             got = sorted(e.meta["index"] for e in res.timeline if e.cpu == rank)
-            want = sorted(i for chunk in expected[rank] for i in chunk.indices())
+            want = []
+            while (chunk := claim(rule, state, rank)) is not None:
+                want += range(chunk[0], chunk[1])
             assert got == want, f"rank {rank} ran the wrong block"
         assert {e.cpu for e in res.timeline} == set(range(4))
 

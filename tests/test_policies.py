@@ -1,10 +1,12 @@
-"""Tests for the OpenMP schedule policies and their parser."""
+"""Tests for the OpenMP schedule policies, their parser and the chunks
+the claim rule computes for each (CPUs draining it in CPU order)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ScheduleError
+from repro.sched.claim import claim, plan
 from repro.sched.policies import (
     DynamicSchedule,
     GuidedSchedule,
@@ -50,76 +52,87 @@ class TestParse:
             assert parse_schedule(parse_schedule(s).spec()).spec() == parse_schedule(s).spec()
 
 
+def _claims(policy, n: int, ncpus: int) -> list[list[tuple[int, int]]]:
+    """Each CPU's chunks ``(lo, hi)``, the CPUs draining ``claim`` in CPU
+    order (dynamic, guided: CPU 0 takes the whole queue)."""
+    rule, state = plan(policy, n, ncpus)
+    out = []
+    for cpu in range(ncpus):
+        mine = []
+        while (got := claim(rule, state, cpu)) is not None:
+            mine.append(got[:2])
+        out.append(mine)
+    return out
+
+
+def _queue(policy, n: int, ncpus: int) -> list[tuple[int, int]]:
+    """The chunks in hand-out order."""
+    return [c for mine in _claims(policy, n, ncpus) for c in mine]
+
+
 class TestStatic:
     def test_plain_static_contiguous_blocks(self):
-        a = StaticSchedule().assignment(10, 3)
-        spans = [[(c.lo, c.hi) for c in chunks] for chunks in a]
+        spans = _claims(StaticSchedule(), 10, 3)
         assert spans == [[(0, 4)], [(4, 7)], [(7, 10)]]
 
     def test_plain_static_block_sizes_differ_by_at_most_one(self):
-        a = StaticSchedule().assignment(11, 4)
-        sizes = [sum(len(c) for c in chunks) for chunks in a]
+        a = _claims(StaticSchedule(), 11, 4)
+        sizes = [sum(hi - lo for lo, hi in chunks) for chunks in a]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 11
 
     def test_static_chunked_round_robin(self):
-        a = StaticSchedule(2).assignment(10, 2)
-        assert [(c.lo, c.hi) for c in a[0]] == [(0, 2), (4, 6), (8, 10)]
-        assert [(c.lo, c.hi) for c in a[1]] == [(2, 4), (6, 8)]
+        a = _claims(StaticSchedule(2), 10, 2)
+        assert a[0] == [(0, 2), (4, 6), (8, 10)]
+        assert a[1] == [(2, 4), (6, 8)]
 
     def test_empty_iteration_space(self):
-        a = StaticSchedule().assignment(0, 4)
+        a = _claims(StaticSchedule(), 0, 4)
         assert all(chunks == [] for chunks in a)
 
     def test_more_cpus_than_iterations(self):
-        a = StaticSchedule().assignment(2, 5)
-        sizes = [sum(len(c) for c in chunks) for chunks in a]
+        a = _claims(StaticSchedule(), 2, 5)
+        sizes = [sum(hi - lo for lo, hi in chunks) for chunks in a]
         assert sizes == [1, 1, 0, 0, 0]
 
     def test_bad_ncpus(self):
         with pytest.raises(ScheduleError):
-            StaticSchedule().assignment(4, 0)
+            plan(StaticSchedule(), 4, 0)
 
 
 class TestDynamic:
     def test_chunk_queue_covers_space(self):
-        q = DynamicSchedule(3).chunk_queue(10, 2)
-        assert [(c.lo, c.hi) for c in q] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        q = _queue(DynamicSchedule(3), 10, 2)
+        assert q == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
     def test_default_chunk_is_one(self):
-        q = DynamicSchedule().chunk_queue(4, 2)
-        assert all(len(c) == 1 for c in q)
+        q = _queue(DynamicSchedule(), 4, 2)
+        assert all(hi - lo == 1 for lo, hi in q)
 
 
 class TestGuided:
     def test_sizes_non_increasing(self):
-        q = GuidedSchedule(1).chunk_queue(100, 4)
-        sizes = [len(c) for c in q]
+        q = _queue(GuidedSchedule(1), 100, 4)
+        sizes = [hi - lo for lo, hi in q]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert sum(sizes) == 100
 
     def test_min_chunk_respected(self):
-        q = GuidedSchedule(5).chunk_queue(100, 4)
-        sizes = [len(c) for c in q]
+        q = _queue(GuidedSchedule(5), 100, 4)
+        sizes = [hi - lo for lo, hi in q]
         # every chunk except possibly the final one honors the minimum
         assert all(s >= 5 for s in sizes[:-1])
 
     def test_first_chunk_is_remaining_over_2p(self):
         # LLVM-style guided: ceil(remaining / (2 * ncpus))
-        q = GuidedSchedule(1).chunk_queue(100, 4)
-        assert len(q[0]) == 13
+        q = _queue(GuidedSchedule(1), 100, 4)
+        assert q[0][1] - q[0][0] == 13
 
 
 class TestNonMonotonic:
     def test_initial_blocks_are_contiguous_partition(self):
-        blocks = NonMonotonicDynamic(1).initial_blocks(10, 3)
-        assert [(b.lo, b.hi) for b in blocks] == [(0, 4), (4, 7), (7, 10)]
-
-    def test_flags(self):
-        p = NonMonotonicDynamic(2)
-        assert p.uses_stealing and not p.is_static
-        assert StaticSchedule().is_static
-        assert not DynamicSchedule().uses_stealing
+        _, state = plan(NonMonotonicDynamic(1), 10, 3)
+        assert list(zip(state[2::2], state[3::2])) == [(0, 4), (4, 7), (7, 10)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,8 +143,8 @@ class TestNonMonotonic:
 )
 def test_static_assignment_partitions(n, p, chunk):
     """Property: static assignments cover [0, n) exactly once."""
-    a = StaticSchedule(chunk).assignment(n, p)
-    seen = sorted(i for chunks in a for c in chunks for i in c.indices())
+    a = _claims(StaticSchedule(chunk), n, p)
+    seen = sorted(i for chunks in a for lo, hi in chunks for i in range(lo, hi))
     assert seen == list(range(n))
 
 
@@ -143,6 +156,6 @@ def test_static_assignment_partitions(n, p, chunk):
 )
 def test_guided_queue_partitions(n, p, chunk):
     """Property: guided chunk queues cover [0, n) exactly once, ordered."""
-    q = GuidedSchedule(chunk).chunk_queue(n, p)
-    seen = [i for c in q for i in c.indices()]
+    q = _queue(GuidedSchedule(chunk), n, p)
+    seen = [i for lo, hi in q for i in range(lo, hi)]
     assert seen == list(range(n))

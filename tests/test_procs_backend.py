@@ -3,7 +3,8 @@
 Bit-identical images across ``sim`` / ``threads`` / ``procs`` on
 generated configs are held by ``tests/test_contract.py``; this file
 keeps pinned procs cells: sim == procs per code path, pinned images,
-steal-half running every position once, wall-clock traces, a SIGKILL'd
+steal-half running every position once, wall-clock traces (stolen
+tasks marked, on ``threads`` too), a SIGKILL'd
 worker surfacing a clean :class:`ExecutionError` within a
 bounded time, and zero leaked ``/dev/shm`` segments after interrupted
 runs.
@@ -158,6 +159,21 @@ def test_procs_trace_is_wall_clock():
     # scale) time, not the virtual-cost scale the simulator would report
     it1 = [e for e in events if e.iteration == 1]
     assert max(e.end for e in it1) < 60.0
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_real_backends_mark_stolen_tasks(backend):
+    """A real team's trace marks each stolen task, as the simulator's
+    does: with chunk 1, one stolen event per steal.  The first half of
+    the tiles sleeps, so the team is sure to steal."""
+    load_kernel_module(str(FIXTURES / "skewtiles_kernel.py"))
+    res = run_backend(
+        backend, kernel="skewtiles", schedule="nonmonotonic:dynamic,1",
+        dim=32, tile_w=8, tile_h=8, iterations=1, trace=True,
+    )
+    stolen = [e for e in res.trace if e.extra.get("stolen")]
+    assert res.counters["steals"] > 0
+    assert len(stolen) == res.counters["steals"]
 
 
 def test_sim_trace_meta_untouched():
