@@ -16,6 +16,12 @@ from pathlib import Path
 OUT_DIR = Path(__file__).parent / "out"
 
 
+def repo_path(path: Path) -> str:
+    """``path`` relative to the repository root, for reports that must
+    read the same on every checkout."""
+    return Path(path).resolve().relative_to(OUT_DIR.resolve().parents[1]).as_posix()
+
+
 def report(name: str, text: str) -> Path:
     """Print a benchmark report and persist it under benchmarks/out/."""
     OUT_DIR.mkdir(parents=True, exist_ok=True)

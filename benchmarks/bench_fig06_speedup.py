@@ -20,7 +20,7 @@ the shape assertions then need actual cores to hold, so that mode is
 for hardware runs, not CI.
 """
 
-from _common import OUT_DIR, report
+from _common import OUT_DIR, report, repo_path
 from claims import DYNAMIC_FAMILY, fig06_speedup
 from repro.cli import config_from_args, parse_args
 from repro.core.engine import run
@@ -68,7 +68,7 @@ def test_fig06_speedup(benchmark, tmp_path, bench_backend):
                       ref_time_us=ref_us, kernel="mandel")
     svg_path = OUT_DIR / "fig06_speedup.svg"
     render_svg(spec).save(svg_path)
-    text = render_text(spec) + f"\n\nSVG figure: benchmarks/out/{svg_path.name}"
+    text = render_text(spec) + f"\n\nSVG figure: {repo_path(svg_path)}"
 
     # the legend names schedules only: provenance and measured counters
     # (steals varies under nonmonotonic:dynamic) never split a curve or

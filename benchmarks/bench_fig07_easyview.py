@@ -10,7 +10,7 @@ exercise the two mouse-query modes, and emit the SVG with hover
 tooltips.
 """
 
-from _common import OUT_DIR, report
+from _common import OUT_DIR, report, repo_path
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.trace.gantt import GanttChart
@@ -53,7 +53,7 @@ def test_fig07_easyview(benchmark):
         + (f"{bubble.duration * 1e6:.1f} us tile(x={bubble.x}, y={bubble.y})"
            if bubble else "(idle)")
         + f"\nthumbnail: {thumb.shape[0]}x{thumb.shape[1]} reduced surface\n"
-        + f"SVG Gantt (hover = duration bubble): {svg_path}\n\n"
+        + f"SVG Gantt (hover = duration bubble): {repo_path(svg_path)}\n\n"
         + chart.to_ascii(width=80)
     )
     report("fig07_easyview", text)

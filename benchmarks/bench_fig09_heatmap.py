@@ -6,7 +6,7 @@ Paper claims: with brightness proportional to task duration,
       tiles.
 """
 
-from _common import OUT_DIR, report
+from _common import OUT_DIR, report, repo_path
 from claims import border_inner_ratio, fig09_heatmap, heat_set_correlation
 from repro.core.config import RunConfig
 from repro.core.engine import run
@@ -44,7 +44,7 @@ def test_fig09_heatmap(benchmark):
         + render_heatmap(bheat)
         + f"\n    border/inner mean duration ratio = {ratio:.2f} "
         + "(work model: 8x vectorization on inner tiles)"
-        + f"\n\nPPM images: {OUT_DIR}/fig09a_mandel_heat.ppm, fig09b_blur_heat.ppm"
+        + f"\n\nPPM images: {repo_path(OUT_DIR)}/fig09a_mandel_heat.ppm, fig09b_blur_heat.ppm"
     )
     report("fig09_heatmap", text)
     fig09_heatmap(mandel, blur)

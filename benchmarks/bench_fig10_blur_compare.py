@@ -15,7 +15,7 @@ the benchmark additionally measures the *real* Python scalar-vs-
 vectorized gap that motivates those constants.
 """
 
-from _common import OUT_DIR, report
+from _common import OUT_DIR, report, repo_path
 from claims import fig10_blur_compare, fig10_locality, vectorization_gap
 from repro.core.config import RunConfig
 from repro.core.engine import run
@@ -54,7 +54,7 @@ def test_fig10_blur_compare(benchmark):
         + "\n\nlocality score (basic blur, lower = CPUs keep their tiles "
         + f"regrouped): nonmonotonic:dynamic {locality_score(nonmonotonic.trace):.2f} "
         + f"vs dynamic {locality_score(basic.trace):.2f}"
-        + f"\n\nstacked-Gantt SVG: {svg_path}"
+        + f"\n\nstacked-Gantt SVG: {repo_path(svg_path)}"
     )
     report("fig10_blur_compare", text)
     fig10_blur_compare(basic, opt, real_gap)

@@ -10,7 +10,7 @@ Paper claims:
 """
 
 
-from _common import OUT_DIR, fmt_table, report
+from _common import OUT_DIR, fmt_table, report, repo_path
 from claims import chained_makespan, fig12_taskwave, task_waves
 from repro.core.config import RunConfig
 from repro.core.engine import run
@@ -39,7 +39,7 @@ def test_fig12_taskwave(benchmark):
         + table
         + f"\n\nover-constrained version (student bug): 64 unit tasks on 8 "
         + f"CPUs -> makespan {serial:.0f} units (fully serialized)"
-        + f"\nGantt SVG of the wave: {svg}"
+        + f"\nGantt SVG of the wave: {repo_path(svg)}"
     )
     report("fig12_taskwave", text)
     fig12_taskwave(result, serial)

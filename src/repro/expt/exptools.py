@@ -58,14 +58,15 @@ so a killed sweep keeps every completed point, and:
 The execution backend is sweepable like any other dimension
 (``easypap_options["--backend "] = ["sim", "threads", "procs"]``; the
 CSV records it per row).  A ``procs`` point spawns its persistent
-worker pool once per sweep process and reuses it across every
-subsequent ``procs`` point of matching width, so the pool-spawn cost is
-paid once, not per point — leave ``reuse_work`` off for real backends,
+worker team once per sweep process and reuses it across every
+subsequent ``procs`` or MPI point of matching width, so the spawn cost
+is paid once, not per point — leave ``reuse_work`` off for real backends,
 whose wall-clock times must come from actual execution.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shlex
 import time
@@ -129,6 +130,10 @@ def _env_of(icvs: Mapping[str, Any]) -> dict[str, str]:
     return env
 
 
+#: the easypap parser, built once: parsing never changes it
+_parser = functools.cache(build_parser)
+
+
 def sweep_configs(
     icvs: Mapping[str, Sequence] | None = None,
     options: Mapping[str, Sequence] | None = None,
@@ -138,13 +143,12 @@ def sweep_configs(
     Malformed options raise :class:`ConfigError` (never ``SystemExit``:
     a typo in a sweep script must not kill the interpreter mid-sweep).
     """
-    parser = build_parser()
     configs = []
     for opt_combo in _combinations(options or {}):
-        argv = _argv_of(opt_combo)
+        # the argv depends on the options only: parse it once per combination
+        args = parse_args_strict(_argv_of(opt_combo), _parser())
         for icv_combo in _combinations(icvs or {}):
             env = _env_of(icv_combo)
-            args = parse_args_strict(argv, parser)
             configs.append((config_from_args(args, env=env), env))
     return configs
 

@@ -23,6 +23,8 @@ and procs produce bit-identical factors.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.domains import WaveTask
@@ -37,7 +39,7 @@ def lu_diag(a: np.ndarray) -> None:
     n = a.shape[0]
     for p in range(n - 1):
         a[p + 1 :, p] /= a[p, p]
-        a[p + 1 :, p + 1 :] -= np.outer(a[p + 1 :, p], a[p, p + 1 :])
+        a[p + 1 :, p + 1 :] -= a[p + 1 :, p, None] * a[p, p + 1 :]
 
 
 def trsm_row(lkk: np.ndarray, b: np.ndarray) -> None:
@@ -45,7 +47,7 @@ def trsm_row(lkk: np.ndarray, b: np.ndarray) -> None:
     substitution) — the row-panel update ``U_kj``."""
     n = lkk.shape[0]
     for p in range(n - 1):
-        b[p + 1 :, :] -= np.outer(lkk[p + 1 :, p], b[p, :])
+        b[p + 1 :, :] -= lkk[p + 1 :, p, None] * b[p, :]
 
 
 def trsm_col(ukk: np.ndarray, b: np.ndarray) -> None:
@@ -55,7 +57,7 @@ def trsm_col(ukk: np.ndarray, b: np.ndarray) -> None:
     for p in range(n):
         b[:, p] /= ukk[p, p]
         if p + 1 < n:
-            b[:, p + 1 :] -= np.outer(b[:, p], ukk[p, p + 1 :])
+            b[:, p + 1 :] -= b[:, p, None] * ukk[p, p + 1 :]
 
 
 def gemm_trail(aik: np.ndarray, akj: np.ndarray, aij: np.ndarray) -> None:
@@ -164,7 +166,13 @@ class LuWavefrontKernel(Kernel):
             return
         lower = np.tril(mat, -1) + np.eye(ctx.dim)
         upper = np.triu(mat)
-        residual = np.abs(lower @ upper - ctx.data["mat0"]).max()
+        # L @ U from products of at most 64x64: those stay on one BLAS
+        # thread, where a threaded 128x128 product stalls on small hosts
+        n, b = ctx.dim, 64
+        lu = np.zeros_like(mat)
+        for i, j, k in itertools.product(range(0, n, b), repeat=3):
+            lu[i : i + b, j : j + b] += lower[i : i + b, k : k + b] @ upper[k : k + b, j : j + b]
+        residual = np.abs(lu - ctx.data["mat0"]).max()
         scale = np.abs(ctx.data["mat0"]).max()
         if residual > 1e-8 * max(scale, 1.0):
             raise AssertionError(

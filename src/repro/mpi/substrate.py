@@ -1,13 +1,12 @@
-"""The process host for MPI worlds: ranks from a persistent worker pool.
+"""The process host for MPI worlds: one rank per worker of the team.
 
-Each rank is a process spawned once and reused across worlds — a
-:class:`~repro.util.workerpool.WorkerPool`, sharing spawn, teardown,
-the worker loop, the registry and the exit hook with the procs tile
-pool.  The ranks run the one :class:`~repro.mpi.comm.Comm` over lanes
-and a control block that live in two POSIX shared-memory blocks
-(laid out by :func:`~repro.mpi.comm.world_arrays`), so CPU-bound ranks
-genuinely run in parallel; everything else — framing, the deadlock
-analysis, windows, the abort word — is the communicator's.
+Ranks are the workers of :mod:`repro.util.workerpool`'s team for the
+world size — the processes procs regions of that width run on — spawned
+once and reused across worlds.  They run the one
+:class:`~repro.mpi.comm.Comm` over lanes and a control block in two
+POSIX shared-memory blocks (laid out by
+:func:`~repro.mpi.comm.world_arrays`), so CPU-bound ranks genuinely run
+in parallel; everything else is the communicator's.
 
 Failure is loud and bounded, pyuvsim-style: a rank raising (or dying
 outright — SIGKILL included) flips the abort word; every blocked peer
@@ -33,7 +32,7 @@ from repro.mpi.comm import (
     world_failure,
     world_nbytes,
 )
-from repro.util.workerpool import WorkerPool, alloc_block, live_blocks
+from repro.util.workerpool import WorkerPool, alloc_block, live_blocks, shutdown_teams
 
 __all__ = [
     "MpiPool",
@@ -49,7 +48,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _rank_worker(rank: int, bufs: list, size: int):
+def _rank_worker(rank: int, size: int, lock, bufs: list):
     """The request handler of one rank process: each request is one
     world, ``(fn, recv_timeout, window_prefix)``."""
     arrays = world_arrays(size, *bufs)
@@ -70,9 +69,7 @@ def _rank_worker(rank: int, bufs: list, size: int):
 
 
 class MpiPool(WorkerPool):
-    """A persistent world of rank processes for one size."""
-
-    label = "mpi"
+    """The MPI service on the worker team: one rank per worker."""
 
     def __init__(self, size: int):
         if size < 1:
@@ -83,7 +80,7 @@ class MpiPool(WorkerPool):
         ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, ctrl_n)
         lane_shm = alloc_block(self.prefix + "lanes_", 0, lane_n)
         self.ctrl, self.lane_hdr, _ = world_arrays(size, ctrl_shm.buf, lane_shm.buf)
-        self._spawn(_rank_worker, [ctrl_shm.name, lane_shm.name], size)
+        self._serve(_rank_worker, [ctrl_shm.name, lane_shm.name])
 
     # -- running a world ------------------------------------------------------
     def run(
@@ -95,7 +92,7 @@ class MpiPool(WorkerPool):
         """Dispatch ``fn(comm, rank)`` to every rank; collect in order.
 
         Liveness is supervised: a rank that dies flips the abort word so
-        its peers unwind promptly, then the pool is torn down and a
+        its peers unwind promptly, then the team is torn down and a
         clean :class:`ExecutionError` raised — bounded, never the recv
         backstop.
         """
@@ -109,46 +106,27 @@ class MpiPool(WorkerPool):
         try:
             # window names carry the epoch _dispatch is about to assign
             epoch = self._dispatch(
-                "world", (fn, timeout, f"{self.prefix}e{self.epoch + 1}_")
+                "world", (fn, timeout, f"{self.prefix}e{self.team.epoch + 1}_")
             )
         except (OSError, ValueError, BrokenPipeError) as exc:
             raise self._fail(f"MPI rank pool died at dispatch: {exc}") from None
-        pending = set(range(self.size))
         results: list[Any] = [None] * self.size
         errors: list[tuple[int, str]] = []
         aborted: list[int] = []
-        grace_deadline: float | None = None
         dead_ranks: list[int] = []
-        while pending:
-            for rank in sorted(pending):
-                conn = self.conns[rank]
-                try:
-                    if not conn.poll(0.005):
-                        continue
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    continue  # liveness check below handles the dead pipe
-                kind, r, ep = msg[0], msg[1], msg[2]
-                if ep != epoch:
-                    continue
-                pending.discard(r)
-                if kind == "result":
-                    results[r] = msg[3]
-                elif kind == "aborted":
-                    aborted.append(r)
-                else:  # "error"
-                    errors.append((r, msg[3]))
-            if not pending:
-                break
-            for rank in list(pending):
-                if not self.procs[rank].is_alive():
-                    if rank not in dead_ranks:
-                        dead_ranks.append(rank)
-                        abort_world(self.ctrl, rank)
-                    pending.discard(rank)
-            if dead_ranks and grace_deadline is None:
-                grace_deadline = time.monotonic() + 10.0
-            if grace_deadline is not None and time.monotonic() > grace_deadline:
+        grace_deadline: float | None = None
+        for rank, kind, value in self._replies(epoch, 0.005):
+            if kind == "result":
+                results[rank] = value
+            elif kind == "aborted":
+                aborted.append(rank)
+            elif kind == "error":
+                errors.append((rank, value))
+            elif kind == "dead":
+                dead_ranks.append(rank)
+                abort_world(self.ctrl, rank)  # its peers unwind promptly
+                grace_deadline = grace_deadline or time.monotonic() + 10.0
+            elif grace_deadline is not None and time.monotonic() > grace_deadline:
                 raise self._fail(
                     f"MPI rank(s) {dead_ranks} died; peers did not unwind "
                     "within the abort grace period"
@@ -165,11 +143,11 @@ class MpiPool(WorkerPool):
         return results
 
 
-#: the persistent rank pool for a world size (respawned if broken)
+#: the MPI service on the team of a world size (respawned if broken)
 get_mpi_pool = MpiPool.get
 
-#: stop every rank pool and unlink their shared blocks
-shutdown_mpi_pools = MpiPool.shutdown_all
+#: stop every worker team (procs regions run there too) and unlink its blocks
+shutdown_mpi_pools = shutdown_teams
 
 
 def live_mpi_blocks() -> list[str]:

@@ -32,12 +32,11 @@ Architecture
     method_name)`` against their own kernel registry and context.
 
 ``ProcPool``
-    A :class:`~repro.util.workerpool.WorkerPool`: one pool per team
-    size, spawned once and reused across iterations, runs and expTools
-    sweep points; spawning, teardown, the worker loop and the registry
-    are shared with the MPI rank pool.  Per region the master writes the
-    item indices into a shared block and sends one small dispatch
-    message per worker — frames are **never** pickled.  The master
+    The procs service on :mod:`repro.util.workerpool`'s team of its
+    size (MPI ranks of that size run on the same workers), spawned
+    once and reused across runs and sweep points.  Per region the
+    master writes the item indices into a shared block and sends one
+    small dispatch message per worker — frames are **never** pickled.  The master
     copies the claim state of :func:`repro.sched.claim.plan` into a
     shared int64 ``ctrl`` array and sends the plan's few ints in the
     message; each worker claims its chunks with
@@ -57,7 +56,7 @@ Architecture
 
 Worker death (e.g. SIGKILL) is detected by liveness polling during
 collection and surfaces as a clean :class:`ExecutionError` after a
-bounded join; the pool is rebuilt on next use.  A worker exception —
+bounded join; the team is rebuilt on next use.  A worker exception —
 including a request the worker cannot unpickle — comes back as an
 error reply and leaves the worker serving.
 """
@@ -86,6 +85,7 @@ from repro.util.workerpool import (
     attach_block,
     defuse,
     live_blocks,
+    shutdown_teams,
     unlink_block,
 )
 
@@ -143,12 +143,6 @@ class SharedArena:
         self.released = True
         for name in self._names:
             unlink_block(name)
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 def live_arena_blocks() -> list[str]:
@@ -368,7 +362,7 @@ def _worker_region(state: dict, lock, ctrl, rank: int, r: dict) -> dict:
     }
 
 
-def _procs_worker(rank: int, bufs: list, lock, nworkers: int):
+def _procs_worker(rank: int, nworkers: int, lock, bufs: list):
     """The request handler of one pool worker: ``setup`` (re)builds the
     shadow context, ``region`` runs this worker's share of a loop."""
     state: dict[str, Any] = {"shms": {}}
@@ -414,61 +408,36 @@ class _GrowBlock:
 
 
 class ProcPool(WorkerPool):
-    """A persistent team of worker processes (one per virtual CPU)."""
-
-    label = "procs"
+    """The procs service on the worker team (one worker per virtual CPU)."""
 
     def __init__(self, nworkers: int):
         super().__init__("ezpap_pool_", nworkers)
-        self.lock = self._mp.Lock()
         # the shared claim state: queue cursor, steal count, [head, tail)s
         words = state_words(nworkers)
         ctrl_shm = alloc_block(self.prefix + "ctrl_", 0, words * 8)
         self.ctrl = np.ndarray((words,), dtype=np.int64, buffer=ctrl_shm.buf)
         self._items = _GrowBlock(self.prefix, "items_", np.int64)
         self.session: int | None = None
-        self._spawn(_procs_worker, [ctrl_shm.name], self.lock, nworkers)
+        self._serve(_procs_worker, [ctrl_shm.name])
 
-    def _collect(self, want: str, epoch: int, timeout: float | None) -> list:
-        """One reply of kind ``want``/``epoch`` per worker, with liveness
-        checks and an optional bounded wait; raises ExecutionError on
-        dead workers, worker exceptions, or timeout."""
-        pending = set(range(self.nworkers))
+    def _collect(self, epoch: int, timeout: float | None) -> list:
+        """One reply to ``epoch`` per worker; raises ExecutionError on dead
+        workers, worker exceptions or an expired ``timeout``."""
         replies: list = [None] * self.nworkers
         errors: list[str] = []
         deadline = time.monotonic() + timeout if timeout else None
-        while pending:
-            progressed = False
-            for rank in sorted(pending):
-                conn = self.conns[rank]
-                try:
-                    if not conn.poll(0.02):
-                        continue
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    raise self._fail(
-                        f"procs worker {rank} died mid-region (connection lost); "
-                        "pool will be respawned on next use"
-                    ) from None
-                progressed = True
-                if msg[0] == "error" and msg[2] == epoch:
-                    errors.append(f"worker {rank}: {msg[3]}")
-                    pending.discard(rank)
-                elif msg[0] == want and msg[2] == epoch:
-                    replies[rank] = msg[3]
-                    pending.discard(rank)
-                # anything else: stale reply from an abandoned epoch — drop
-            if not progressed:
-                for rank in sorted(pending):
-                    if not self.procs[rank].is_alive():
-                        raise self._fail(
-                            f"procs worker {rank} died mid-region (killed?); "
-                            "pool will be respawned on next use"
-                        )
-                if deadline is not None and time.monotonic() > deadline:
-                    raise self._fail(
-                        f"procs workers did not answer within {timeout:.0f}s"
-                    )
+        for rank, kind, value in self._replies(epoch, 0.02):
+            if kind == "dead":
+                raise self._fail(
+                    f"procs worker {rank} died mid-region (killed?); "
+                    "the worker team will be respawned on next use"
+                )
+            if kind == "error":
+                errors.append(f"worker {rank}: {value}")
+            elif kind != "tick":
+                replies[rank] = value
+            elif deadline is not None and time.monotonic() > deadline:
+                raise self._fail(f"procs workers did not answer within {timeout:.0f}s")
         if errors:
             raise ExecutionError(
                 "procs region failed in worker(s):\n" + "\n".join(errors)
@@ -488,7 +457,7 @@ class ProcPool(WorkerPool):
             "dim_y": ctx.dim_y,
             "kernel_files": loaded_kernel_files(),
         }
-        self._collect("ready", self._dispatch("setup", setup), SETUP_TIMEOUT)
+        self._collect(self._dispatch("setup", setup), SETUP_TIMEOUT)
         self.session = ctx.procs_session
 
     def run_region(
@@ -552,7 +521,7 @@ class ProcPool(WorkerPool):
             "reduce": reduce,
         }
         t0 = time.perf_counter()
-        replies = self._collect("done", self._dispatch("region", msg), None)
+        replies = self._collect(self._dispatch("region", msg), None)
         elapsed = time.perf_counter() - t0
 
         total = sum(len(r["execs"]) for r in replies)
@@ -578,11 +547,11 @@ class ProcPool(WorkerPool):
         }
 
 
-#: the persistent pool for a team size (respawned if broken)
+#: the procs service on the team of a size (respawned if broken)
 get_pool = ProcPool.get
 
-#: stop every procs pool and unlink their shared blocks (tests, exit)
-shutdown_pools = ProcPool.shutdown_all
+#: stop every worker team (MPI ranks run there too) and unlink its blocks
+shutdown_pools = shutdown_teams
 
 
 # --------------------------------------------------------------------------

@@ -1,34 +1,35 @@
-"""One persistent worker-process pool for the real-parallel backends.
+"""One persistent team of worker processes per size, shared by the
+real-parallel backends.
 
 The ``procs`` tile pool (:mod:`repro.omp.procs`) and the MPI rank pool
-(:mod:`repro.mpi.substrate`) dispatch different work, but their
-processes live and die the same way, so that lifecycle lives here once:
+(:mod:`repro.mpi.substrate`) are two *services* on the same workers, so
+a session that runs procs regions and MPI worlds of one size keeps one
+team.  A service (a :class:`WorkerPool`) owns its shared blocks, made on
+its first ``get``, its worker handler and its master's collect loop.
+The team owns the processes, their pipes, the request epoch and the
+procs claim lock, made before the fork because workers can only
+inherit it.  The rest lives here once:
 
-* **Shared-memory blocks.**  Every master-side block is named,
-  registered in one table and unlinked explicitly — by its owner, by
-  pool shutdown, or by the single ``multiprocessing.util.Finalize``
-  exit hook, which (unlike ``atexit``) also fires inside sweep worker
-  processes, so an interrupted run never leaks ``/dev/shm`` segments.
-* **Spawning.**  Daemon workers over pipes, forked straight from the
-  master while it runs a single thread (no fresh interpreter, no
-  re-import); with any other thread alive, fork is unsafe, so they
-  come from a forkserver that preloads the framework once (spawn is
-  the last resort), without re-importing the caller's ``__main__``.
-  A forked child forgets the master's pools and blocks and closes its
-  copies of the master's pipe ends, so a master killed outright still
-  reaches every worker as EOF.
-* **The worker loop.**  A worker answers ``(tag, epoch, payload)``
-  requests with ``(kind, rank, epoch, value)`` replies until it is told
-  to shut down.  The payload is unpickled inside the error handler: a
-  request the worker cannot decode (say, a function whose module only
-  the master has) becomes an ``"error"`` reply, never a dead worker.
-* **Teardown and the registry.**  ``shutdown`` is a bounded
-  join → terminate → kill that also unlinks the pool's blocks; one
-  registry keyed by ``(pool class, size)`` hands out live pools and
-  respawns broken ones.
-
-Subclasses keep only what differs: their shared blocks, the worker
-handler, and the master's collect loop.
+* **Shared-memory blocks** are named, registered in one table and
+  unlinked explicitly — by their owner, by team shutdown, or by the
+  one ``multiprocessing.util.Finalize`` exit hook, which (unlike
+  ``atexit``) also fires inside sweep worker processes.
+* **Spawning.**  Daemon workers over pipes, forked straight from a
+  single-threaded master (no re-import), else from a forkserver that
+  preloads the framework once (spawn is the last resort), never
+  re-importing the caller's ``__main__``.  A forked child forgets the
+  master's teams and blocks and closes its copies of the master's pipe
+  ends, so a master killed outright still reaches every worker as EOF.
+* **The worker loop** answers ``(tag, epoch, payload, service)``
+  requests with ``(kind, rank, epoch, value)`` replies.  On a service's
+  first request a worker maps the blocks it names and builds its
+  handler, so MPI code and blocks load only in a session that uses MPI.
+  A payload the worker cannot decode becomes an ``"error"`` reply,
+  never a dead worker.
+* **Teardown.**  A bounded join → terminate → kill that also unlinks
+  every service's blocks.  A dead worker, or a failure in either
+  service, tears the whole team down; the next ``get`` of either
+  service respawns it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "attach_block",
     "defuse",
     "live_blocks",
+    "shutdown_teams",
     "unlink_block",
 ]
 
@@ -82,7 +84,7 @@ def _ensure_exit_finalizer() -> None:
 
 
 def _cleanup_at_exit() -> None:  # pragma: no cover - exercised via subprocess
-    WorkerPool.shutdown_all()
+    shutdown_teams()
     for name in list(_LIVE_BLOCKS):
         unlink_block(name)
 
@@ -206,21 +208,21 @@ def _mp_context():
 # --------------------------------------------------------------------------
 
 
-def _worker_main(rank: int, conn, block_names: list[str], make_handler, args) -> None:
-    """Pool worker: map the pool's blocks, then serve until shutdown.
+def _worker_main(rank: int, conn, nworkers: int, lock) -> None:
+    """Team worker: serve every service's requests until shutdown.
 
-    ``make_handler(rank, bufs, *args)`` builds the pool-specific
-    ``handle(tag, payload) -> (kind, value)``.  An exception raised while
-    unpickling a payload or handling it is sent back as an ``"error"``
-    reply, and the worker keeps serving.
-    """
+    A service's ``make_handler(rank, nworkers, lock, bufs)`` builds its
+    ``handle(tag, payload) -> (kind, value)`` on the service's first
+    request, over the blocks the request names.  An exception raised
+    while unpickling a payload or handling it becomes an ``"error"``
+    reply, and the worker keeps serving."""
     # a forked worker starts with a copy of the master's heap, none of it
     # garbage here: the collector skips it, so it neither walks those
     # objects nor copies their pages
     gc.freeze()
-    shms = [attach_block(name) for name in block_names]
+    handlers: dict[str, Callable] = {}
+    shms: list[shared_memory.SharedMemory] = []
     try:
-        handle = make_handler(rank, [shm.buf for shm in shms], *args)
         while True:
             try:
                 msg = conn.recv()
@@ -228,9 +230,13 @@ def _worker_main(rank: int, conn, block_names: list[str], make_handler, args) ->
                 return
             if msg[0] == "shutdown":
                 return
-            tag, epoch, blob = msg
+            tag, epoch, blob, (key, make_handler, block_names) = msg
             try:
-                kind, value = handle(tag, pickle.loads(blob))
+                if key not in handlers:
+                    mine = [attach_block(name) for name in block_names]
+                    shms += mine
+                    handlers[key] = make_handler(rank, nworkers, lock, [m.buf for m in mine])
+                kind, value = handlers[key](tag, pickle.loads(blob))
             except Exception as exc:  # surface, do not die
                 kind = "error"
                 value = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
@@ -247,15 +253,15 @@ def _worker_main(rank: int, conn, block_names: list[str], make_handler, args) ->
 # Master side
 # --------------------------------------------------------------------------
 
-#: the live pools: (pool class, size) -> pool
-_POOLS: dict[tuple[type, int], "WorkerPool"] = {}
+#: the live teams: size -> team
+_TEAMS: dict[int, "_Team"] = {}
 
-#: the master-side pipe end of every worker, whichever pool owns it
+#: the master-side pipe end of every worker, whichever team owns it
 _MASTER_CONNS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def _forget_master_state() -> None:
-    """Run in every forked child: drop the copies of the master's pools,
+    """Run in every forked child: drop the copies of the master's teams,
     blocks and exit hook.  Closing the pipe ends lets a dead master's
     workers see EOF; the blocks are defused, never unlinked (they are
     still the master's); a fresh exit hook is registered on first use
@@ -267,7 +273,7 @@ def _forget_master_state() -> None:
         except OSError:  # pragma: no cover
             pass
     _MASTER_CONNS.clear()
-    _POOLS.clear()
+    _TEAMS.clear()
     for shm in _LIVE_BLOCKS.values():
         defuse(shm)
     _LIVE_BLOCKS.clear()
@@ -278,75 +284,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_master_state)
 
 
-class WorkerPool:
-    """A persistent team of worker processes and the blocks they map.
+class _Team:
+    """The worker processes of one size, their pipes, the request epoch
+    and the procs claim lock; every service of that size uses them."""
 
-    A subclass ``__init__`` calls ``super().__init__``, allocates its
-    blocks under ``self.prefix`` and ends with :meth:`_spawn`.
-    """
-
-    #: process names are ``easypap-{label}-{rank}``
-    label = "worker"
-
-    def __init__(self, stem: str, nworkers: int):
+    def __init__(self, nworkers: int):
         self.nworkers = nworkers
-        #: every block of this pool is named ``{prefix}...``
-        self.prefix = f"{stem}{os.getpid()}_{os.urandom(3).hex()}_"
         self._mp = _mp_context()
+        self.lock = self._mp.Lock()  # before the fork: workers inherit it
         self.epoch = 0
         self.broken = False
         self.conns: list = []
         self.procs: list = []
-
-    def _spawn(self, make_handler: Callable, block_names: list[str], *args) -> None:
-        """Start one daemon worker per rank, each serving
-        ``make_handler(rank, bufs, *args)`` over its own pipe."""
+        self.services: dict[type, WorkerPool] = {}  # class -> service
         with _no_main_reimport():
-            for rank in range(self.nworkers):
+            for rank in range(nworkers):
                 parent, child = self._mp.Pipe()
                 _MASTER_CONNS.add(parent)  # a forked worker closes its copy
                 p = self._mp.Process(
                     target=_worker_main,
-                    args=(rank, child, block_names, make_handler, args),
+                    args=(rank, child, nworkers, self.lock),
                     daemon=True,
-                    name=f"easypap-{self.label}-{rank}",
+                    name=f"easypap-worker-{rank}",
                 )
                 p.start()
                 child.close()
                 self.conns.append(parent)
                 self.procs.append(p)
 
-    # -- registry -------------------------------------------------------------
-    @classmethod
-    def get(cls, nworkers: int) -> "WorkerPool":
-        """The persistent pool of this class and size (respawned if broken)."""
-        _ensure_exit_finalizer()
-        pool = _POOLS.get((cls, nworkers))
-        if pool is not None and not pool.healthy():
-            pool.shutdown()
-            pool = None
-        if pool is None:
-            pool = cls(nworkers)
-            _POOLS[(cls, nworkers)] = pool
-        return pool
-
-    @classmethod
-    def shutdown_all(cls) -> None:
-        """Stop every pool of this class (all of them, on ``WorkerPool``)."""
-        for key in [k for k in _POOLS if issubclass(k[0], cls)]:
-            _POOLS.pop(key).shutdown()
-
-    # -- liveness / lifecycle -------------------------------------------------
     def healthy(self) -> bool:
         return not self.broken and all(p.is_alive() for p in self.procs)
 
-    def worker_pids(self) -> list[int]:
-        return [p.pid for p in self.procs]
-
     def shutdown(self) -> None:
-        """Stop workers (bounded join, then terminate/kill) and unlink
-        every pool-scoped shared block."""
+        """Stop the workers (bounded join, then terminate/kill), unlink
+        every service's blocks and leave the registry."""
         self.broken = True
+        if _TEAMS.get(self.nworkers) is self:
+            del _TEAMS[self.nworkers]
         for conn in self.conns:
             try:
                 conn.send(("shutdown",))
@@ -368,35 +342,102 @@ class WorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-        for name in [n for n in _LIVE_BLOCKS if n.startswith(self.prefix)]:
+        prefixes = tuple(s.prefix for s in self.services.values())
+        for name in [n for n in _LIVE_BLOCKS if n.startswith(prefixes)]:
             unlink_block(name)
 
+
+def shutdown_teams() -> None:
+    """Stop every team and unlink every service's blocks."""
+    for team in list(_TEAMS.values()):
+        team.shutdown()
+
+
+class WorkerPool:
+    """A service on the team of its size.  A subclass ``__init__`` calls
+    ``super().__init__``, allocates its blocks under ``self.prefix`` and
+    ends with :meth:`_serve`, which spawns the team if its size has none.
+    """
+
+    def __init__(self, stem: str, nworkers: int):
+        self.nworkers = nworkers
+        #: every block of this service is named ``{prefix}...``
+        self.prefix = f"{stem}{os.getpid()}_{os.urandom(3).hex()}_"
+
+    def _serve(self, make_handler: Callable, block_names: list[str]) -> None:
+        """Join the team of this size, spawning it if there is none.  Its
+        workers serve this service with ``make_handler(rank, nworkers,
+        lock, bufs)`` over these blocks, built on the first request.  The
+        blocks come first: the master's resource tracker then runs before
+        a fork, and workers that map a block report to it."""
+        team = _TEAMS.get(self.nworkers)
+        if team is not None and not team.healthy():
+            team.shutdown()  # leaves the registry
+        self.team = _TEAMS[self.nworkers] = _TEAMS.get(self.nworkers) or _Team(self.nworkers)
+        self.team.services[type(self)] = self
+        self._service = (self.prefix, make_handler, block_names)
+
+    # -- registry -------------------------------------------------------------
+    @classmethod
+    def get(cls, nworkers: int) -> "WorkerPool":
+        """This service on the team of this size (the team is respawned
+        if it broke)."""
+        team = _TEAMS.get(nworkers)
+        pool = team.services.get(cls) if team is not None else None
+        return pool if pool is not None and pool.healthy() else cls(nworkers)
+
+    # -- liveness / lifecycle -------------------------------------------------
+    def healthy(self) -> bool:
+        return self.team.services.get(type(self)) is self and self.team.healthy()
+
+    def worker_pids(self) -> list[int]:
+        return [p.pid for p in self.team.procs]
+
+    def shutdown(self) -> None:
+        """Stop the team (every service of its size goes with it)."""
+        self.team.shutdown()
+
     def _fail(self, why: str) -> ExecutionError:
-        """Tear the pool down (the next ``get`` respawns it) and return
-        the error to raise."""
-        self.shutdown()
-        key = (type(self), self.nworkers)
-        if _POOLS.get(key) is self:
-            del _POOLS[key]
+        """Tear the team down (the next ``get`` respawns it); the error to raise."""
+        self.team.shutdown()
         return ExecutionError(why)
 
     # -- message plumbing -----------------------------------------------------
-    def _drain_stale(self) -> None:
-        """Drop replies from abandoned epochs (an interrupted request) so
-        the next dispatch starts from a clean stream."""
-        for conn in self.conns:
+    def _dispatch(self, tag: str, payload) -> int:
+        """Send one request to every worker under a fresh team epoch
+        (the payload is pickled once) and return that epoch."""
+        team = self.team
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        team.epoch += 1
+        # drop replies from abandoned epochs (an interrupted request) so
+        # this dispatch starts from a clean stream
+        for conn in team.conns:
             try:
                 while conn.poll(0):
                     conn.recv()
             except (EOFError, OSError):
                 pass
+        for conn in team.conns:
+            conn.send((tag, team.epoch, blob, self._service))
+        return team.epoch
 
-    def _dispatch(self, tag: str, payload) -> int:
-        """Send one request to every worker under a fresh epoch (the
-        payload is pickled once) and return that epoch."""
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self.epoch += 1
-        self._drain_stale()
-        for conn in self.conns:
-            conn.send((tag, self.epoch, blob))
-        return self.epoch
+    def _replies(self, epoch: int, poll: float):
+        """Yield ``(rank, kind, value)`` per worker: its reply to ``epoch``
+        or ``"dead"``; ``(None, "tick", None)`` ends each sweep (deadline
+        checks).  Replies to other epochs are dropped."""
+        pending = set(range(self.nworkers))
+        while pending:
+            for rank in sorted(pending):
+                conn = self.team.conns[rank]
+                try:
+                    msg = conn.recv() if conn.poll(poll) else None
+                except (EOFError, OSError):
+                    msg = None  # a dead pipe: the liveness check sees it
+                if msg is not None and msg[2] == epoch:
+                    pending.discard(rank)
+                    yield rank, msg[0], msg[3]
+            for rank in sorted(pending):
+                if not self.team.procs[rank].is_alive():
+                    pending.discard(rank)
+                    yield rank, "dead", None
+            yield None, "tick", None

@@ -30,6 +30,7 @@ from repro.core.domains import (
     make_domain,
 )
 from repro.core.engine import run
+from repro.core.kernel import get_kernel
 from repro.core.tiling import TileGrid
 from repro.errors import ConfigError
 from repro.sched.costmodel import CostModel
@@ -266,6 +267,17 @@ class TestLuWavefront:
         # finalize() raises if L @ U does not reconstruct the matrix
         r = run(make_config(variant="omp_tiled", **self.CFG))
         assert r.completed_iterations == 1
+
+    @pytest.mark.parametrize("at", [(150, 3), (3, 150), (100, 100), (159, 159)])
+    def test_residual_check_covers_every_block(self, at):
+        # 160 = 64 + 64 + 32: the residual's block products cover the
+        # clipped last blocks and both triangles
+        r = run(make_config(variant="omp_tiled", **dict(self.CFG, dim=160)))
+        kernel = get_kernel("lu_wavefront")
+        kernel.finalize(r.context)
+        r.context.data["mat"][at] += 1e-3
+        with pytest.raises(AssertionError, match="residual"):
+            kernel.finalize(r.context)
 
     def test_seq_equals_parallel(self):
         a = run(make_config(variant="seq", **self.CFG))

@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.cli import build_parser, config_from_args, parse_args_strict
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
-from repro.expt.exptools import execute, point_key, sweep_configs
+from repro.expt.exptools import (
+    _argv_of,
+    _combinations,
+    _env_of,
+    execute,
+    point_key,
+    sweep_configs,
+)
 
 
 class TestSweepConfigs:
@@ -29,6 +37,20 @@ class TestSweepConfigs:
         assert cfg.kernel == "blur" and cfg.variant == "omp_tiled"
         assert cfg.iterations == 2 and cfg.nthreads == 3
         assert env == {"OMP_NUM_THREADS": "3"}
+
+    def test_one_parse_per_option_combination_keeps_the_grid(self):
+        icvs = {"OMP_NUM_THREADS=": [1, 2, 4], "OMP_SCHEDULE=": ["static", "guided"]}
+        options = {"-k ": ["mandel", "blur"], "-v ": ["omp_tiled"], "-s ": [64],
+                   "-g ": [16, 32], "--load ": ["a.py"], "--mpirun ": ["-np 2"]}
+        # the grid as built before: a fresh parser and parse per point
+        expected = []
+        for combo in _combinations(options):
+            for icv_combo in _combinations(icvs):
+                env = _env_of(icv_combo)
+                args = parse_args_strict(_argv_of(combo), build_parser())
+                expected.append((config_from_args(args, env=env), env))
+        assert sweep_configs(icvs, options) == expected
+        assert sweep_configs(icvs, options) == expected  # the cached parser
 
     def test_empty_specs_yield_default_config(self):
         configs = sweep_configs({}, {})

@@ -1,17 +1,19 @@
-"""The persistent worker-pool lifecycle, held for both pool kinds.
+"""The persistent worker team, held for both of its services.
 
-The procs tile pool and the MPI rank pool share one lifecycle
-(:mod:`repro.util.workerpool`): a pool persists across runs, a worker
-SIGKILLed between runs is replaced on next use, and a process that
-exits without shutting its pools down leaves no ``/dev/shm`` entry
-behind.  A single-threaded master forks its workers (any other live
-thread keeps the forkserver), and a master SIGKILLed outright leaves
-no worker running.  Rank programs live at module level (ranks import
-them).
+The procs tile pool and the MPI rank pool are two services on one team
+of workers per size (:mod:`repro.util.workerpool`): procs regions and
+MPI worlds of one size run on the same processes, the team persists
+across runs, a worker SIGKILLed between runs is replaced on next use
+of either service, and a process that exits without shutting its team
+down leaves no ``/dev/shm`` entry behind.  A single-threaded master
+forks its workers (any other live thread keeps the forkserver), and a
+master SIGKILLed outright leaves no worker running.  Rank programs live
+at module level (ranks import them).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import select
 import signal
@@ -55,7 +57,7 @@ def _run_mpi():
     assert run_world_procs(NW, _prog_rank_sum) == [1, 1]
 
 
-#: pool kind -> (registry lookup, one run on that pool)
+#: service -> (registry lookup, one run on that service)
 KINDS = {"procs": (get_pool, _run_procs), "mpi": (get_mpi_pool, _run_mpi)}
 
 
@@ -84,21 +86,65 @@ def test_pool_respawns_after_worker_sigkill_between_runs(kind):
     run_once()
     fresh = get(NW)
     assert fresh is not pool and fresh.healthy()
-    # the dead pool was shut down: none of its blocks remain registered
+    # the dead team was shut down: none of its blocks remain registered
     assert not [b for b in live_blocks() if b.startswith(pool.prefix)]
+
+
+def _team_children() -> list[int]:
+    return [p.pid for p in multiprocessing.active_children()
+            if p.name.startswith("easypap-worker-")]
+
+
+def test_procs_and_mpi_run_on_one_team():
+    shutdown_pools()
+    _run_procs()
+    _run_mpi()
+    _run_procs()
+    pids = get_pool(NW).worker_pids()
+    assert get_mpi_pool(NW).worker_pids() == pids
+    assert sorted(_team_children()) == sorted(pids)
+    assert len(pids) == NW
+
+
+def test_worker_sigkilled_between_mpi_and_procs_is_replaced():
+    _run_mpi()
+    mpi_pool = get_mpi_pool(NW)
+    procs_pool = get_pool(NW)
+    old_pids = mpi_pool.worker_pids()
+    os.kill(old_pids[0], signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while procs_pool.healthy() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    # one team: the procs service sees the MPI rank's death too
+    assert not procs_pool.healthy() and not mpi_pool.healthy()
+    _run_procs()
+    pids = get_pool(NW).worker_pids()
+    assert get_pool(NW) is not procs_pool
+    assert not set(pids) & set(old_pids)
+    _run_mpi()
+    assert get_mpi_pool(NW) is not mpi_pool
+    assert get_mpi_pool(NW).worker_pids() == pids
+    # the dead team unlinked both services' blocks
+    for dead in (procs_pool, mpi_pool):
+        assert not [b for b in live_blocks() if b.startswith(dead.prefix)]
 
 
 _EXIT_SCRIPT = """
 import os
+import sys
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.util.workerpool import live_blocks
 
-run(RunConfig(kernel="invert", variant="omp_tiled", dim=32, tile_w=8,
-              tile_h=8, iterations=1, nthreads=2, backend="procs"))
-run(RunConfig(kernel="life", variant="mpi_omp", dim=32, tile_w=16,
-              tile_h=16, iterations=1, arg="diag", mpi_np=2,
-              mpi_backend="procs"))
+configs = {
+    "procs": RunConfig(kernel="invert", variant="omp_tiled", dim=32, tile_w=8,
+                       tile_h=8, iterations=1, nthreads=2, backend="procs"),
+    "mpi": RunConfig(kernel="life", variant="mpi_omp", dim=32, tile_w=16,
+                     tile_h=16, iterations=1, arg="diag", mpi_np=2,
+                     mpi_backend="procs"),
+}
+for service in sys.argv[1:]:
+    run(configs[service])
 live = live_blocks()
 assert any(n.startswith("ezpap_pool_") for n in live), live
 assert any(n.startswith("ezmpi_") for n in live), live
@@ -106,20 +152,31 @@ print(os.getpid())
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-def test_exit_without_shutdown_leaks_no_shared_memory():
+def _exit_without_shutdown(*services: str) -> None:
     env = dict(os.environ,
                PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-c", _EXIT_SCRIPT], env=env, cwd=REPO_ROOT,
+        [sys.executable, "-c", _EXIT_SCRIPT, *services], env=env, cwd=REPO_ROOT,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     pid = proc.stdout.split()[-1]
     assert [n for n in os.listdir("/dev/shm") if f"_{pid}_" in n] == []
-    # the pools' exit hook unlinked everything: the resource tracker, the
-    # last line of defence, found nothing left to clean up
-    assert "leaked" not in proc.stderr, proc.stderr
+    # the team's exit hook unlinked everything: no resource tracker, the
+    # last line of defence, found anything left to clean up
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_exit_without_shutdown_leaks_no_shared_memory():
+    _exit_without_shutdown("procs", "mpi")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_exit_without_shutdown_after_mpi_first_leaks_no_shared_memory():
+    # the MPI service spawns the team here: its workers must report the
+    # blocks they map to the master's resource tracker, not start their own
+    _exit_without_shutdown("mpi", "procs")
 
 
 # -- the start method ----------------------------------------------------------
@@ -141,7 +198,7 @@ run(RunConfig(kernel="invert", variant="omp_tiled", dim=32, tile_w=8,
 run(RunConfig(kernel="life", variant="mpi_omp", dim=32, tile_w=16,
               tile_h=16, iterations=1, arg="diag", mpi_np=2,
               mpi_backend="procs"))
-print(get_pool(2)._mp.get_start_method(), get_mpi_pool(2)._mp.get_start_method())
+print(get_pool(2).team._mp.get_start_method(), get_mpi_pool(2).team._mp.get_start_method())
 """
 
 
@@ -152,13 +209,14 @@ def test_single_threaded_master_forks_both_pools_without_warning():
 
 
 def test_live_thread_keeps_the_forkserver():
+    shutdown_pools()  # the next service spawns a team under the live thread
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
         pool = ProcPool(NW)
         try:
-            assert pool._mp.get_start_method() in START_METHODS
+            assert pool.team._mp.get_start_method() in START_METHODS
             assert pool.healthy()
         finally:
             pool.shutdown()
@@ -205,11 +263,19 @@ def test_kernel_loaded_after_the_spawn_reaches_the_workers(tmp_path):
 _ORPHAN_SCRIPT = """
 import time
 
+from repro.core.config import RunConfig
+from repro.core.engine import run
 from repro.mpi.substrate import get_mpi_pool
 from repro.omp.procs import get_pool
 
-pools = [get_pool(2), get_mpi_pool(2)]
-print(*[pid for pool in pools for pid in pool.worker_pids()], flush=True)
+run(RunConfig(kernel="invert", variant="omp_tiled", dim=32, tile_w=8,
+              tile_h=8, iterations=1, nthreads=2, backend="procs"))
+run(RunConfig(kernel="life", variant="mpi_omp", dim=32, tile_w=16,
+              tile_h=16, iterations=1, arg="diag", mpi_np=2,
+              mpi_backend="procs"))
+pids = get_pool(2).worker_pids()
+assert get_mpi_pool(2).worker_pids() == pids
+print(*pids, flush=True)
 time.sleep(120)
 """
 
@@ -239,7 +305,7 @@ def test_sigkilled_master_leaves_no_worker_and_no_block():
     finally:
         master.kill()
         master.wait(timeout=30)
-    assert len(pids) == 4, pids
+    assert len(pids) == 2, pids
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         left = [p for p in pids if _running(p)]
