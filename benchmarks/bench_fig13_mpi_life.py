@@ -16,6 +16,13 @@ parallelism, so there the check only validates that the numbers get
 recorded (the JSON carries ``cpu_count`` so a single-core baseline
 never gates a multicore run).
 
+The gated runs step each band with the per-tile bodies
+(``fastpath="off"``): that is the compute whose halving the gate was
+set for.  A rank's whole-band fast path makes a 512² band step so
+cheap that two ranks barely beat one (about 1.0x on a 2-vCPU host),
+so its np2/np1 ratio is measured and reported next to the gated one,
+never gated.
+
 Usage::
 
     PYTHONPATH=src:benchmarks python benchmarks/bench_fig13_mpi_life.py
@@ -51,10 +58,11 @@ GATE_SPEEDUP = 1.1
 
 #: the timed workload is the *dense* dataset: every tile dirty, so the
 #: band split halves each rank's compute and the ratio measures the
-#: substrate, not the dataset's sparsity pattern
+#: substrate, not the dataset's sparsity pattern; the gated runs take
+#: the per-tile bodies, the reported ones the whole-band fast path
 TIMED = dict(kernel="life", variant="mpi_omp", dim=512, tile_w=32, tile_h=32,
              iterations=8, nthreads=4, arg="random", seed=42,
-             mpi_backend="procs")
+             mpi_backend="procs", fastpath="off")
 
 CFG = RunConfig(kernel="life", variant="mpi_omp", dim=256, tile_w=16,
                 tile_h=16, iterations=8, nthreads=4, arg="diag", mpi_np=2,
@@ -109,23 +117,29 @@ def test_fig13_mpi_life(benchmark):
 # --------------------------------------------------------------------------
 
 
-def _timed(np_: int) -> float:
-    cfg = RunConfig(mpi_np=np_, **TIMED)
+def _timed(np_: int, fastpath: str) -> float:
+    cfg = RunConfig(mpi_np=np_, **{**TIMED, "fastpath": fastpath})
     t0 = time.perf_counter()
     run(cfg)
     return time.perf_counter() - t0
 
 
-def measure(reps: int) -> dict:
-    # warmups spawn both persistent rank pools, so the timed reps see
-    # the steady state the substrate is designed around
-    _timed(1)
-    _timed(2)
+def _paired(reps: int, fastpath: str) -> tuple[list[float], list[float], list[float]]:
+    """``reps`` alternating np1/np2 timings and their sorted paired
+    ratios; warmups spawn the persistent rank pools first, so the timed
+    reps see the steady state the substrate is designed around."""
+    _timed(1, fastpath)
+    _timed(2, fastpath)
     np1_ts, np2_ts = [], []
     for _ in range(reps):
-        np1_ts.append(_timed(1))
-        np2_ts.append(_timed(2))
-    ratios = sorted(a / b for a, b in zip(np1_ts, np2_ts))
+        np1_ts.append(_timed(1, fastpath))
+        np2_ts.append(_timed(2, fastpath))
+    return np1_ts, np2_ts, sorted(a / b for a, b in zip(np1_ts, np2_ts))
+
+
+def measure(reps: int) -> dict:
+    np1_ts, np2_ts, ratios = _paired(reps, TIMED["fastpath"])
+    fast1_ts, fast2_ts, fast_ratios = _paired(reps, "auto")
     frames = TIMED["iterations"]
     return {
         "schema": 1,
@@ -140,17 +154,25 @@ def measure(reps: int) -> dict:
             # absolute gate uses this, best-of-N convention)
             "speedup_np2_best": round(ratios[-1], 3),
         },
+        # the whole-band fast path: reported, not gated
+        "frames": {
+            "fps_np1": round(frames / min(fast1_ts), 3),
+            "fps_np2": round(frames / min(fast2_ts), 3),
+            "speedup_np2": round(fast_ratios[len(fast_ratios) // 2], 3),
+        },
     }
 
 
 def render(payload: dict) -> str:
-    r = payload["results"]
-    rows = [[
-        f"life-{TIMED['dim']}-random", payload["cpu_count"],
-        r["fps_np1"], r["fps_np2"], f"{r['speedup_np2']:.2f}x",
-    ]]
+    config = f"life-{TIMED['dim']}-random"
+    rows = [
+        [config, step, payload["cpu_count"], r["fps_np1"], r["fps_np2"],
+         f"{r['speedup_np2']:.2f}x"]
+        for step, r in [("per-tile (gated)", payload["results"]),
+                        ("whole band", payload["frames"])]
+    ]
     return fmt_table(
-        ["config", "cpus", "fps np1", "fps np2", "np2/np1"], rows,
+        ["config", "rank step", "cpus", "fps np1", "fps np2", "np2/np1"], rows,
     )
 
 

@@ -87,12 +87,14 @@ _LANES = np.uint64(0x0001_0001_0001_0001)
 
 
 @functools.lru_cache(maxsize=8)
-def _lut_offsets(h: int, w: int) -> np.ndarray:
-    """Per pixel, the start of its row of the flattened :data:`_BLUR_LUT`
-    in all four lanes: its count of in-image neighbours (4 in corners,
-    6 on edges, 9 inside) picks the row.  Cached per frame shape: built
-    per frame, its temporaries cost as much as the blur itself."""
-    ny = 1 + (np.arange(h) > 0) + (np.arange(h) < h - 1)
+def _lut_offsets(y0: int, h: int, dim_y: int, w: int) -> np.ndarray:
+    """Per pixel of the rows ``[y0, y0 + h)`` of a ``(dim_y, w)`` frame,
+    the start of its row of the flattened :data:`_BLUR_LUT` in all four
+    lanes: its count of in-image neighbours (4 in corners, 6 on edges,
+    9 inside) picks the row.  Cached per band shape: built per frame,
+    its temporaries cost as much as the blur itself."""
+    ys = np.arange(y0, y0 + h)
+    ny = 1 + (ys > 0) + (ys < dim_y - 1)
     nx = 1 + (np.arange(w) > 0) + (np.arange(w) < w - 1)
     rows = (np.outer(ny, nx) - 1).astype(np.uint64)
     offsets = rows * (_LANES * np.uint64(_BLUR_LUT.shape[1]))
@@ -100,29 +102,36 @@ def _lut_offsets(h: int, w: int) -> np.ndarray:
     return offsets
 
 
-def blur_frame(src: np.ndarray, dst: np.ndarray) -> None:
-    """Blur the whole of ``src`` into ``dst``, bit-identical to
-    ``blur_rect_vectorized(src, dst, 0, 0, width, height)``.
+def blur_frame(src: np.ndarray, dst: np.ndarray, y0: int = 0, h: int | None = None) -> None:
+    """Blur the rows ``[y0, y0 + h)`` of ``src`` (all of them by
+    default) into ``dst``, bit-identical to
+    ``blur_rect_vectorized(src, dst, 0, y0, width, h)``.
 
     Each pixel's four channel bytes are widened into the four 16-bit
     lanes of one ``uint64`` (so byte order does not matter), and the
-    3x3 sums are taken separably over a zero-padded copy.  Each
+    3x3 sums are taken separably over a zero-padded copy of the band
+    and the image rows just above and below it.  Each
     ``(neighbour count, sum)`` pair is then looked up in
     :data:`_BLUR_LUT`, indexed by the lane itself once offset by its
     table row: at most ``8 * 2296 + 9 * 255 < 2**16``, so no lane ever
     carries into the next.  Only the whole-frame fast path uses it: the
     tile bodies keep the code the Fig. 10 comparison is about.
     """
-    h, w = src.shape
+    dim_y, w = src.shape
+    if h is None:
+        h = dim_y - y0
+    lo, hi = max(y0 - 1, 0), min(y0 + h + 1, dim_y)
     pad = np.zeros((h + 2, w + 2, 4), dtype=np.uint16)
-    pad[1:-1, 1:-1] = np.ascontiguousarray(src).view(np.uint8).reshape(h, w, 4)
+    pad[lo - y0 + 1 : hi - y0 + 1, 1:-1] = (
+        np.ascontiguousarray(src[lo:hi]).view(np.uint8).reshape(hi - lo, w, 4)
+    )
     lanes = pad.view(np.uint64).reshape(h + 2, w + 2)
     rows = lanes[:-2] + lanes[1:-1]
     rows += lanes[2:]
     sums = rows[:, :-2] + rows[:, 1:-1]
     sums += rows[:, 2:]
-    sums += _lut_offsets(h, w)
-    dst[...] = _BLUR_LUT.ravel().take(sums.view(np.uint16)).view(np.uint32)
+    sums += _lut_offsets(y0, h, dim_y, w)
+    dst[y0 : y0 + h] = _BLUR_LUT.ravel().take(sums.view(np.uint16)).view(np.uint32)
 
 
 def blur_rect_scalar(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: int, h: int) -> None:
@@ -224,6 +233,19 @@ class BlurKernel(Kernel):
     def compute_frame_opt(self, ctx, tiles) -> np.ndarray | None:
         if not self._frame_blur(ctx, tiles):
             return None
+        return self._opt_works(ctx, tiles)
+
+    def compute_frame_band(self, ctx, tiles, y0: int, h: int) -> np.ndarray | None:
+        """One rank's whole-band blur: the band's tiles cover its rows
+        across the image, and clip, like every tile, to the image
+        borders only."""
+        if ctx.domain is not ctx.grid:
+            return None  # other domains' items are not grid tiles
+        blur_frame(ctx.img.cur, ctx.img.nxt, y0, h)
+        return self._opt_works(ctx, tiles)
+
+    def _opt_works(self, ctx, tiles) -> np.ndarray:
+        """``do_tile_opt``'s works: border tiles at the scalar rate."""
         last_r, last_c = ctx.grid.rows - 1, ctx.grid.cols - 1
         border = np.fromiter(
             (
@@ -326,6 +348,7 @@ class BlurKernel(Kernel):
                 f"(dim={ctx.dim}, np={mpi.size}, tile_h={ctx.grid.tile_h})"
             )
         tiles = [t for t in ctx.grid if y0 <= t.y < y0 + h]
+        band_frame = functools.partial(self.compute_frame_band, y0=y0, h=h)
         comm = mpi.comm
         up, down = mpi.rank - 1, mpi.rank + 1
         for _ in ctx.iterations(nb_iter):
@@ -339,7 +362,7 @@ class BlurKernel(Kernel):
                 ctx.img.cur[y0 + h] = comm.sendrecv(
                     ctx.img.cur[y0 + h - 1].copy(), dest=down, source=down
                 )
-            ctx.parallel_for(ctx.body(self.do_tile_opt), tiles)
+            ctx.parallel_for(ctx.body(self.do_tile_opt), tiles, frame=band_frame)
             ctx.run_on_master(ctx.swap_images)
         # compose the final picture on the master for display/result
         gathered = comm.gather((y0, ctx.img.cur[y0 : y0 + h].copy()), root=0)

@@ -13,6 +13,8 @@ Datasets (``--arg``): ``corners`` (hot corners / cold center, default),
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.kernel import Kernel, register_kernel, variant
@@ -200,6 +202,18 @@ class HeatKernel(Kernel):
         delta = jacobi_step_frame(temp, ctx.data["next"], *self._source_cells, pad)
         return tile_works(tiles, CELL_WORK), delta
 
+    def compute_frame_block(self, ctx, tiles, y0: int, x0: int, h: int, w: int):
+        """One rank's whole-block Jacobi step; returns ``(works, max
+        delta)``.  :func:`jacobi_step_rect` reads real neighbours across
+        tile borders and replicates only the image's edges, as each tile
+        does, so one call over the block writes the tiles' bytes."""
+        if ctx.domain is not ctx.grid:
+            return None  # other domains' items are not grid tiles
+        delta = jacobi_step_rect(
+            ctx.data["temp"], ctx.data["next"], ctx.data["sources"], y0, x0, h, w
+        )
+        return tile_works(tiles, CELL_WORK), delta
+
     def compute_frame(self, ctx, tiles) -> np.ndarray | None:
         """Sequential-loop flavour: folds the delta into ``max_delta``
         like the chain of ``do_tile`` calls would."""
@@ -267,6 +281,8 @@ class HeatKernel(Kernel):
             )
         tiles = [t for t in ctx.grid
                  if y0 <= t.y < y0 + h and x0 <= t.x < x0 + w]
+        block_frame = functools.partial(self.compute_frame_block,
+                                        y0=y0, x0=x0, h=h, w=w)
 
         def rank_of(r: int, c: int) -> int | None:
             if 0 <= r < rows and 0 <= c < cols:
@@ -306,7 +322,8 @@ class HeatKernel(Kernel):
                 else:
                     temp[y0 : y0 + h, x0 + w] = ghost
             _, ctx.data["max_delta"] = ctx.parallel_reduce(
-                ctx.body(self.do_tile_delta), tiles, combine=max, init=0.0
+                ctx.body(self.do_tile_delta), tiles, combine=max, init=0.0,
+                frame=block_frame,
             )
             ctx.data["temp"], ctx.data["next"] = ctx.data["next"], ctx.data["temp"]
             temp = ctx.data["temp"]

@@ -23,7 +23,10 @@ from repro.core.tiling import Tile
 from repro.kernels.api import FrameScratch, halo_region, require_square, tile_works
 from repro.util.rng import make_rng
 
-__all__ = ["LifeKernel", "life_step_frame", "life_step_rect", "make_dataset", "GLIDER"]
+__all__ = [
+    "LifeKernel", "life_step_band", "life_step_frame", "life_step_rect", "make_dataset",
+    "GLIDER",
+]
 
 #: work units charged per cell update (branch-free rule evaluation)
 CELL_WORK = 4.0
@@ -70,13 +73,39 @@ def life_step_frame(
 
     ``pad`` is a ``(dim + 2, dim + 2)`` uint8 buffer whose zero halo is
     never written (dead outside cells) and ``rows`` a ``(dim + 2, dim)``
-    uint8 buffer.  The 3x3 sum ``s`` is separable, 4 adds instead of 7,
-    and counts the centre: a cell is alive next when ``s == 3``, or when
-    it is alive and ``s == 4``.  That is ``(s - cur) | cur == 3``: with
+    uint8 buffer.
+    """
+    pad[1:-1, 1:-1] = cells
+    _step_padded(pad, rows, cells, nxt)
+
+
+def life_step_band(
+    band: np.ndarray, nxt: np.ndarray, pad: np.ndarray, rows: np.ndarray
+) -> None:
+    """:func:`life_step_frame` for a ``(h + 2, w)`` rank band whose
+    first and last rows are ghost rows: steps ``band[1:-1]`` into
+    ``nxt[1:-1]`` and leaves ``nxt``'s ghost rows alone.
+
+    ``pad`` is a ``(h + 2, w + 2)`` buffer whose zero columns are never
+    written, ``rows`` a ``(h + 2, w)`` one.  The ghost rows are the
+    neighbour ranks' boundary rows (zero past the image), so every cell
+    sees the window ``life_step_rect`` gives it on the whole image.
+    """
+    pad[:, 1:-1] = band
+    _step_padded(pad, rows, band[1:-1], nxt[1:-1])
+
+
+def _step_padded(
+    pad: np.ndarray, rows: np.ndarray, cells: np.ndarray, nxt: np.ndarray
+) -> None:
+    """The Life rule over a padded grid: ``cells`` is ``pad``'s interior.
+
+    The 3x3 sum ``s`` is separable, 4 adds instead of 7, and counts the
+    centre: a cell is alive next when ``s == 3``, or when it is alive
+    and ``s == 4``.  That is ``(s - cur) | cur == 3``: with
     ``n = s - cur`` neighbours, ``n | cur`` is 3 exactly when ``n == 3``,
     or ``n == 2`` and ``cur == 1``.
     """
-    pad[1:-1, 1:-1] = cells
     np.add(pad[:, :-2], pad[:, 1:-1], out=rows)
     rows += pad[:, 2:]
     np.add(rows[:-2], rows[1:-1], out=nxt)
@@ -84,6 +113,21 @@ def life_step_frame(
     nxt -= cells
     nxt |= cells
     np.equal(nxt, 3, out=nxt)
+
+
+def _dilate(changes: np.ndarray) -> np.ndarray:
+    """The tiles to recompute next: every tile that changed or has a
+    changed 8-neighbour."""
+    dirty = changes.copy()
+    dirty[1:, :] |= changes[:-1, :]
+    dirty[:-1, :] |= changes[1:, :]
+    dirty[:, 1:] |= changes[:, :-1]
+    dirty[:, :-1] |= changes[:, 1:]
+    dirty[1:, 1:] |= changes[:-1, :-1]
+    dirty[1:, :-1] |= changes[:-1, 1:]
+    dirty[:-1, 1:] |= changes[1:, :-1]
+    dirty[:-1, :-1] |= changes[1:, 1:]
+    return dirty
 
 
 # --------------------------------------------------------------------------
@@ -227,17 +271,7 @@ class LifeKernel(Kernel):
         """Swap grids, update dirtiness; True if anything changed."""
         ctx.data["cells"], ctx.data["next"] = ctx.data["next"], ctx.data["cells"]
         changes = ctx.data["changes"]
-        # a tile must be recomputed if it or any 8-neighbour changed
-        dirty = changes.copy()
-        dirty[1:, :] |= changes[:-1, :]
-        dirty[:-1, :] |= changes[1:, :]
-        dirty[:, 1:] |= changes[:, :-1]
-        dirty[:, :-1] |= changes[:, 1:]
-        dirty[1:, 1:] |= changes[:-1, :-1]
-        dirty[1:, :-1] |= changes[:-1, 1:]
-        dirty[:-1, 1:] |= changes[1:, :-1]
-        dirty[:-1, :-1] |= changes[1:, 1:]
-        ctx.data["dirty"] = dirty
+        ctx.data["dirty"] = _dilate(changes)
         return bool(changes.any())
 
     # -- variants ----------------------------------------------------------------
@@ -334,7 +368,12 @@ class LifeKernel(Kernel):
                 ctx.img.cur[gy0 : gy0 + gpix.shape[0]] = gpix
 
     def _exchange_ghosts(self, ctx) -> None:
-        """Swap boundary rows and border tile-states with the neighbours."""
+        """Swap boundary rows and border tile-states with the neighbours.
+
+        A neighbour's tile that changed dirties the three tiles it
+        touches across the boundary: the one below (or above) it and
+        that tile's left and right neighbours.
+        """
         mpi = ctx.mpi
         comm = mpi.comm
         h = ctx.data["band_h"]
@@ -352,14 +391,14 @@ class LifeKernel(Kernel):
             got = comm.sendrecv((cells[1].copy(), top_state), dest=up, source=up)
             cells[0] = got[0]
             if got[1] is not None:
-                ctx.data["dirty"][top_trow] |= got[1]
+                ctx.data["dirty"][top_trow] |= _dilate(got[1][None])[0]
         else:
             cells[0] = 0
         if down < mpi.size:
             got = comm.sendrecv((cells[h].copy(), bot_state), dest=down, source=down)
             cells[h + 1] = got[0]
             if got[1] is not None:
-                ctx.data["dirty"][bot_trow] |= got[1]
+                ctx.data["dirty"][bot_trow] |= _dilate(got[1][None])[0]
         else:
             cells[h + 1] = 0
 
@@ -379,13 +418,41 @@ class LifeKernel(Kernel):
             ctx.data["changes"][tile.row, tile.col] = True
         return tile.area * CELL_WORK
 
+    def compute_frame_band(self, ctx, tiles) -> np.ndarray | None:
+        """One rank's whole-band step; per-tile change flags recovered by
+        a ``logical_or`` reduction over the band.
+
+        Accepts the dirty subset ``compute_mpi_omp`` schedules by the
+        argument :meth:`compute_frame` makes for ``lazy``: recomputing a
+        steady tile reproduces its cells.
+        """
+        if ctx.domain is not ctx.grid:
+            return None  # other domains' items are not grid tiles
+        cells, nxt = ctx.data["cells"], ctx.data["next"]
+        h, dim = cells.shape[0] - 2, cells.shape[1]
+        life_step_band(
+            cells, nxt,
+            self.scratch.get("pad", (h + 2, dim + 2), np.uint8),
+            self.scratch.get("rows", (h + 2, dim), np.uint8),
+        )
+        changed = np.not_equal(
+            nxt[1:-1], cells[1:-1], out=self.scratch.get("mask", (h, dim), np.bool_)
+        )
+        grid = ctx.grid
+        flags = np.logical_or.reduceat(
+            np.logical_or.reduceat(changed, np.arange(0, h, grid.tile_h), axis=0),
+            np.arange(0, dim, grid.tile_w), axis=1,
+        )
+        row0 = ctx.data["band_y0"] // grid.tile_h
+        ctx.data["changes"][row0 : row0 + len(flags)] |= flags
+        return tile_works(tiles, CELL_WORK)
+
     @variant("mpi_omp")
     def compute_mpi_omp(self, ctx, nb_iter: int) -> int:
         """MPI band decomposition + lazy OpenMP tiles within each rank."""
         if ctx.mpi is None:
             raise RuntimeError("variant mpi_omp requires --mpirun (mpi_np > 0)")
         mpi = ctx.mpi
-        h = ctx.data["band_h"]
         for it in ctx.iterations(nb_iter):
             self._begin_iter(ctx)
             self._exchange_ghosts(ctx)
@@ -400,22 +467,13 @@ class LifeKernel(Kernel):
                         ly : ly + t.h, t.x : t.x + t.w
                     ]
             if todo:
-                ctx.parallel_for(ctx.body(self._do_tile_mpi), todo)
+                ctx.parallel_for(ctx.body(self._do_tile_mpi), todo,
+                                 frame=self.compute_frame_band)
             ctx.data["prev_changes"] = ctx.data["changes"].copy()
             local_changed = bool(ctx.data["changes"].any())
             ctx.data["cells"], ctx.data["next"] = ctx.data["next"], ctx.data["cells"]
             # ghost rows of the swapped-in buffer are stale; refreshed next iter
-            changes = ctx.data["changes"]
-            dirty = changes.copy()
-            dirty[1:, :] |= changes[:-1, :]
-            dirty[:-1, :] |= changes[1:, :]
-            dirty[:, 1:] |= changes[:, :-1]
-            dirty[:, :-1] |= changes[:, 1:]
-            dirty[1:, 1:] |= changes[:-1, :-1]
-            dirty[1:, :-1] |= changes[:-1, 1:]
-            dirty[:-1, 1:] |= changes[1:, :-1]
-            dirty[:-1, :-1] |= changes[1:, 1:]
-            ctx.data["dirty"] = dirty
+            ctx.data["dirty"] = _dilate(ctx.data["changes"])
             any_changed = mpi.comm.allreduce(local_changed, op=lambda a, b: a or b)
             if not any_changed:
                 return it

@@ -89,6 +89,10 @@ _LANE_HDR = 16  # a lane's int64 [write_count, read_count] header
 _FRAME = struct.Struct("<qq")  # (tag, payload_length) framing header
 
 _SPIN = 0.0002  # lane-wait granularity (seconds)
+#: a blocked receive first only yields the CPU between polls, for at most
+#: this long (seconds), then sleeps ``_SPIN`` a poll: a reply that lands
+#: within the window is picked up without paying a timer wakeup
+_YIELD_WINDOW = 0.001
 _DIAG_INTERVAL = 0.05  # seconds between deadlock-analysis attempts
 
 # control-block words
@@ -396,9 +400,11 @@ class Comm:
         got = self._match_pop(source, tag)
         if got is not None:
             return got
-        deadline = time.monotonic() + self._recv_timeout
+        start = time.monotonic()
+        deadline = start + self._recv_timeout
+        yield_until = start + _YIELD_WINDOW
         # stagger diagnosis polls by rank so concurrent diagnoses rarely collide
-        next_diag = time.monotonic() + _DIAG_INTERVAL * (1.0 + 0.13 * self.rank)
+        next_diag = start + _DIAG_INTERVAL * (1.0 + 0.13 * self.rank)
         self._set_state(_BLOCKED, source, tag)
         try:
             while True:
@@ -429,7 +435,7 @@ class Comm:
                         self._check_abort()
                         raise DeadlockError(report)
                     next_diag = now + _DIAG_INTERVAL
-                time.sleep(_SPIN)
+                time.sleep(0.0 if now < yield_until else _SPIN)
         finally:
             base = _reg(self.rank)
             if self._ctrl[base + _REG_STATE] == _BLOCKED:

@@ -134,6 +134,7 @@ def _run_rank(
         "monitor": ctx.monitor,
         "trace": ctx.tracer.to_trace() if ctx.tracer else None,
         "early_stop": early,
+        "fastpath_regions": ctx.fastpath_regions,
         "counters": dict(ctx.bus.counters),
         "data": dict(ctx.data),
         "stats": comm.stats,
@@ -175,6 +176,7 @@ def _to_result(payload: dict, *, remote: bool):
         monitor=payload["monitor"],
         trace=payload["trace"],
         early_stop=payload["early_stop"],
+        fastpath_regions=payload["fastpath_regions"],
         context=context,
         counters=payload["counters"],
     )
@@ -193,7 +195,8 @@ def mpi_run(
     the master rank records; with ``--debug M`` every rank does.  The
     master result reports the *laggard's* wall and virtual times — the
     ranks run synchronized by ghost exchanges, so the slowest one
-    defines the world's clock.
+    defines the world's clock.  Its ``fastpath_regions`` counts the
+    whole-frame regions of every rank.
     """
     if config.mpi_np < 1:
         raise ConfigError("mpi_run requires mpi_np >= 1")
@@ -221,6 +224,7 @@ def mpi_run(
     # exchanges, so the laggard defines both the virtual and the wall time
     master.virtual_time = max(r.virtual_time for r in results)
     master.wall_time = max(r.wall_time for r in results)
+    master.fastpath_regions = sum(r.fastpath_regions for r in results)
     master.config = config
     master.counters = {**master.counters, **world_counters}
     return master

@@ -13,6 +13,8 @@ erode that contract.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,8 @@ class TestDifferentialMatrix:
 class TestBlurFrame:
     """The whole-frame blur (separable ``uint16`` sums mapped through a
     ``(count, sum)`` table) writes exactly the bytes of the vectorized
-    per-rectangle blur, on odd, non-square and degenerate frames."""
+    per-rectangle blur, on odd, non-square and degenerate frames, over
+    the whole frame or a band of its rows."""
 
     @pytest.mark.parametrize("shape", [
         (97, 97), (33, 70), (64, 17), (3, 3), (2, 2), (1, 5), (5, 1), (1, 1),
@@ -119,11 +122,13 @@ class TestBlurFrame:
             np.full(shape, 0xFFFFFFFF, dtype=np.uint32),  # largest sums
             np.zeros(shape, dtype=np.uint32),
         ]
-        for src in frames:
+        # the whole frame, and an MPI rank's band of rows
+        bands = [(0, h), (h // 3, h - h // 3), (h - 1, 1)]
+        for src, (y0, bh) in itertools.product(frames, bands):
             ref = np.zeros_like(src)
-            blur_rect_vectorized(src, ref, 0, 0, w, h)
+            blur_rect_vectorized(src, ref, 0, y0, w, bh)
             out = np.zeros_like(src)
-            blur_frame(src, out)
+            blur_frame(src, out, y0, bh)
             assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("variant", ["omp_tiled", "omp_tiled_opt"])

@@ -1,5 +1,5 @@
-"""The whole-frame steps of heat, sandpile and life against their
-per-tile reference bodies.
+"""The whole-frame steps of heat, sandpile and life, and life's band
+step, against their per-tile reference bodies.
 
 Each ``*_step_frame`` must reproduce ``*_step_rect(..., 0, 0, dim, dim)``
 bit for bit (the next array and the returned delta or changed count)
@@ -19,7 +19,7 @@ from repro.core.engine import run
 from repro.core.kernel import get_kernel
 from repro.kernels.api import FrameScratch
 from repro.kernels.heat import jacobi_step_frame, jacobi_step_rect
-from repro.kernels.life import life_step_frame, life_step_rect
+from repro.kernels.life import life_step_band, life_step_frame, life_step_rect
 from repro.kernels.sandpile import sandpile_step_frame, sandpile_step_rect
 from tests.conftest import make_config
 
@@ -94,6 +94,32 @@ def test_life_frame_step_matches_rect(dim, arg):
         assert np.count_nonzero(got_next != got) == want
         ref, ref_next = ref_next, ref
         got, got_next = got_next, got
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("where", ["top", "middle", "bottom", "all"])
+def test_life_band_step_matches_rect(dim, where):
+    """A rank's band step over the rows ``[y0, y0 + h)`` of the world,
+    given the rows around them as ghost rows (zero past the image),
+    writes the rect body's rows and leaves its own ghost rows alone."""
+    y0, h = {"top": (0, -(-dim // 3)), "middle": (dim // 3, -(-dim // 3)),
+             "bottom": (dim - 1, 1), "all": (0, dim)}[where]
+    h = min(h, dim - y0)
+    world = initial_data("life", dim, "random")["cells"].copy()
+    world_next = np.zeros_like(world)
+    scratch = FrameScratch()
+    pad = scratch.get("pad", (h + 2, dim + 2), np.uint8)
+    rows = scratch.get("rows", (h + 2, dim), np.uint8)
+    band = np.zeros((h + 2, dim), dtype=np.uint8)
+    got = np.full_like(band, 7)
+    lo, hi = max(y0 - 1, 0), min(y0 + h + 1, dim)
+    for _ in range(STEPS):
+        band[lo - y0 + 1 : hi - y0 + 1] = world[lo:hi]
+        life_step_rect(world, world_next, 0, 0, dim, dim)
+        life_step_band(band, got, pad, rows)
+        assert np.array_equal(got[1:-1], world_next[y0 : y0 + h])
+        assert (got[[0, -1]] == 7).all()
+        world, world_next = world_next, world
 
 
 @pytest.mark.parametrize("dim", [1, 33, 47])
