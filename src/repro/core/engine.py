@@ -17,6 +17,7 @@ from repro.core.config import RunConfig
 from repro.core.context import ExecutionContext
 from repro.core.kernel import Kernel, get_kernel
 from repro.sched.costmodel import CostModel
+from repro.util.heap import pin_heap
 from repro.util.timing import Stopwatch, format_duration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.events import Trace
 
 __all__ = ["run", "RunResult"]
+
+# every run path (easypap, python -m repro.expt, library callers) imports
+# the engine: from here on, freed frame buffers stay in the process
+pin_heap()
 
 
 @dataclass

@@ -379,13 +379,31 @@ class SocketExecutor(Executor):
 
 # -- the worker side ----------------------------------------------------------
 
+def _open(address: tuple[str, int]) -> socket.socket:
+    """A TCP connection with a 5 s connect timeout.  A numeric IPv4
+    host skips the resolver: ``create_connection``'s ``getaddrinfo``
+    costs milliseconds on first use in every freshly forked worker."""
+    try:
+        socket.inet_pton(socket.AF_INET, address[0])
+    except OSError:  # a host name (or IPv6): resolve it
+        return socket.create_connection(address, timeout=5.0)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(5.0)
+        sock.connect(address)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
 def _connect(address: tuple[str, int], wait: float) -> socket.socket | None:
     """Connect, retrying briefly (workers often start before the
     master binds); None when no master answers within ``wait``."""
     deadline = time.monotonic() + max(0.0, wait)
     while True:
         try:
-            sock = socket.create_connection(address, timeout=5.0)
+            sock = _open(address)
             # RESULT + REQUEST_JOB are two small writes: Nagle stalls each job ~40 ms
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock

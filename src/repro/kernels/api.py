@@ -22,6 +22,7 @@ or better, expressed as a ``ctx.parallel_reduce``.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ConfigError
 
@@ -149,27 +150,37 @@ def synthetic_picture(dim: int, rng: np.random.Generator) -> np.ndarray:
 
     Plays the role of EASYPAP's sample images for blur/pixelize: it has
     smooth areas, hard edges and texture, so filtering is visible.
+    Red and green ramp along x and y, blue is a wave along x + y; each
+    disc is tested only inside its clipped bounding box.
     """
-    yy, xx = np.mgrid[0:dim, 0:dim]
-    r = (255.0 * xx / max(dim - 1, 1)).astype(np.int64)
-    g = (255.0 * yy / max(dim - 1, 1)).astype(np.int64)
-    b = (128.0 + 127.0 * np.sin(2.0 * np.pi * (xx + yy) / max(dim / 4.0, 1.0))).astype(
-        np.int64
-    )
+    ramp = (255.0 * np.arange(dim) / max(dim - 1, 1)).astype(np.int64)
+    wave = (
+        128.0 + 127.0 * np.sin(2.0 * np.pi * np.arange(2 * dim - 1) / max(dim / 4.0, 1.0))
+    ).astype(np.int64)
+    r = np.empty((dim, dim), dtype=np.int64)
+    r[:] = ramp
+    g = np.empty_like(r)
+    g[:] = ramp[:, None]
+    b = sliding_window_view(wave, dim).copy()  # b[y, x] = wave[y + x]
     # hard-edged discs of saturated colors
     for _ in range(8):
         cy, cx = rng.integers(0, dim, size=2)
         rad = int(rng.integers(max(dim // 16, 2), max(dim // 4, 3)))
         color = rng.integers(0, 256, size=3)
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad
-        r[mask], g[mask], b[mask] = color
+        y0, y1 = max(cy - rad, 0), min(cy + rad + 1, dim)
+        x0, x1 = max(cx - rad, 0), min(cx + rad + 1, dim)
+        dy, dx = np.ogrid[y0 - cy:y1 - cy, x0 - cx:x1 - cx]
+        mask = dy * dy + dx * dx <= rad * rad
+        for chan, value in zip((r, g, b), color):
+            chan[y0:y1, x0:x1][mask] = value
     noise = rng.integers(-10, 11, size=(dim, dim))
-    r = np.clip(r + noise, 0, 255)
-    g = np.clip(g + noise, 0, 255)
-    b = np.clip(b + noise, 0, 255)
-    return (
-        (r.astype(np.uint32) << 24)
-        | (g.astype(np.uint32) << 16)
-        | (b.astype(np.uint32) << 8)
-        | np.uint32(0xFF)
-    )
+    for chan in (r, g, b):
+        chan += noise
+        np.clip(chan, 0, 255, out=chan)
+    r <<= 24
+    g <<= 16
+    b <<= 8
+    r |= g
+    r |= b
+    r |= 0xFF
+    return r.astype(np.uint32)

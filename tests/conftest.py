@@ -17,14 +17,17 @@ from repro.sched.costmodel import CostModel
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def fresh_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
-    """``python *args`` in a new interpreter, from the repository root.
+def fresh_python(
+    *args: str, timeout: float = 120, env: dict | None = None
+) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter, from the repository root,
+    with ``env`` (default: this process's environment).
 
     pytest's own process has imported every module by now, so what a
     command imports, and whether it imports what it needs, only shows
     in a fresh interpreter.
     """
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(REPO_ROOT / "src"))
     return subprocess.run(
         [sys.executable, *args], env=env, cwd=REPO_ROOT,
         capture_output=True, text=True, timeout=timeout,

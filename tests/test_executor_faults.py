@@ -255,6 +255,33 @@ class TestShutdown:
             with sock:
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
+    def test_numeric_address_connects_without_resolver(self, monkeypatch):
+        """Local workers connect to ``127.0.0.1``; a fresh worker's first
+        ``getaddrinfo`` costs milliseconds, so they skip it."""
+
+        def no_resolver(*args, **kwargs):
+            raise AssertionError("getaddrinfo called for a numeric address")
+
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+            sock = _connect(listener.getsockname(), 1.0)
+            assert sock is not None
+            with sock:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert sock.gettimeout() == 5.0
+
+    def test_host_name_still_resolves(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            sock = _connect(("localhost", listener.getsockname()[1]), 1.0)
+            assert sock is not None
+            with sock:
+                assert sock.getpeername()[0] == "127.0.0.1"
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
     def test_worker_with_no_master_exits_cleanly(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))

@@ -13,6 +13,7 @@ from repro.kernels.api import (
     synthetic_picture,
 )
 from repro.util.rng import make_rng
+from tests import picture_oracle
 
 
 class TestChannels:
@@ -81,6 +82,17 @@ class TestSyntheticPicture:
     def test_tiny_image(self):
         img = synthetic_picture(2, make_rng(1))
         assert img.shape == (2, 2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7, 16, 17, 31, 64, 100, 129, 256])
+    def test_equals_full_frame_oracle(self, dim):
+        for seed in range(5):
+            rng, oracle_rng = make_rng(seed), make_rng(seed)
+            img = synthetic_picture(dim, rng)
+            want = picture_oracle.synthetic_picture(dim, oracle_rng)
+            assert img.dtype == want.dtype == np.uint32
+            assert np.array_equal(img, want), (dim, seed)
+            # the same draws in the same order: the generators end in step
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestWorkConstants:
