@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core import access
 from repro.core.config import RunConfig
-from repro.core.domains import make_domain
+from repro.core.domains import domain_of, make_domain
 from repro.core.image import Img2D
 from repro.core.kernel import TileBody
 from repro.core.tiling import Tile, TileGrid
@@ -73,9 +73,9 @@ class ExecutionContext:
         if isinstance(self.domain, TileGrid):
             self.grid = self.domain
         else:
-            self.grid = TileGrid(
-                config.dim, config.tile_w,
-                min(config.tile_h, self.dim_y), dim_y=self.dim_y,
+            self.grid = domain_of(
+                "grid", config.dim, self.dim_y, 1,
+                config.tile_w, min(config.tile_h, self.dim_y),
             )
         self.nthreads = config.nthreads
         self.policy: SchedulePolicy = config.policy()

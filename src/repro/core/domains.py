@@ -32,6 +32,7 @@ subclass plus a kernel file, nothing more (see ``docs/workloads.md``).
 
 from __future__ import annotations
 
+import functools
 from abc import ABC
 from dataclasses import dataclass
 from typing import Iterator
@@ -47,6 +48,7 @@ __all__ = [
     "QuadtreeDomain",
     "Slab3DDomain",
     "DOMAINS",
+    "domain_of",
     "make_domain",
 ]
 
@@ -329,26 +331,35 @@ class Slab3DDomain(WorkDomain):
 
 
 def make_domain(config) -> WorkDomain:
-    """Build the :class:`WorkDomain` a :class:`RunConfig` selects.
+    """The :class:`WorkDomain` a :class:`RunConfig` selects.
 
     The grid geometry knobs are reused across kinds: ``tile_w`` is the
     wavefront block side, ``tile_h`` the slab depth, ``dim_y``/``dim_z``
     the non-square/3D extents (0 = same as ``dim``).
     """
     kind = getattr(config, "domain", "grid")
-    dim_y = config.dim_y or config.dim
+    dim_z = (config.dim_z or config.dim) if kind == "slab3d" else 1
+    return domain_of(kind, config.dim, config.dim_y or config.dim, dim_z,
+                     config.tile_w, config.tile_h)
+
+
+@functools.lru_cache(maxsize=8)
+def domain_of(kind: str, dim: int, dim_y: int, dim_z: int,
+              tile_w: int, tile_h: int) -> WorkDomain:
+    """The domain of one geometry, built once per process and shared.
+
+    Every run of a geometry gets the same object, so domains are
+    read-only: items are frozen, and no consumer mutates the item or
+    predecessor lists (``tests/test_domain_frames.py`` checks it).
+    """
     if kind == "grid":
-        return TileGrid(config.dim, config.tile_w, config.tile_h, dim_y=dim_y)
+        return TileGrid(dim, tile_w, tile_h, dim_y=dim_y)
     if kind == "wavefront":
-        return WavefrontDomain(config.dim, config.tile_w)
+        return WavefrontDomain(dim, tile_w)
     if kind == "quadtree":
-        return QuadtreeDomain(
-            config.dim, config.tile_w, config.tile_h, dim_y=dim_y,
-        )
+        return QuadtreeDomain(dim, tile_w, tile_h, dim_y=dim_y)
     if kind == "slab3d":
-        return Slab3DDomain(
-            config.dim, dim_y, config.dim_z or config.dim, config.tile_h,
-        )
+        return Slab3DDomain(dim, dim_y, dim_z, tile_h)
     raise ConfigError(
         f"unknown work domain {kind!r} (valid: {', '.join(DOMAINS)})"
     )

@@ -107,6 +107,9 @@ class Kernel:
       simulated from the returned works, so they equal the per-item
       path's.  Footprints need the per-item bodies, where
       ``declare_access`` runs.
+    * A region over a whole dependency-carrying domain (a wavefront
+      DAG) takes a frame too; the frame must honour the tasks' edges,
+      and the DAG is still scheduled from the works it returns.
     """
 
     #: registry name; subclasses must set it

@@ -18,7 +18,11 @@ became ready.  Compare::
 
 Block bodies run through plain NumPy loops over pivots — identical
 float operations in identical order on every backend, so sim, threads
-and procs produce bit-identical factors.
+and procs produce bit-identical factors.  The whole-frame fast path
+(:meth:`LuWavefrontKernel.compute_frame`) runs one elimination step at
+a time, each panel solve over the whole panel in one call: the solves
+are elementwise per column (row panel) and per row (column panel), so
+the bytes equal the per-block calls.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ import itertools
 
 import numpy as np
 
-from repro.core.domains import WaveTask
+from repro.core.domains import WavefrontDomain, WaveTask
 from repro.core.kernel import Kernel, register_kernel, variant
 
-__all__ = ["LuWavefrontKernel", "lu_diag", "trsm_row", "trsm_col", "gemm_trail"]
+__all__ = [
+    "LuWavefrontKernel", "block_work", "lu_diag", "trsm_row", "trsm_col", "gemm_trail",
+]
 
 
 def lu_diag(a: np.ndarray) -> None:
@@ -63,6 +69,20 @@ def trsm_col(ukk: np.ndarray, b: np.ndarray) -> None:
 def gemm_trail(aik: np.ndarray, akj: np.ndarray, aij: np.ndarray) -> None:
     """Trailing update ``A_ij -= A_ik @ A_kj``."""
     aij -= aik @ akj
+
+
+def block_work(task: WaveTask, kw: int) -> float:
+    """Flop count of one block operation, its work units; ``kw`` is the
+    width of the step's diagonal block (the inner dimension of a trail
+    product)."""
+    h, w = task.h, task.w
+    if task.op == "diag":
+        return (h * h * h) / 3.0
+    if task.op == "row":
+        return float(h * h * w)
+    if task.op == "col":
+        return float(h * w * w)
+    return float(2 * h * w * kw)
 
 
 @register_kernel
@@ -111,7 +131,7 @@ class LuWavefrontKernel(Kernel):
                 reads=[("mat", x, y, w, h)], writes=[("mat", x, y, w, h)]
             )
             lu_diag(blk)
-            return (h * h * h) / 3.0
+            return block_work(task, kw)
         diag = mat[ky : ky + kh, kx : kx + kw]
         if task.op == "row":
             ctx.declare_access(
@@ -119,14 +139,14 @@ class LuWavefrontKernel(Kernel):
                 writes=[("mat", x, y, w, h)],
             )
             trsm_row(diag, blk)
-            return float(h * h * w)
+            return block_work(task, kw)
         if task.op == "col":
             ctx.declare_access(
                 reads=[("mat", kx, ky, kw, kh), ("mat", x, y, w, h)],
                 writes=[("mat", x, y, w, h)],
             )
             trsm_col(diag, blk)
-            return float(h * w * w)
+            return block_work(task, kw)
         # trail: A_ij -= A_ik @ A_kj
         ix, iy, iw, ih = dom.block_rect(task.row, k)
         jx, jy, jw, jh = dom.block_rect(k, task.col)
@@ -139,23 +159,54 @@ class LuWavefrontKernel(Kernel):
             writes=[("mat", x, y, w, h)],
         )
         gemm_trail(mat[iy : iy + ih, ix : ix + iw], mat[jy : jy + jh, jx : jx + jw], blk)
-        return float(2 * h * w * iw)
+        return block_work(task, iw)
+
+    # -- whole-frame fast path (perf mode) ----------------------------------
+    def compute_frame(self, ctx, items) -> list[float] | None:
+        """The whole factorization, one elimination step at a time.
+
+        Each step factorizes its diagonal block, solves the whole row
+        panel ``mat[k0:k1, k1:]`` and the whole column panel
+        ``mat[k1:, k0:k1]`` in one call each, then updates every
+        trailing block with its own product: one larger matmul could
+        sum in another order.  Returns the per-task works in
+        enumeration order; declines unless ``items`` is the whole
+        wavefront domain.
+        """
+        dom = ctx.domain
+        if not isinstance(dom, WavefrontDomain) or items != list(dom):
+            return None
+        mat, n, b = ctx.data["mat"], dom.dim_x, dom.block
+        for k0 in range(0, n, b):
+            k1 = min(k0 + b, n)
+            diag = mat[k0:k1, k0:k1]
+            lu_diag(diag)
+            trsm_row(diag, mat[k0:k1, k1:])
+            trsm_col(diag, mat[k1:, k0:k1])
+            for i0 in range(k1, n, b):
+                for j0 in range(k1, n, b):
+                    gemm_trail(mat[i0 : i0 + b, k0:k1], mat[k0:k1, j0 : j0 + b],
+                               mat[i0 : i0 + b, j0 : j0 + b])
+        # a trail's inner dimension is a whole block: only the last
+        # step's diagonal block is clipped, and that step has no trail
+        return [block_work(t, b) for t in items]
 
     @variant("seq")
     def compute_seq(self, ctx, nb_iter: int) -> int:
         for _ in ctx.iterations(nb_iter):
             ctx.run_on_master(lambda: self._reset(ctx))
-            ctx.sequential_for(ctx.body(self.do_block))
+            ctx.sequential_for(ctx.body(self.do_block), frame=self.compute_frame)
         return 0
 
     @variant("omp_tiled")
     def compute_omp_tiled(self, ctx, nb_iter: int) -> int:
         """Worksharing over the wavefront domain: ``parallel_for`` sees
         the dependency edges and schedules the region as a policy-aware
-        DAG (see :func:`repro.omp.parallel.parallel_for`)."""
+        DAG (see :func:`repro.omp.parallel.parallel_for`), which the
+        whole-frame fast path keeps."""
         for _ in ctx.iterations(nb_iter):
             ctx.run_on_master(lambda: self._reset(ctx))
-            ctx.parallel_for(ctx.body(self.do_block))
+            ctx.parallel_for(ctx.body(self.do_block), frame=self.compute_frame)
         return 0
 
     def finalize(self, ctx) -> None:

@@ -124,9 +124,11 @@ class SandpileKernel(Kernel):
         """Whole-frame toppling step (integer ops — trivially exact).
 
         :func:`sandpile_step_frame` works in this instance's scratch,
-        sized once per run, so a step allocates nothing.
+        sized once per run, so a step allocates nothing.  Accepts the
+        whole item list of a grid or quadtree domain: both partition
+        the image exactly.
         """
-        if len(tiles) != len(ctx.grid):
+        if ctx.domain.kind not in ("grid", "quadtree") or len(tiles) != len(ctx.domain):
             return None
         grains, dim = ctx.data["grains"], ctx.dim
         changed = sandpile_step_frame(
@@ -167,10 +169,12 @@ class SandpileKernel(Kernel):
         default item list *is* the refined domain, and because the tiles
         still partition the image exactly, the result is bit-identical
         to ``omp_tiled`` — only the schedule's load profile changes
-        (finer grains where the dataset is active)."""
+        (finer grains where the dataset is active).  The whole-frame
+        fast path steps the image in one call, as for ``omp_tiled``, and
+        returns the quadtree tiles' works."""
         for it in ctx.iterations(nb_iter):
             ctx.data["changed"] = False
-            ctx.parallel_for(ctx.body(self.do_tile))
+            ctx.parallel_for(ctx.body(self.do_tile), frame=self.compute_frame)
             stable = not ctx.run_on_master(lambda: self._end_iter(ctx))
             if stable:
                 return it

@@ -103,6 +103,9 @@ def parallel_for(
     bit-identical across sim/threads/procs.  Explicit item lists
     (subsets, reordered items) always take the independent-loop path,
     since domain edges are defined on whole-domain enumeration order.
+    A DAG region may take a ``frame`` too: it then runs the whole
+    domain at once, and the DAG is still scheduled from the per-task
+    works it returns, so timelines, traces and monitors do not change.
     """
     return _worksharing(ctx, body, items, schedule, kind, frame)
 
@@ -190,8 +193,11 @@ def _worksharing(ctx, body, items, schedule, kind, frame, values=None) -> SimRes
         from repro.omp.procs import procs_parallel_for
 
         return procs_parallel_for(ctx, body, items, policy, meta, values)
+    works, footprints = _execute(ctx, body, items, frame, values)
     if deps is not None:
-        works, footprints = _measure(ctx, body, items, values)
+        if isinstance(works, np.ndarray):
+            # the DAG simulator folds Python floats, as from the bodies
+            works = works.tolist()
 
         def schedule_dag(costs, start, meta):
             return SimResult(simulate_dag_policy(
@@ -201,7 +207,6 @@ def _worksharing(ctx, body, items, schedule, kind, frame, values=None) -> SimRes
 
         return close_region(ctx, "dagp", works, schedule_dag, kind=kind, rmode="dag",
                             deps=deps, footprints=footprints)
-    works, footprints = _execute(ctx, body, items, frame, values)
 
     def schedule_loop(costs, start, meta):
         return simulate(

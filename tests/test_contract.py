@@ -283,6 +283,10 @@ CONTRACT_SETTINGS = dict(
 # kernel that stabilized early
 @example(kw=pin("mandel", "omp_tiled", schedule="nonmonotonic:dynamic", nthreads=4))
 @example(kw=pin("life", "omp_tiled", dim=8, tile_w=4, tile_h=4, iterations=3))
+# the frames of the non-grid domains: LU by panels over clipped blocks,
+# and the sandpile quadtree in one step
+@example(kw=pin("lu_wavefront", "omp_tiled", dim=30, schedule="static", nthreads=3))
+@example(kw=pin("sandpile", "omp_quadtree", dim=30, iterations=3))
 def test_contract(kw):
     check_contract(kw)
 
