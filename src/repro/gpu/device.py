@@ -151,20 +151,21 @@ class GpuDevice:
         # carries its lockstep work, useful lane work and divergence
         # ratio, so the telemetry bus (and any trace recorded from it)
         # can chart where the SIMT penalty is paid
-        nlanes = group_w * group_h
-        lock_flat = lock.ravel()
-        lane_flat = lane_sum.ravel()
-        for e in result.timeline.execs:
-            i = e.meta.get("index")
-            if i is None:
-                continue
-            ls = float(lock_flat[i]) * nlanes
-            lw = float(lane_flat[i])
-            e.meta["lockstep"] = ls
-            e.meta["lane_work"] = lw
-            e.meta["divergence"] = round(ls / lw, 6) if lw > 0 else 1.0
+        lockstep = (lock.ravel() * (group_w * group_h)).tolist()
+        lane_work = lane_sum.ravel().tolist()
+        sim = result.timeline
+        timeline = Timeline(
+            sim.items, sim.index, sim.cpu, sim.start, sim.end,
+            ncpus=sim.ncpus, meta=sim.meta,
+            columns={
+                "lockstep": lockstep,
+                "lane_work": lane_work,
+                "divergence": [round(ls / lw, 6) if lw > 0 else 1.0
+                               for ls, lw in zip(lockstep, lane_work)],
+            },
+        )
         return LaunchResult(
-            timeline=result.timeline,
+            timeline=timeline,
             group_costs=costs,
             total_lane_work=float(lane_sum.sum()),
             # every lane of the group runs for the slowest lane's duration

@@ -8,11 +8,13 @@ for the Activity Monitor and Tiling windows.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.core.tiling import Tile, TileGrid
 from repro.monitor.records import IterationRecord
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline, cpu_busy, imbalance
 
 __all__ = ["Monitor"]
 
@@ -28,7 +30,7 @@ class Monitor:
         #: bottom of the Activity Monitor window)
         self.idleness_history: list[float] = []
         self._cumulated_idleness = 0.0
-        self._pending: list[TaskExec] = []
+        self._pending: list[Timeline] = []
         self._iter_start: float = 0.0
 
     # -- telemetry-bus consumer hooks ----------------------------------------
@@ -40,7 +42,7 @@ class Monitor:
 
     # -- feeding ------------------------------------------------------------
     def record_timeline(self, timeline: Timeline) -> None:
-        self._pending.extend(timeline.execs)
+        self._pending.append(timeline)
 
     def end_iteration(self, iteration: int, now: float) -> IterationRecord:
         """Close the current iteration, which spans [previous now, now)."""
@@ -50,23 +52,26 @@ class Monitor:
         tiling = np.full((rows, cols), -1, dtype=np.int32)
         heat = np.zeros((rows, cols), dtype=np.float64)
         stolen = np.zeros((rows, cols), dtype=bool)
-        busy = [0.0] * self.ncpus
-        for e in self._pending:
-            if 0 <= e.cpu < self.ncpus:
-                busy[e.cpu] += e.duration
-            item = e.item
-            # irregular domains (quadtree refinements, wavefront tasks)
-            # map several items onto one coarse cell, or none at all;
-            # out-of-grid coordinates are simply not charted
-            if (
-                isinstance(item, Tile)
-                and 0 <= item.row < rows
-                and 0 <= item.col < cols
-            ):
-                tiling[item.row, item.col] = e.cpu
-                heat[item.row, item.col] += e.duration
-                if e.meta.get("stolen"):
-                    stolen[item.row, item.col] = True
+        pending = self._pending
+        busy = cpu_busy(
+            chain.from_iterable(zip(tl.cpu, tl.start, tl.end) for tl in pending), self.ncpus
+        )
+        for tl in pending:
+            items, stolen_at = tl.items, tl.stolen
+            for i, cpu, start, end in zip(tl.index, tl.cpu, tl.start, tl.end):
+                item = items[i]
+                # irregular domains (quadtree refinements, wavefront tasks)
+                # map several items onto one coarse cell, or none at all;
+                # out-of-grid coordinates are simply not charted
+                if (
+                    isinstance(item, Tile)
+                    and 0 <= item.row < rows
+                    and 0 <= item.col < cols
+                ):
+                    tiling[item.row, item.col] = cpu
+                    heat[item.row, item.col] += end - start
+                    if i in stolen_at:
+                        stolen[item.row, item.col] = True
         rec = IterationRecord(
             iteration=iteration,
             span=span,
@@ -74,7 +79,7 @@ class Monitor:
             tiling=tiling,
             heat=heat,
             stolen=stolen,
-            ntasks=len(self._pending),
+            ntasks=sum(len(tl) for tl in pending),
         )
         self.records.append(rec)
         self._cumulated_idleness += rec.idleness()
@@ -90,19 +95,9 @@ class Monitor:
 
     def mean_load(self) -> list[float]:
         """Average per-CPU load over all recorded iterations."""
-        if not self.records:
-            return [0.0] * self.ncpus
-        acc = [0.0] * self.ncpus
-        for rec in self.records:
-            for c, v in enumerate(rec.load_percent()):
-                acc[c] += v
-        return [v / len(self.records) for v in acc]
+        loads = [rec.load_percent() for rec in self.records]
+        return [sum(col) / len(loads) for col in zip(*loads)] or [0.0] * self.ncpus
 
     def load_imbalance(self) -> float:
         """max/mean of per-CPU busy time summed over the run (>= 1)."""
-        acc = [0.0] * self.ncpus
-        for rec in self.records:
-            for c, v in enumerate(rec.busy):
-                acc[c] += v
-        mean = sum(acc) / len(acc) if acc else 0.0
-        return max(acc) / mean if mean > 0 else 1.0
+        return imbalance([sum(col) for col in zip(*(rec.busy for rec in self.records))])

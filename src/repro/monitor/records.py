@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sched.timeline import idleness
+
 __all__ = ["IterationRecord"]
 
 
@@ -62,7 +64,7 @@ class IterationRecord:
 
     def idleness(self) -> float:
         """Total idle CPU-time during the iteration."""
-        return sum(max(self.span - b, 0.0) for b in self.busy)
+        return idleness(self.busy, self.span)
 
     def computed_fraction(self) -> float:
         """Fraction of tiles computed this iteration (lazy kernels < 1)."""

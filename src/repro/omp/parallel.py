@@ -19,7 +19,10 @@ Every sim-backend region — these three loops, the policy-aware DAG of
 a wavefront domain and :class:`repro.omp.tasks.TaskRegion` — ends in
 :func:`close_region`, the one place that logs, perturbs, schedules,
 advances the clock and publishes a region; the real backends end in its
-publish half, :func:`publish_region`.  ``parallel_reduce`` is the
+publish half, :func:`publish_region`.  Whoever ran the region, what is
+published is one :class:`~repro.sched.timeline.Timeline`: columns of
+item index, CPU, start and end per task, built with one constructor
+call and no per-task object.  ``parallel_reduce`` is the
 ``parallel_for`` region plus an item-order fold of the per-item values.
 
 Perf-mode fast path
@@ -60,7 +63,7 @@ from repro.sched.costmodel import perturb
 from repro.sched.policies import SchedulePolicy, parse_schedule
 from repro.sched.dag_sim import simulate_dag_policy
 from repro.sched.simulator import SimResult, simulate
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 
 __all__ = ["parallel_for", "parallel_reduce", "sequential_for"]
 
@@ -165,7 +168,7 @@ def sequential_for(
     works, footprints = _execute(ctx, body, items, frame)
 
     def schedule(costs, start, meta):
-        return _Sequential(costs, items, start, ctx.nthreads, meta)
+        return _sequential(costs, items, start, ctx.nthreads, meta)
 
     close_region(ctx, "seq", works, schedule, kind=kind, rmode="seq",
                  footprints=footprints)
@@ -317,31 +320,24 @@ def _measure(ctx, body, items, values=None):
     return works, footprints
 
 
-class _Sequential:
+def _sequential(costs, items, start: float, ncpus: int, meta: dict) -> SimResult:
     """The schedule of a sequential region: every item back-to-back on
     CPU 0 from ``start`` — one left fold, whose prefix sums are the
     item bounds; the timeline is built only when read."""
+    seg = np.empty(len(costs) + 1)
+    seg[0] = start
+    seg[1:] = costs
+    bounds = np.add.accumulate(seg)
 
-    steals = 0
+    def timeline() -> Timeline:
+        b = bounds.tolist()
+        # a sequential region's rows have always named their index first
+        m = {"iteration": meta["iteration"], "kind": meta["kind"], "index": None,
+             "region": meta["region"], "rmode": meta["rmode"]}
+        return Timeline(items, range(len(items)), [0] * len(items), b[:-1], b[1:],
+                        ncpus=ncpus, meta=m)
 
-    def __init__(self, costs, items, start: float, ncpus: int, meta: dict):
-        seg = np.empty(len(costs) + 1)
-        seg[0] = start
-        seg[1:] = costs
-        self._bounds = np.add.accumulate(seg)
-        self.makespan = float(self._bounds[-1])
-        self._source = (items, ncpus, meta)
-
-    @property
-    def timeline(self) -> Timeline:
-        items, ncpus, meta = self._source
-        bounds = self._bounds.tolist()
-        timeline = Timeline(ncpus=ncpus)
-        for i, item in enumerate(items):
-            m = {"iteration": meta["iteration"], "kind": meta["kind"], "index": i,
-                 "region": meta["region"], "rmode": meta["rmode"]}
-            timeline.append(TaskExec(item, 0, bounds[i], bounds[i + 1], m))
-        return timeline
+    return SimResult(timeline, makespan=float(bounds[-1]))
 
 
 # --------------------------------------------------------------------------
@@ -358,14 +354,14 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
     so ``static`` members walk their own range, dynamic and guided take
     the iterations under the cursor, and ``nonmonotonic:dynamic``
     members steal from the back of the most-loaded block; stolen tasks
-    are marked in their meta, as the simulator marks them, and the
-    steal count is published.
+    join the timeline's ``stolen`` column, as the simulator's do, and
+    the steal count is published.
     """
     n = len(items)
     nthreads = ctx.nthreads
     rule, state = plan(policy, n, nthreads)
     lock = threading.Lock()
-    records: list[list[tuple[int, float, float, bool]]] = [[] for _ in range(nthreads)]
+    records: list[list[tuple[int, int, float, float, bool]]] = [[] for _ in range(nthreads)]
     # the active footprint collector is thread-local, so each team member
     # records its own tasks; every idx runs exactly once, so the slot
     # writes below never contend
@@ -381,6 +377,7 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
         if values is not None:
             values[idx] = ret[1]
 
+    clock = ctx.vclock
     t0 = time.perf_counter()
 
     def worker(rank: int) -> None:
@@ -392,10 +389,9 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
                 return
             lo, hi, stolen = got
             for idx in range(lo, hi):
-                s = time.perf_counter() - t0
+                s = clock + (time.perf_counter() - t0)
                 run_item(idx)
-                e = time.perf_counter() - t0
-                recs.append((idx, s, e, stolen))
+                recs.append((rank, idx, s, clock + (time.perf_counter() - t0), stolen))
 
     threads = [
         threading.Thread(target=worker, args=(r,), name=f"easypap-{r}")
@@ -407,14 +403,10 @@ def _threads_parallel_for(ctx, body, items, policy, meta, values=None) -> SimRes
         t.join()
     elapsed = time.perf_counter() - t0
 
-    timeline = Timeline(ncpus=nthreads)
-    for rank, recs in enumerate(records):
-        for idx, s, e, stolen in recs:
-            m = dict(meta)
-            m["index"] = idx
-            if stolen:
-                m["stolen"] = True
-            timeline.append(TaskExec(items[idx], rank, ctx.vclock + s, ctx.vclock + e, m))
+    rows = [rec for recs in records for rec in recs]
+    cpus, index, starts, ends, took = zip(*rows) if rows else ((),) * 5
+    timeline = Timeline(items, index, cpus, starts, ends, ncpus=nthreads, meta=meta,
+                        stolen={i for i, t in zip(index, took) if t})
     ctx.vclock += elapsed
     steals = state[1]
     publish_region(ctx, timeline, steals, footprints=fps)

@@ -480,7 +480,8 @@ class ProcPool(WorkerPool):
         """
         self.ensure_session(ctx)
         n = len(items)
-        timeline = Timeline(ncpus=self.nworkers)
+        timeline = Timeline(items, [], [], [], [], ncpus=self.nworkers, meta=meta,
+                            stolen=set())
         if n == 0:
             return timeline, 0.0, {
                 "values": [], "sets": {}, "steals": 0, "footprints": None,

@@ -83,8 +83,10 @@ def perturb(costs: Sequence[float], rng, sigma: float) -> list[float]:
     """
     if sigma <= 0.0 or not costs:
         return list(costs)
-    factors = rng.normal(1.0, sigma, size=len(costs))
-    return [c * max(f, 0.05) for c, f in zip(costs, factors)]
+    factors = rng.normal(1.0, sigma, size=len(costs)).tolist()
+    # Python floats out, whatever the element type in: the schedulers
+    # publish the times they fold from these
+    return [float(c) * max(f, 0.05) for c, f in zip(costs, factors)]
 
 
 def uniform_costs(n: int, cost: float = 1.0) -> list[float]:

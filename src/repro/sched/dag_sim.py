@@ -28,7 +28,7 @@ from repro.sched.claim import claim, plan
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sched.policies import SchedulePolicy, StaticSchedule
 from repro.sched.taskgraph import TaskGraph
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 
 __all__ = ["simulate_dag", "simulate_dag_policy", "dag_policy_makespan"]
 
@@ -57,16 +57,11 @@ def simulate_dag(
     slots, order = _list_schedule(
         [node.cost for node in nodes], preds, ncpus, model.dispatch_overhead, start_time
     )
-    base_meta = dict(meta or {})
-    timeline = Timeline(ncpus=ncpus)
-    for tid in order:
-        node = nodes[tid]
-        m = dict(base_meta)
-        m.update(node.meta)
-        m["tid"] = tid
-        m["preds"] = sorted(node.preds)
-        timeline.append(TaskExec(node.item, *slots[tid], m))
-    return timeline
+    cpus, starts, ends = zip(*[slots[tid] for tid in order]) if order else ((),) * 3
+    return Timeline(
+        [node.item for node in nodes], order, cpus, starts, ends, ncpus=ncpus,
+        meta=dict(meta or {}), preds=preds, tasks=[node.meta for node in nodes],
+    )
 
 
 def _check_dag(n: int, preds: Sequence[Iterable[int]], ncpus: int) -> None:
@@ -192,18 +187,14 @@ def simulate_dag_policy(
     """
     slots = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
     if items is None:
-        items = list(range(len(costs)))
+        items = range(len(costs))
     elif len(items) != len(costs):
         raise SimulationError(f"{len(items)} items for {len(costs)} costs")
-    base_meta = dict(meta or {})
-    timeline = Timeline(ncpus=ncpus)
-    for i, (cpu, t0, t1) in enumerate(slots):
-        m = dict(base_meta)
-        m["index"] = i
-        m["tid"] = i
-        m["preds"] = sorted(preds[i])
-        timeline.append(TaskExec(items[i], cpu, t0, t1, m))
-    return timeline
+    cpus, starts, ends = zip(*slots) if slots else ((),) * 3
+    return Timeline(
+        items, range(len(slots)), cpus, starts, ends, ncpus=ncpus,
+        meta=dict(meta or {}), preds=preds,
+    )
 
 
 def dag_policy_makespan(

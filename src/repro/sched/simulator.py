@@ -21,9 +21,10 @@ asks:
 
 A chunk's end time is its start plus its item costs summed strictly
 left to right (:func:`_fold`), so the makespan is the largest grab end
-and the per-task timeline is the grabs expanded item by item — expanded
-only when :attr:`SimResult.timeline` is first read, so perf mode never
-allocates a :class:`TaskExec`.
+and the per-task timeline is the grabs expanded item by item into the
+columns of a :class:`~repro.sched.timeline.Timeline` — expanded only
+when :attr:`SimResult.timeline` is first read, so perf mode builds no
+per-task record at all.
 
 Work stealing (Fig. 4c): *"tiles are first distributed in a static
 manner, but work-stealing is eventually used to correct load
@@ -43,7 +44,7 @@ from repro.errors import SimulationError
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sched.claim import claim, plan
 from repro.sched.policies import SchedulePolicy, StaticSchedule
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 
 __all__ = ["simulate", "simulate_makespan", "SimResult", "ChunkGrab"]
 
@@ -69,36 +70,24 @@ class ChunkGrab:
 class SimResult:
     """Timeline plus scheduler-level bookkeeping.
 
-    Results of :func:`simulate` keep the raw chunk grabs; the
-    :class:`ChunkGrab` list and the per-task timeline are expanded from
-    them the first time they are read.
+    ``timeline`` is the region's :class:`Timeline` or a function that
+    builds it, called the first time it is read.  Results of
+    :func:`simulate` keep the raw chunk grabs, from which their
+    :class:`ChunkGrab` list and makespan come.
     """
 
-    def __init__(self, timeline: Timeline | None, steals: int = 0):
+    def __init__(self, timeline, steals: int = 0, *, makespan: float | None = None,
+                 raw: list[Grab] | None = None):
         self._timeline = timeline
-        self._grabs: list[ChunkGrab] | None = None
         self.steals = steals
-        self._raw: list[Grab] | None = None
-        self._source: tuple = ()
-
-    @classmethod
-    def _of_grabs(
-        cls,
-        raw: list[Grab],
-        costs: Sequence[float],
-        items: Sequence[Any] | None,
-        ncpus: int,
-        meta: dict,
-    ) -> "SimResult":
-        res = cls(None, steals=sum(g[4] for g in raw))
-        res._raw = raw
-        res._source = (costs, items, ncpus, meta)
-        return res
+        self._makespan = makespan
+        self._raw = raw
+        self._grabs: list[ChunkGrab] | None = None
 
     @property
     def timeline(self) -> Timeline:
-        if self._timeline is None:
-            self._timeline = _expand(self._raw, *self._source)
+        if callable(self._timeline):
+            self._timeline = self._timeline()
         return self._timeline
 
     @property
@@ -112,9 +101,7 @@ class SimResult:
 
     @property
     def makespan(self) -> float:
-        if self._raw is not None:
-            return _makespan(self._raw)
-        return self.timeline.makespan
+        return self.timeline.makespan if self._makespan is None else self._makespan
 
     def chunk_sizes(self) -> list[int]:
         """Chunk sizes in grab order (guided: non-increasing, Fig. 4d)."""
@@ -145,12 +132,14 @@ def simulate(
         Supplies dispatch/steal overheads (conversion from work units
         must already have been applied to ``costs``).
     meta:
-        Extra annotations copied into every :class:`TaskExec`.
+        The region-wide annotations of the timeline.
     """
     if items is not None and len(items) != len(costs):
         raise SimulationError(f"{len(items)} items for {len(costs)} costs")
     raw = _schedule(costs, policy, ncpus, model, start_time)
-    return SimResult._of_grabs(raw, costs, items, ncpus, dict(meta or {}))
+    meta = dict(meta or {})
+    return SimResult(lambda: _expand(raw, costs, items, ncpus, meta),
+                     sum(g[4] for g in raw), makespan=_makespan(raw), raw=raw)
 
 
 def simulate_makespan(
@@ -178,18 +167,23 @@ def _expand(
     meta: dict,
 ) -> Timeline:
     """The per-task timeline of ``raw``: each grab's items back-to-back
-    on its CPU, ``t = t + cost`` from the grab's start."""
-    timeline = Timeline(ncpus=ncpus)
-    for cpu, t, lo, hi, stolen, _ in raw:
-        for idx in range(lo, hi):
-            end = t + costs[idx]
-            m = dict(meta)
-            m["index"] = idx
-            if stolen:
-                m["stolen"] = True
-            timeline.append(TaskExec(idx if items is None else items[idx], cpu, t, end, m))
-            t = end
-    return timeline
+    on its CPU, ``t = t + cost`` from the grab's start, in Python floats
+    whatever the type of ``costs``."""
+    cl = np.asarray(costs, dtype=np.float64).tolist()
+    index, cpus, starts, ends, stolen = [], [], [], [], set()
+    for cpu, t, lo, hi, took, _ in raw:
+        index.extend(range(lo, hi))
+        cpus.extend([cpu] * (hi - lo))
+        if took:
+            stolen.update(range(lo, hi))
+        for cost in cl[lo:hi]:
+            starts.append(t)
+            t += cost
+            ends.append(t)
+    return Timeline(
+        range(len(cl)) if items is None else items, index, cpus, starts, ends,
+        ncpus=ncpus, meta=meta, stolen=stolen,
+    )
 
 
 #: below this chunk size a plain Python loop beats building a NumPy array;

@@ -7,10 +7,12 @@ any object attached with :meth:`TelemetryBus.attach`.  A consumer
 implements any of three hooks, called synchronously in attach order:
 
 ``on_region(timeline, footprints)``
-    one executed region: its :class:`~repro.sched.timeline.Timeline`
-    and, for a footprinted worksharing region, the per-task footprints
-    indexed by each exec's ``meta["index"]`` (else None; task-DAG
-    execs carry theirs in ``meta["footprint"]``);
+    one executed region: its :class:`~repro.sched.timeline.Timeline`,
+    the columnar record every producer fills (per-task item index, CPU,
+    start and end, region-wide meta, sparse per-task columns), and, for
+    a footprinted worksharing region, the per-task footprints indexed
+    by item position, as the ``index`` column numbers them (else None;
+    a task region's nodes carry theirs in their meta's ``footprint``);
 ``on_iteration_mark(iteration, now)``
     an iteration boundary at clock time ``now``;
 ``on_annotation(data)``
@@ -37,9 +39,9 @@ class TelemetryBus:
 
     Remote producers (procs workers) do not hold a bus: they return
     their execution records and footprints in their region reply, which
-    the master decodes (:mod:`repro.telemetry.ring`) into a region
-    timeline and publishes here, so consumers see the same regions
-    regardless of where the work ran.
+    the master decodes (:mod:`repro.telemetry.ring`) into the columns of
+    a region timeline and publishes here, so consumers see the same
+    regions regardless of where the work ran.
     """
 
     def __init__(self) -> None:

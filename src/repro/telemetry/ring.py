@@ -1,4 +1,5 @@
-"""Decoding of one procs worker's telemetry reply.
+"""Decoding of one procs worker's telemetry reply into the columns of
+the region's :class:`~repro.sched.timeline.Timeline`.
 
 A procs worker returns its telemetry in the ``done`` reply of a
 region: ``execs``, one ``(pos, start, end)`` triple per task it ran
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 
 __all__ = ["drain_lane"]
 
@@ -36,21 +37,21 @@ def drain_lane(
 ) -> None:
     """Decode worker ``rank``'s ``done`` reply into the region.
 
-    Each executed task becomes a :class:`TaskExec` on ``timeline``,
-    placed at ``clock`` plus its offset from the master's dispatch time
-    ``t0`` and carrying ``meta`` plus its ``index`` (and ``stolen`` when
-    it was, as the simulator marks it); when ``footprints`` is a list,
-    each task's footprint lands at its item position.
+    The reply's tasks extend the columns of ``timeline``, the region's
+    record, which already holds ``items`` and ``meta`` (both stay in
+    the signature the span layer times): each task's item position,
+    ``rank`` as its CPU, and its times placed at ``clock`` plus their
+    offset from the master's dispatch time ``t0``; the positions of its
+    stolen chunks join the ``stolen`` column.  When ``footprints`` is a
+    list, each task's footprint lands at its item position.
     """
-    stolen = {pos for lo, hi in reply["stolen"] for pos in range(lo, hi)}
-    for pos, start, end in reply["execs"]:
-        m = dict(meta)
-        m["index"] = pos
-        if pos in stolen:
-            m["stolen"] = True
-        timeline.append(
-            TaskExec(items[pos], rank, clock + (start - t0), clock + (end - t0), m)
-        )
+    execs = reply["execs"]
+    timeline.index.extend(pos for pos, _, _ in execs)
+    timeline.cpu.extend([rank] * len(execs))
+    timeline.start.extend(clock + (start - t0) for _, start, _ in execs)
+    timeline.end.extend(clock + (end - t0) for _, _, end in execs)
+    for lo, hi in reply["stolen"]:
+        timeline.stolen.update(range(lo, hi))
     if footprints is not None:
         for pos, fp in reply["footprints"]:
             footprints[pos] = fp

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sched.timeline import cpu_busy
 from repro.trace.events import Trace, TraceEvent
 
 __all__ = ["IterationAnalysis", "analyze_iterations", "efficiency", "critical_tasks",
@@ -47,13 +48,18 @@ class IterationAnalysis:
 
 def analyze_iterations(trace: Trace) -> list[IterationAnalysis]:
     """Per-iteration efficiency decomposition."""
-    spans: dict[int, tuple[float, float, float]] = {}
+    rows: dict[int, list[tuple[int, float, float]]] = {}
     for e in trace.events:
-        lo, hi, busy = spans.get(e.iteration, (e.start, e.end, 0.0))
-        spans[e.iteration] = (min(lo, e.start), max(hi, e.end), busy + e.duration)
+        rows.setdefault(e.iteration, []).append((e.cpu, e.start, e.end))
+    ncpus = trace.ncpus
     return [
-        IterationAnalysis(iteration=it, span=hi - lo, busy=busy, ncpus=trace.ncpus)
-        for it, (lo, hi, busy) in sorted(spans.items())
+        IterationAnalysis(
+            iteration=it,
+            span=max(end for _, _, end in r) - min(start for _, start, _ in r),
+            busy=sum(cpu_busy(r, ncpus)),
+            ncpus=ncpus,
+        )
+        for it, r in sorted(rows.items())
     ]
 
 

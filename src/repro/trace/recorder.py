@@ -34,47 +34,34 @@ class TraceRecorder:
         self.meta.extra.update(data)
 
     def on_region(self, timeline, footprints) -> None:
-        """Record one trace event per exec of the region.
+        """Record one trace event per row of the region's timeline.
 
-        A worksharing region's ``footprints`` are indexed by each
-        exec's ``meta["index"]`` (the per-region task index, as the
-        schedulers number tasks); a task-DAG exec carries its own in
-        ``meta["footprint"]``.
+        A worksharing region's ``footprints`` are indexed by each row's
+        item position (its ``index``); a task region's rows carry their
+        own in their node meta's ``footprint``.
         """
-        for e in timeline:
-            fp = None
-            if footprints is not None:
-                idx = e.meta.get("index")
-                if idx is not None and idx < len(footprints):
-                    fp = footprints[idx]
-            if fp is None:
-                fp = e.meta.get("footprint")
-            item = e.item
-            if isinstance(item, Tile):
-                x, y, w, h = item.as_rect()
-            else:
-                x = y = w = h = -1
-            extra = {
-                k: v
-                for k, v in e.meta.items()
-                if k not in ("iteration", "kind", "footprint")
-            }
-            self.events.append(
-                TraceEvent(
-                    iteration=int(e.meta.get("iteration", 0)),
-                    cpu=e.cpu,
-                    start=e.start,
-                    end=e.end,
-                    x=x,
-                    y=y,
-                    w=w,
-                    h=h,
-                    kind=str(e.meta.get("kind", "tile")),
-                    extra=extra,
-                    reads=fp.reads if fp is not None else (),
-                    writes=fp.writes if fp is not None else (),
-                )
-            )
+        meta = timeline.meta
+        iteration = int(meta.get("iteration", 0))
+        kind = str(meta.get("kind", "tile"))
+        base = {k: v for k, v in meta.items() if k not in ("iteration", "kind", "footprint")}
+        tasks = timeline.tasks is not None
+        items = timeline.items
+        nfp = -1 if footprints is None else len(footprints)
+        append = self.events.append
+        for i, cpu, start, end, extra in zip(
+            timeline.index, timeline.cpu, timeline.start, timeline.end,
+            timeline.annotations(base),
+        ):
+            fp = footprints[i] if i < nfp else None
+            it, k = iteration, kind
+            if tasks:  # a node's meta may hold its footprint, iteration or kind
+                fp = extra.pop("footprint", None)
+                it = int(extra.pop("iteration", it))
+                k = str(extra.pop("kind", k))
+            item = items[i]
+            x, y, w, h = item.as_rect() if isinstance(item, Tile) else (-1, -1, -1, -1)
+            append(TraceEvent(it, cpu, start, end, x, y, w, h, k, extra,
+                              *((fp.reads, fp.writes) if fp is not None else ())))
 
     def to_trace(self) -> Trace:
         return Trace(self.meta, sorted(self.events, key=lambda e: (e.start, e.cpu)))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sched.timeline import cpu_busy, imbalance
+from repro.trace.analysis import analyze_iterations
 from repro.trace.events import Trace
 
 __all__ = ["DurationStats", "duration_stats", "iteration_spans", "per_cpu_busy", "task_imbalance"]
@@ -54,23 +56,13 @@ def duration_stats(trace: Trace, *, kind: str | None = "tile") -> DurationStats:
 
 def iteration_spans(trace: Trace) -> dict[int, float]:
     """Per-iteration wall span (first start to last end)."""
-    spans: dict[int, tuple[float, float]] = {}
-    for e in trace.events:
-        lo, hi = spans.get(e.iteration, (e.start, e.end))
-        spans[e.iteration] = (min(lo, e.start), max(hi, e.end))
-    return {it: hi - lo for it, (lo, hi) in sorted(spans.items())}
+    return {p.iteration: p.span for p in analyze_iterations(trace)}
 
 
 def per_cpu_busy(trace: Trace) -> list[float]:
-    busy = [0.0] * trace.ncpus
-    for e in trace.events:
-        if 0 <= e.cpu < trace.ncpus:
-            busy[e.cpu] += e.duration
-    return busy
+    return cpu_busy(((e.cpu, e.start, e.end) for e in trace.events), trace.ncpus)
 
 
 def task_imbalance(trace: Trace) -> float:
     """max/mean per-CPU busy time (1.0 = perfect balance)."""
-    busy = per_cpu_busy(trace)
-    mean = sum(busy) / len(busy) if busy else 0.0
-    return max(busy) / mean if mean > 0 else 1.0
+    return imbalance(per_cpu_busy(trace))

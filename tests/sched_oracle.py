@@ -28,7 +28,7 @@ from repro.sched.policies import (
     StaticSchedule,
 )
 from repro.sched.simulator import ChunkGrab
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 
 
 #: a chunk: the iterations ``[lo, hi)``
@@ -96,19 +96,20 @@ def oracle_simulate(
 ) -> OracleResult:
     n = len(costs)
     items = list(range(n)) if items is None else items
-    base_meta = dict(meta or {})
-    timeline = Timeline(ncpus=ncpus)
+    timeline = Timeline(items, [], [], [], [], ncpus=ncpus, meta=dict(meta or {}),
+                        stolen=set())
     res = OracleResult(timeline)
 
     def run_chunk(chunk: Chunk, cpu: int, t: float, stolen: bool = False) -> float:
         res.grabs.append(ChunkGrab(cpu, t, *chunk, stolen))
         for idx in range(*chunk):
             end = t + costs[idx]
-            m = dict(base_meta)
-            m["index"] = idx
+            timeline.index.append(idx)
+            timeline.cpu.append(cpu)
+            timeline.start.append(t)
+            timeline.end.append(end)
             if stolen:
-                m["stolen"] = True
-            timeline.append(TaskExec(items[idx], cpu, t, end, m))
+                timeline.stolen.add(idx)
             t = end
         return t
 

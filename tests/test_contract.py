@@ -16,8 +16,9 @@ in-process ranks.  Every draw is held to the same invariants:
    reference (``"off"``) agree bit for bit: image, virtual clock,
    counters, completed iterations and early stop (or both reject);
    where a frame ran, traced and monitored fast and reference runs
-   also write the same ``.evt`` bytes and monitor records, and the
-   traced run still took the fast path;
+   also write the same ``.evt`` bytes and monitor records (the ``repr``
+   of their event times and ``busy`` lists too, so both tiers publish
+   one float type), and the traced run still took the fast path;
 3. ``threads`` and ``procs`` compute the ``sim`` image, and an
    ``mpi_*`` variant computes the ``seq`` image;
 4. a sweep point's ``run_point`` row is the same whether it runs live,
@@ -140,6 +141,12 @@ def same_run(a, b) -> None:
     assert a.early_stop == b.early_stop
 
 
+def _published_floats(res) -> tuple:
+    """A run's event times and monitor ``busy`` lists."""
+    times = [(e.start, e.end) for e in res.trace.events] if res.trace else []
+    return times, [rec.busy for rec in res.monitor.records] if res.monitor else []
+
+
 def same_observation(fast, off) -> None:
     """Equal ``.evt`` bytes and monitor records, rank by rank."""
     pairs = list(zip(fast.rank_results or [fast], off.rank_results or [off], strict=True))
@@ -150,6 +157,8 @@ def same_observation(fast, off) -> None:
                 got = save_trace(a.trace, Path(tmp) / f"fast{i}.evt").read_bytes()
                 assert got == save_trace(b.trace, Path(tmp) / f"off{i}.evt").read_bytes()
             records = [r.monitor.records if r.monitor else [] for r in (a, b)]
+            # one float type on both tiers, not only one value
+            assert repr(_published_floats(a)) == repr(_published_floats(b))
             for x, y in zip(*records, strict=True):
                 for f in dataclasses.fields(x):
                     got, want = getattr(x, f.name), getattr(y, f.name)

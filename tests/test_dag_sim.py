@@ -51,7 +51,7 @@ class TestBasics:
         g = TaskGraph()
         g.add_task("a", cost=1.0, meta={"phase": "dr"})
         tl = simulate_dag(g, 1, model=ZERO, meta={"iteration": 3})
-        e = tl.execs[0]
+        (e,) = tl
         assert e.meta["iteration"] == 3 and e.meta["phase"] == "dr"
 
 

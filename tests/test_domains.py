@@ -231,16 +231,16 @@ class TestDagPolicy:
         tl = simulate_dag_policy(costs, deps, parse_schedule(spec), ncpus,
                                  items=list(dom), model=ZERO)
         assert len(tl) == len(dom)  # work conservation
-        assert sorted(e.item.index for e in tl.execs) == list(range(len(dom)))
+        assert sorted(e.item.index for e in tl) == list(range(len(dom)))
         by_cpu: dict[int, list] = {}
-        for e in tl.execs:
+        for e in tl:
             by_cpu.setdefault(e.cpu, []).append((e.start, e.end))
         for spans in by_cpu.values():
             spans.sort()
             for (s0, e0), (s1, _) in zip(spans, spans[1:]):
                 assert e0 <= s1 + 1e-12  # per-CPU non-overlap
-        end = {e.meta["tid"]: e.end for e in tl.execs}
-        start = {e.meta["tid"]: e.start for e in tl.execs}
+        end = {e.meta["tid"]: e.end for e in tl}
+        start = {e.meta["tid"]: e.start for e in tl}
         for i, preds in enumerate(deps):
             for p in preds:
                 assert end[p] <= start[i] + 1e-12

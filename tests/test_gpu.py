@@ -67,7 +67,7 @@ class TestLaunch:
     def test_meta_tagged_gpu(self):
         res = device().launch(np.ones((4, 4)), group_w=4, group_h=4,
                               meta={"iteration": 2})
-        e = res.timeline.execs[0]
+        e = next(iter(res.timeline))
         assert e.meta["device"] == "gpu" and e.meta["iteration"] == 2
 
 
@@ -79,6 +79,22 @@ class TestMandelOcl:
         r = run(make_config(kernel="mandel", variant="ocl", dim=64, tile_w=8,
                             tile_h=8, iterations=1))
         assert r.context.data["divergence"] > 1.2  # boundary tiles diverge
+
+    def test_traced_events_carry_the_lockstep_counters(self):
+        from repro.core.engine import run
+        from tests.conftest import make_config
+
+        r = run(make_config(kernel="mandel", variant="ocl", dim=64, tile_w=8,
+                            tile_h=8, iterations=2, trace=True))
+        events = r.trace.events
+        assert len(events) == 2 * 64
+        for e in events:
+            assert list(e.extra) == ["device", "index", "lockstep", "lane_work",
+                                     "divergence"]
+        assert sum(e.extra["lockstep"] for e in events) == pytest.approx(
+            r.counters["gpu_lockstep_work"])
+        assert sum(e.extra["lane_work"] for e in events) == pytest.approx(
+            r.counters["gpu_lane_work"])
 
     def test_ocl_needs_divisible_tiles(self):
         from repro.core.engine import run
@@ -99,7 +115,7 @@ class TestTransferModel:
         assert res.transfer_in_time == pytest.approx(1.0)
         assert res.transfer_out_time == pytest.approx(0.5)
         # input transfer delays the kernel; output extends the makespan
-        assert res.timeline.execs[0].start >= 1.0
+        assert next(iter(res.timeline)).start >= 1.0
         assert res.makespan >= res.timeline.makespan + 0.5
 
     def test_transfer_fraction_bounds(self):

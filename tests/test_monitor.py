@@ -6,20 +6,23 @@ import pytest
 from repro.core.tiling import TileGrid
 from repro.monitor.activity import Monitor
 from repro.monitor.records import IterationRecord
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
+
+
+def timeline(rows, ncpus, stolen=()):
+    """A timeline of ``(item, cpu, start, end)`` rows, one item each;
+    ``stolen`` names row positions."""
+    items, cpus, starts, ends = zip(*rows)
+    return Timeline(items, range(len(items)), cpus, starts, ends, ncpus=ncpus,
+                    meta={"iteration": 1}, stolen=set(stolen))
 
 
 def grid_timeline(grid, assignments, start=0.0, dur=1.0, stolen_idx=()):
     """assignments: list of (tile_index, cpu)."""
-    tl = Timeline(ncpus=4)
-    t = start
-    for tile_i, cpu in assignments:
-        meta = {"iteration": 1}
-        if tile_i in stolen_idx:
-            meta["stolen"] = True
-        tl.append(TaskExec(grid[tile_i], cpu, t, t + dur, meta))
-        t += dur
-    return tl
+    rows = [(grid[tile_i], cpu, start + k * dur, start + (k + 1) * dur)
+            for k, (tile_i, cpu) in enumerate(assignments)]
+    stolen = [k for k, (tile_i, _) in enumerate(assignments) if tile_i in stolen_idx]
+    return timeline(rows, 4, stolen)
 
 
 class TestMonitor:
@@ -62,9 +65,9 @@ class TestMonitor:
     def test_idleness_history_is_cumulative(self):
         grid = TileGrid(32, 16)
         mon = Monitor(2, grid)
-        mon.record_timeline(Timeline([TaskExec(grid[0], 0, 0.0, 1.0)], ncpus=2))
+        mon.record_timeline(timeline([(grid[0], 0, 0.0, 1.0)], 2))
         mon.end_iteration(1, now=1.0)  # cpu1 idle 1.0
-        mon.record_timeline(Timeline([TaskExec(grid[1], 0, 1.0, 2.0)], ncpus=2))
+        mon.record_timeline(timeline([(grid[1], 0, 1.0, 2.0)], 2))
         mon.end_iteration(2, now=2.0)  # cpu1 idle again
         assert mon.idleness_history == pytest.approx([1.0, 2.0])
         assert mon.cumulated_idleness == pytest.approx(2.0)
@@ -79,9 +82,7 @@ class TestMonitor:
     def test_mean_load_and_imbalance(self):
         grid = TileGrid(32, 16)
         mon = Monitor(2, grid)
-        tl = Timeline(
-            [TaskExec(grid[0], 0, 0, 3.0), TaskExec(grid[1], 1, 0, 1.0)], ncpus=2
-        )
+        tl = timeline([(grid[0], 0, 0, 3.0), (grid[1], 1, 0, 1.0)], 2)
         mon.record_timeline(tl)
         mon.end_iteration(1, now=3.0)
         assert mon.mean_load() == pytest.approx([100.0, 100.0 / 3])
@@ -89,7 +90,7 @@ class TestMonitor:
 
     def test_gridless_monitor(self):
         mon = Monitor(2, grid=None)
-        mon.record_timeline(Timeline([TaskExec("x", 0, 0, 1.0)], ncpus=2))
+        mon.record_timeline(timeline([("x", 0, 0, 1.0)], 2))
         rec = mon.end_iteration(1, now=1.0)
         assert rec.tiling.size == 0
         assert rec.busy[0] == 1.0

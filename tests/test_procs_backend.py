@@ -174,6 +174,9 @@ def test_real_backends_mark_stolen_tasks(backend):
     stolen = [e for e in res.trace if e.extra.get("stolen")]
     assert res.counters["steals"] > 0
     assert len(stolen) == res.counters["steals"]
+    for e in res.trace:
+        keys = ["region", "rmode", "index"] + (["stolen"] if e in stolen else [])
+        assert list(e.extra) == keys
 
 
 def test_sim_trace_meta_untouched():

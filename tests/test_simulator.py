@@ -59,7 +59,7 @@ class TestBasics:
 
     def test_meta_propagated(self):
         res = simulate([1.0], StaticSchedule(), 1, model=ZERO, meta={"iteration": 7})
-        assert res.timeline.execs[0].meta["iteration"] == 7
+        assert next(iter(res.timeline)).meta["iteration"] == 7
 
     def test_start_time_offsets_everything(self):
         res = simulate([1.0, 1.0], DynamicSchedule(1), 2, model=ZERO, start_time=5.0)

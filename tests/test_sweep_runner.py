@@ -15,9 +15,11 @@ import subprocess
 import sys
 import time
 from multiprocessing import Process
+from pathlib import Path
 
 import pytest
 
+from repro.core.kernel import load_kernel_module
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
 from repro.expt.exptools import (
@@ -170,13 +172,20 @@ class TestResume:
         assert len(completed_points(p)) == len(points)
 
 
+def _slow_kernel() -> str:
+    """Register ``slowtiles`` (0.2 s of sleep per tile) for the sweeps
+    below; their workers fork after this, so they inherit it."""
+    load_kernel_module(str(Path(__file__).parent / "fixtures" / "slowtiles_kernel.py"))
+    return "slowtiles"
+
+
 class TestFailures:
     def test_timeout_records_error_row_and_sweep_continues(self, tmp_path):
         p = tmp_path / "perf.csv"
         rows = execute(
             "easypap", {"OMP_NUM_THREADS=": [2]},
-            {"--kernel ": ["mandel"], "--size ": [64, 512],
-             "--iterations ": [1, 8]},
+            {"--kernel ": ["mandel", _slow_kernel()], "--variant ": ["omp_tiled"],
+             "--size ": [64], "--iterations ": [1, 8]},
             csv_path=p, timeout=0.2, retries=1,
         )
         assert len(rows) == 4
@@ -192,7 +201,8 @@ class TestFailures:
     def test_timeout_in_parallel_workers(self, tmp_path):
         rows = execute(
             "easypap", {"OMP_NUM_THREADS=": [2, 4]},
-            {"--kernel ": ["mandel"], "--size ": [512], "--iterations ": [8]},
+            {"--kernel ": [_slow_kernel()], "--variant ": ["omp_tiled"], "--size ": [64],
+             "--iterations ": [8]},
             csv_path=tmp_path / "perf.csv", timeout=0.1, workers=2,
         )
         assert [r["status"] for r in rows] == ["error", "error"]

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.access import Footprint
 from repro.core.engine import run
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.timeline import Timeline
 from repro.telemetry.bus import TelemetryBus
 from repro.trace.recorder import TraceRecorder
 from tests.conftest import make_config
@@ -38,12 +38,13 @@ class Sink:
         self.annos.append(data)
 
 
-def timeline_of(n: int, region: int = 0) -> Timeline:
-    tl = Timeline(ncpus=2)
-    for i in range(n):
-        meta = {"iteration": 1, "kind": "tile", "index": i, "region": region}
-        tl.append(TaskExec(f"item{i}", i % 2, float(i), float(i + 1), meta))
-    return tl
+def timeline_of(n: int, region: int = 0, index=None) -> Timeline:
+    index = range(n) if index is None else index
+    return Timeline(
+        [f"item{i}" for i in range(n)], index, [i % 2 for i in index],
+        [float(i) for i in index], [float(i + 1) for i in index],
+        ncpus=2, meta={"iteration": 1, "kind": "tile", "region": region},
+    )
 
 
 class TestDispatch:
@@ -62,8 +63,7 @@ class TestDispatch:
             Footprint(writes=(("cur", i, 0, 1, 1),)) for i in range(3)
         ]
         # the recorder pairs by meta["index"], not by position
-        tl = timeline_of(3)
-        tl.execs.reverse()
+        tl = timeline_of(3, index=[2, 1, 0])
         bus.publish_region(tl, footprints=fps)
         got = [(ev.extra["index"], ev.writes[0][1]) for ev in rec.events]
         assert got == [(2, 2), (1, 1), (0, 0)]
@@ -73,8 +73,8 @@ class TestDispatch:
         bus = TelemetryBus()
         rec = bus.attach(TraceRecorder())
         fp = Footprint(reads=(("cur", 0, 0, 4, 4),))
-        tl = Timeline(ncpus=1)
-        tl.append(TaskExec("t", 0, 0.0, 1.0, {"kind": "task", "footprint": fp}))
+        tl = Timeline(["t"], [0], [0], [0.0], [1.0], ncpus=1,
+                      tasks=[{"kind": "task", "footprint": fp}])
         bus.publish_region(tl)
         (ev,) = rec.events
         assert ev.reads == fp.reads and ev.writes == ()
