@@ -2,8 +2,9 @@
 
 Three analyses turn runs into verdicts (see ``docs/analyze.md``):
 
-* :mod:`repro.analyze.races` — a vector-clock happens-before data-race
-  detector over per-task tile read/write footprints;
+* :mod:`repro.analyze.races` — a happens-before data-race detector
+  over per-task tile read/write footprints (task graphs are ordered by
+  ancestor bitsets, :mod:`repro.analyze.hb`);
 * :mod:`repro.analyze.lint` — one verdict per kernel variant: the
   :mod:`repro.staticcheck` proof, then tile-partition, race and
   double-buffer checks on a traced run, then static-vs-dynamic

@@ -1,4 +1,4 @@
-"""Vector clocks and the happens-before relation of a run.
+"""Ancestor bitsets and the happens-before relation of a run.
 
 The runtime's synchronization structure makes the global picture easy:
 every region (``parallel_for``, ``parallel_reduce``, ``sequential_for``,
@@ -14,68 +14,36 @@ edge.  All concurrency therefore lives within a single region:
   schedule happened to place them.  (Detecting against logical
   concurrency rather than one observed schedule is what makes reports
   schedule-independent, the ThreadSanitizer lesson.)
-* ``dag`` regions (``task`` + ``depend``) get real vector clocks: a
-  task's clock is the join of its predecessors' clocks plus its own
-  tick, and two tasks are concurrent iff their clocks are incomparable.
+* ``dag`` regions (``task`` + ``depend``) order a task after every
+  ancestor.  Task ids follow submission order and a ``depend`` edge
+  only points back to an earlier task, so one forward pass in id order
+  gives each task its ancestors as a Python-int bitset (bit ``p`` set
+  for every ancestor ``p``); two tasks are concurrent iff neither is
+  an ancestor of the other.
 """
 
 from __future__ import annotations
 
 from repro.analyze.footprint import RegionTasks
 
-__all__ = ["VectorClock", "region_clocks", "concurrency_of"]
+__all__ = ["concurrency_of"]
 
 
-class VectorClock:
-    """A sparse vector clock over task ids."""
+def _ancestors(region: RegionTasks) -> dict[int, int]:
+    """Ancestor bitsets of a ``dag`` region's tasks, keyed by task id.
 
-    __slots__ = ("_c",)
-
-    def __init__(self, components: dict[int, int] | None = None):
-        self._c: dict[int, int] = dict(components or {})
-
-    def tick(self, tid: int) -> "VectorClock":
-        c = dict(self._c)
-        c[tid] = c.get(tid, 0) + 1
-        return VectorClock(c)
-
-    def join(self, other: "VectorClock") -> "VectorClock":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            if v > c.get(k, 0):
-                c[k] = v
-        return VectorClock(c)
-
-    def __le__(self, other: "VectorClock") -> bool:
-        return all(v <= other._c.get(k, 0) for k, v in self._c.items())
-
-    def concurrent(self, other: "VectorClock") -> bool:
-        return not (self <= other) and not (other <= self)
-
-    def __getitem__(self, tid: int) -> int:
-        return self._c.get(tid, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._c.items()))
-        return f"VC({inner})"
-
-
-def region_clocks(region: RegionTasks) -> dict[int, VectorClock]:
-    """Vector clocks of a ``dag`` region's tasks, keyed by task id.
-
-    Task ids are assigned in submission order and OpenMP dependencies
-    only point backwards in program order, so ascending-tid iteration is
-    a valid topological order.
+    A predecessor absent from the region (or not yet seen in id order)
+    contributes nothing.
     """
-    clocks: dict[int, VectorClock] = {}
+    anc: dict[int, int] = {}
     for node in region.tasks:
-        vc = VectorClock()
+        bits = 0
         for p in node.preds:
-            pvc = clocks.get(p)
-            if pvc is not None:
-                vc = vc.join(pvc)
-        clocks[node.tid] = vc.tick(node.tid)
-    return clocks
+            pbits = anc.get(p)
+            if pbits is not None:
+                bits |= pbits | (1 << p)
+        anc[node.tid] = bits
+    return anc
 
 
 def concurrency_of(region: RegionTasks):
@@ -83,13 +51,13 @@ def concurrency_of(region: RegionTasks):
     if region.rmode == "seq":
         return lambda a, b: False
     if region.rmode == "dag":
-        clocks = region_clocks(region)
+        anc = _ancestors(region)
 
         def dag_concurrent(a: int, b: int) -> bool:
-            ca, cb = clocks.get(a), clocks.get(b)
-            if ca is None or cb is None:
+            aa, ab = anc.get(a), anc.get(b)
+            if aa is None or ab is None:
                 return True  # unknown ordering: assume concurrent (sound)
-            return ca.concurrent(cb)
+            return a != b and not (ab >> a & 1 or aa >> b & 1)
 
         return dag_concurrent
     # worksharing: every pair of distinct tasks is logically concurrent

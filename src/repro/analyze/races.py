@@ -163,11 +163,11 @@ def _region_races(region: RegionTasks, reports: list[RaceReport]) -> int:
                     key = (min(pos_i, pos_j), max(pos_i, pos_j), buf)
                     if key in seen:
                         continue
-                    ov = _overlap(rect_i, rect_j)
-                    if ov is None:
-                        continue
                     a, b = tasks[pos_i], tasks[pos_j]
                     if not concurrent(a.tid, b.tid):
+                        continue
+                    ov = _overlap(rect_i, rect_j)
+                    if ov is None:
                         continue
                     seen.add(key)
                     if len(reports) >= MAX_REPORTS:

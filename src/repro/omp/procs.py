@@ -535,7 +535,7 @@ class ProcPool(WorkerPool):
         merged_sets: dict = {}
         footprints: list | None = [None] * n if want_fp else None
         for rank, r in enumerate(replies):
-            drain_lane(r, rank, items, meta, ctx.vclock, t0, timeline, footprints)
+            drain_lane(r, rank, ctx.vclock, t0, timeline, footprints)
             if reduce:
                 for pos, value in r["values"]:
                     values[pos] = value

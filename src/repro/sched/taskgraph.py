@@ -9,11 +9,14 @@ the standard semantics —
 * a writer depends on the previous writer **and** every reader since.
 
 An explicit-edge API is also available for synthetic graphs in tests.
+
+Either way an edge only links an already submitted task to the new one,
+so a task's predecessors all have lower ids: id order is a topological
+order, and every query below is one forward pass over it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Sequence
 
@@ -24,13 +27,12 @@ __all__ = ["TaskNode", "TaskGraph"]
 
 @dataclass
 class TaskNode:
-    """One task: an attached payload, a cost, and dependency edges."""
+    """One task: an attached payload, a cost, and its predecessors' ids."""
 
     tid: int
     item: Any
     cost: float = 1.0
     preds: set[int] = field(default_factory=set)
-    succs: set[int] = field(default_factory=set)
     meta: dict = field(default_factory=dict)
 
 
@@ -87,70 +89,27 @@ class TaskGraph:
         return tid
 
     def _add_edge(self, src: int, dst: int) -> None:
-        if not (0 <= src < len(self.nodes)):
-            raise DependencyError(f"unknown predecessor task {src}")
         if src == dst:
             raise DependencyError(f"task {dst} cannot depend on itself")
-        self.nodes[src].succs.add(dst)
+        if not 0 <= src < dst:
+            raise DependencyError(f"unknown predecessor task {src}")
         self.nodes[dst].preds.add(src)
 
     # -- queries -------------------------------------------------------------------
-    def roots(self) -> list[int]:
-        return [n.tid for n in self.nodes if not n.preds]
-
-    def topological_order(self) -> list[int]:
-        """Kahn topological order (stable: FIFO on ready tasks).
-
-        Raises :class:`DependencyError` on cycles — by construction the
-        inferred graphs are acyclic (edges go from earlier to later
-        submissions), so this only triggers on bad explicit edges.
-        """
-        indeg = [len(n.preds) for n in self.nodes]
-        ready = deque(tid for tid, d in enumerate(indeg) if d == 0)
-        order: list[int] = []
-        while ready:
-            tid = ready.popleft()
-            order.append(tid)
-            for s in sorted(self.nodes[tid].succs):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if len(order) != len(self.nodes):
-            raise DependencyError("task graph contains a cycle")
-        return order
-
     def depth(self) -> int:
         """Length (in tasks) of the critical path — the wave count of Fig. 12."""
-        level = [0] * len(self.nodes)
-        for tid in self.topological_order():
-            node = self.nodes[tid]
-            level[tid] = 1 + max((level[p] for p in node.preds), default=0)
-        return max(level, default=0)
+        return max(self.levels(), default=0)
 
     def levels(self) -> list[int]:
         """Per-task wavefront index (1-based; roots are level 1)."""
-        level = [0] * len(self.nodes)
-        for tid in self.topological_order():
-            node = self.nodes[tid]
-            level[tid] = 1 + max((level[p] for p in node.preds), default=0)
+        level: list[int] = []
+        for node in self.nodes:
+            level.append(1 + max((level[p] for p in node.preds), default=0))
         return level
 
     def critical_path_time(self) -> float:
         """Longest cost-weighted path: a lower bound on any schedule."""
-        finish = [0.0] * len(self.nodes)
-        for tid in self.topological_order():
-            node = self.nodes[tid]
-            est = max((finish[p] for p in node.preds), default=0.0)
-            finish[tid] = est + node.cost
+        finish: list[float] = []
+        for node in self.nodes:
+            finish.append(max((finish[p] for p in node.preds), default=0.0) + node.cost)
         return max(finish, default=0.0)
-
-    def validate(self) -> None:
-        """Check edge symmetry and acyclicity."""
-        for n in self.nodes:
-            for s in n.succs:
-                if n.tid not in self.nodes[s].preds:
-                    raise DependencyError(f"asymmetric edge {n.tid}->{s}")
-            for p in n.preds:
-                if n.tid not in self.nodes[p].succs:
-                    raise DependencyError(f"asymmetric edge {p}->{n.tid}")
-        self.topological_order()

@@ -18,8 +18,6 @@ this decoding replaced: the perfbench span layer times
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.sched.timeline import Timeline
 
 __all__ = ["drain_lane"]
@@ -28,8 +26,6 @@ __all__ = ["drain_lane"]
 def drain_lane(
     reply: dict,
     rank: int,
-    items: Sequence,
-    meta: dict,
     clock: float,
     t0: float,
     timeline: Timeline,
@@ -38,11 +34,10 @@ def drain_lane(
     """Decode worker ``rank``'s ``done`` reply into the region.
 
     The reply's tasks extend the columns of ``timeline``, the region's
-    record, which already holds ``items`` and ``meta`` (both stay in
-    the signature the span layer times): each task's item position,
-    ``rank`` as its CPU, and its times placed at ``clock`` plus their
-    offset from the master's dispatch time ``t0``; the positions of its
-    stolen chunks join the ``stolen`` column.  When ``footprints`` is a
+    record, which already holds its items and meta: each task's item
+    position, ``rank`` as its CPU, and its times placed at ``clock``
+    plus their offset from the master's dispatch time ``t0``; the
+    positions of its stolen chunks join the ``stolen`` column.  When ``footprints`` is a
     list, each task's footprint lands at its item position.
     """
     execs = reply["execs"]

@@ -3,14 +3,18 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyze import check_races, lint_variant
 from repro.analyze.__main__ import MPI_VARIANTS
 from repro.analyze.footprint import has_footprints, tasks_by_region
-from repro.analyze.hb import VectorClock
+from repro.analyze.hb import concurrency_of
 from repro.core.engine import run
 from repro.core.kernel import get_kernel, list_kernels, load_kernel_module
+from repro.trace.events import Trace, TraceEvent
 from tests.conftest import make_config
+from tests.hb_oracle import VectorClock, oracle_check_races, oracle_concurrency_of
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -50,6 +54,54 @@ class TestVectorClock:
 
     def test_empty_clock_precedes_all(self):
         assert VectorClock() <= VectorClock().tick(3)
+
+
+_rects = st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.integers(0, 64), st.integers(0, 64), st.integers(1, 40), st.integers(1, 40),
+)
+_regions = st.one_of(
+    _rects, st.tuples(_rects, st.integers(0, 3), st.integers(1, 3)).map(lambda r: r[0] + r[1:])
+)
+
+
+@st.composite
+def dag_traces(draw):
+    """A footprinted ``dag`` region: a random forward-only DAG of up to
+    40 tasks, some of them dropped from the trace (so absent
+    predecessors occur), each with random read/write regions."""
+    n = draw(st.integers(0, 40))
+    events = []
+    for tid in range(n):
+        preds = sorted(draw(st.sets(st.integers(0, tid - 1), max_size=4))) if tid else []
+        if draw(st.integers(0, 3)) == 0:
+            continue  # dropped: its successors still name it
+        extra = {
+            "region": 0, "rmode": "dag", "tid": tid, "preds": preds,
+            "depend_in": [f"t{p}" for p in preds], "depend_out": [f"t{tid}"],
+        }
+        events.append(TraceEvent(
+            iteration=1, cpu=0, start=float(tid), end=tid + 1.0, x=0, y=0, w=8, h=8,
+            kind="task", extra=extra,
+            reads=tuple(draw(st.lists(_regions, max_size=2))),
+            writes=tuple(draw(st.lists(_regions, max_size=2))),
+        ))
+    return Trace(events=draw(st.permutations(events)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=dag_traces())
+def test_bitsets_match_vector_clocks(trace):
+    """Ancestor bitsets order a DAG region exactly as vector clocks do,
+    absent predecessors and unknown task ids included, and the race
+    reports built on them are the same, in the same order."""
+    for region in tasks_by_region(trace):
+        tids = [t.tid for t in region.tasks] + [99]
+        got, want = concurrency_of(region), oracle_concurrency_of(region)
+        for a in tids:
+            for b in tids:
+                assert got(a, b) == want(a, b), (a, b)
+    assert check_races(trace) == oracle_check_races(trace)
 
 
 @pytest.mark.parametrize("kernel,variant", sorted(builtin_cases()))

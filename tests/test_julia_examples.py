@@ -71,3 +71,4 @@ class TestExamples:
         out = self._run_example("cc_taskdeps.py", tmp_path, monkeypatch, capsys)
         assert "anti-diagonal" in out
         assert "sequential execution" in out
+        assert "the critical path is 64 tasks deep" in out

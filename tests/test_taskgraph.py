@@ -14,7 +14,7 @@ class TestExplicitEdges:
         a = g.add_task("a")
         b = g.add_task("b", depends_on=[a])
         c = g.add_task("c", depends_on=[b])
-        assert g.topological_order() == [a, b, c]
+        assert g.levels() == [1, 2, 3]
         assert g.depth() == 3
 
     def test_unknown_pred_rejected(self):
@@ -27,13 +27,6 @@ class TestExplicitEdges:
         a = g.add_task("a")
         with pytest.raises(DependencyError):
             g._add_edge(a, a)
-
-    def test_roots(self):
-        g = TaskGraph()
-        a = g.add_task("a")
-        b = g.add_task("b")
-        g.add_task("c", depends_on=[a, b])
-        assert g.roots() == [a, b]
 
 
 class TestOmpDependInference:
@@ -98,50 +91,32 @@ class TestQueries:
         g.add_task("c", cost=1.0, depends_on=[a])
         assert g.critical_path_time() == pytest.approx(5.0)
 
-    def test_cycle_detected(self):
-        g = TaskGraph()
-        a = g.add_task("a")
-        b = g.add_task("b", depends_on=[a])
-        # force a back edge
-        g.nodes[a].preds.add(b)
-        g.nodes[b].succs.add(a)
-        with pytest.raises(DependencyError):
-            g.topological_order()
-
-    def test_validate_symmetry(self):
-        g = TaskGraph()
-        a = g.add_task("a")
-        b = g.add_task("b", depends_on=[a])
-        g.validate()
-        g.nodes[b].preds.add(99 % 2)  # no-op: already there
-        g.nodes[a].succs.discard(b)
-        with pytest.raises(DependencyError):
-            g.validate()
-
     def test_empty_graph(self):
         g = TaskGraph()
-        assert g.topological_order() == []
+        assert g.levels() == []
         assert g.depth() == 0
         assert g.critical_path_time() == 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    edges=st.lists(
-        st.tuples(st.integers(0, 14), st.integers(0, 14)).filter(lambda e: e[0] < e[1]),
-        max_size=40,
-    )
+    preds=st.lists(st.sets(st.integers(0, 14), max_size=4), min_size=1, max_size=15),
+    costs=st.lists(st.floats(0.5, 4.0), min_size=15, max_size=15),
 )
-def test_topological_order_property(edges):
-    """Property: forward-only random DAGs topo-sort consistently."""
+def test_forward_passes_property(preds, costs):
+    """Property: on random forward-only DAGs, ``levels`` and
+    ``critical_path_time`` equal the longest paths found by brute-force
+    path enumeration, and ``depth`` is the deepest level."""
     g = TaskGraph()
-    n = 15
-    for i in range(n):
-        g.add_task(i)
-    for a, b in edges:
-        g._add_edge(a, b)
-    order = g.topological_order()
-    pos = {t: i for i, t in enumerate(order)}
-    assert sorted(order) == list(range(n))
-    for a, b in edges:
-        assert pos[a] < pos[b]
+    for tid, ps in enumerate(preds):
+        g.add_task(tid, costs[tid], depends_on=[p for p in ps if p < tid])
+
+    def longest(tid, weight):
+        node = g.nodes[tid]
+        return weight(node) + max((longest(p, weight) for p in node.preds), default=0)
+
+    assert g.levels() == [longest(t, lambda n: 1) for t in range(len(g))]
+    assert g.depth() == max(g.levels())
+    assert g.critical_path_time() == pytest.approx(
+        max(longest(t, lambda n: n.cost) for t in range(len(g)))
+    )
