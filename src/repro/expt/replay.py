@@ -25,18 +25,16 @@ from repro.core.config import RunConfig
 from repro.core.context import ExecutionContext
 from repro.core.kernel import get_kernel
 from repro.errors import ConfigError
+from repro.omp.parallel import schedule_region
 from repro.sched.costmodel import CostModel
-from repro.sched.dag_sim import dag_policy_makespan
-from repro.sched.policies import DynamicSchedule
-from repro.sched.simulator import simulate
 
 __all__ = ["RegionLog", "WorkProfileCache", "replay_log"]
 
 
-#: log entry kinds (first tuple element); "dag" is a FIFO task region
-#: (``task_region``), "dagp" a policy-scheduled dependency-carrying
-#: worksharing region (wavefront domains)
-PAR, SEQ, MASTER, DAG, DAGP = "par", "seq", "master", "dag", "dagp"
+#: the log entry of a sequential section run on the master
+#: (``run_on_master``); every other entry is a region
+#: (:func:`repro.omp.parallel.schedule_region`)
+MASTER = "master"
 
 RegionLog = list  # list of ("par", works) / ("seq", works) / ("master", w)
 #                   / ("dag", works, preds) / ("dagp", works, preds)
@@ -99,49 +97,26 @@ def replay_log(
     """Virtual elapsed time and ``steals`` count of the captured run
     under a new configuration.
 
-    Each worksharing region is scheduled by the same :func:`simulate`
-    grabs a live run sums into its ``steals`` counter; sequential and
-    task regions steal nothing, live or replayed.
+    Each region entry goes through :func:`repro.omp.parallel.schedule_region`,
+    the routine a live region closes with, so the clock and the
+    ``steals`` a live run sums match by construction.
 
     When ``jitter > 0``, ``jitter_rng`` must be the stream a full run
     would use (:func:`repro.util.rng.make_jitter_rng`); noise is drawn
     region by region in the same order, so replayed times equal full-run
     times exactly, noise included.
     """
-    from repro.sched.costmodel import perturb
-
-    def noisy(costs: list[float]) -> list[float]:
-        if jitter <= 0.0:
-            return costs
-        return perturb(costs, jitter_rng, jitter)
-
     vclock = 0.0
     steals = 0
-    for entry in log:
-        kind = entry[0]
-        if kind == PAR:
-            costs = noisy(model.times_of(entry[1]))
-            result = simulate(costs, policy, nthreads, model=model, start_time=vclock)
-            steals += result.steals
-            vclock = max(result.makespan, vclock) + model.fork_join_overhead
-        elif kind == SEQ:
-            # the same left fold from the clock as the live loop
-            for cost in noisy(model.times_of(entry[1])):
-                vclock += cost
-        elif kind == MASTER:
-            vclock += model.time_of(entry[1])
-        elif kind in (DAG, DAGP):
-            # task regions are FIFO list scheduling: the dynamic branch
-            # of the policy-aware DAG scheduler
-            works, preds = entry[1], entry[2]
-            costs = noisy(model.times_of(works))
-            end = dag_policy_makespan(
-                costs, preds, DynamicSchedule(1) if kind == DAG else policy, nthreads,
-                model=model, start_time=vclock,
-            )
-            vclock = max(end, vclock) + model.fork_join_overhead
-        else:  # pragma: no cover - defensive
-            raise ConfigError(f"unknown region log entry {kind!r}")
+    for kind, *entry in log:
+        if kind == MASTER:
+            vclock += model.time_of(entry[0])
+            continue
+        result, vclock = schedule_region(
+            kind, *entry, policy=policy, ncpus=nthreads, model=model, start=vclock,
+            jitter=jitter, rng=jitter_rng,
+        )
+        steals += result.steals
     return vclock, steals
 
 

@@ -301,6 +301,7 @@ class BlurKernel(Kernel):
         from repro.errors import ConfigError
         from repro.gpu.device import DeviceSpec, GpuDevice
         from repro.kernels.api import VECTOR_PIXEL_WORK
+        from repro.omp.parallel import clock_after
 
         if ctx.dim % ctx.grid.tile_w or ctx.dim % ctx.grid.tile_h:
             raise ConfigError("ocl variant needs tile sizes dividing the image")
@@ -322,7 +323,7 @@ class BlurKernel(Kernel):
             ctx.data["transfer_fraction"] = launch.transfer_fraction
             ctx.bus.counter("gpu_lane_work", launch.total_lane_work)
             ctx.bus.counter("gpu_lockstep_work", launch.total_lockstep_work)
-            ctx.vclock = max(launch.makespan, ctx.vclock) + ctx.model.fork_join_overhead
+            ctx.vclock = clock_after(ctx.model, ctx.vclock, launch.makespan)
             ctx.bus.publish_region(launch.timeline)
             ctx.swap_images()
         return 0

@@ -425,6 +425,7 @@ class MandelKernel(Kernel):
         the extension the paper lists as future work (§V)."""
         from repro.errors import ConfigError
         from repro.gpu.device import DeviceSpec, GpuDevice
+        from repro.omp.parallel import clock_after
 
         if ctx.dim % ctx.grid.tile_w or ctx.dim_y % ctx.grid.tile_h:
             raise ConfigError("ocl variant needs tile sizes dividing the image")
@@ -449,7 +450,7 @@ class MandelKernel(Kernel):
             ctx.data["divergence"] = launch.divergence_penalty
             ctx.bus.counter("gpu_lane_work", launch.total_lane_work)
             ctx.bus.counter("gpu_lockstep_work", launch.total_lockstep_work)
-            ctx.vclock = max(launch.makespan, ctx.vclock) + ctx.model.fork_join_overhead
+            ctx.vclock = clock_after(ctx.model, ctx.vclock, launch.makespan)
             ctx.bus.publish_region(launch.timeline)
             self.zoom(ctx)
         return 0

@@ -17,9 +17,11 @@ under ``nonmonotonic:dynamic`` exactly as the simulated team does.
 
 Every sim-backend region — these three loops, the policy-aware DAG of
 a wavefront domain and :class:`repro.omp.tasks.TaskRegion` — ends in
-:func:`close_region`, the one place that logs, perturbs, schedules,
-advances the clock and publishes a region; the real backends end in its
-publish half, :func:`publish_region`.  Whoever ran the region, what is
+:func:`close_region`, the one place that logs and publishes a region;
+the real backends end in its publish half, :func:`publish_region`.  In
+between it hands the region-log entry to :func:`schedule_region`, which
+perturbs the costs, schedules them and moves the clock — the routine
+sweep replay runs on each logged entry.  Whoever ran the region, what is
 published is one :class:`~repro.sched.timeline.Timeline`: columns of
 item index, CPU, start and end per task, built with one constructor
 call and no per-task object.  ``parallel_reduce`` is the
@@ -58,10 +60,11 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core import access
+from repro.errors import ConfigError
 from repro.sched.claim import claim, plan
-from repro.sched.costmodel import perturb
+from repro.sched.costmodel import CostModel, perturb
+from repro.sched.dag_sim import FIFO, schedule_dag
 from repro.sched.policies import SchedulePolicy, parse_schedule
-from repro.sched.dag_sim import simulate_dag_policy
 from repro.sched.simulator import SimResult, simulate
 from repro.sched.timeline import Timeline
 
@@ -166,11 +169,7 @@ def sequential_for(
     """
     items = list(ctx.domain) if items is None else list(items)
     works, footprints = _execute(ctx, body, items, frame)
-
-    def schedule(costs, start, meta):
-        return _sequential(costs, items, start, ctx.nthreads, meta)
-
-    close_region(ctx, "seq", works, schedule, kind=kind, rmode="seq",
+    close_region(ctx, "seq", works, kind=kind, rmode="seq", items=items,
                  footprints=footprints)
     return ctx.vclock
 
@@ -197,52 +196,28 @@ def _worksharing(ctx, body, items, schedule, kind, frame, values=None) -> SimRes
 
         return procs_parallel_for(ctx, body, items, policy, meta, values)
     works, footprints = _execute(ctx, body, items, frame, values)
+    log_kind = "par"
     if deps is not None:
+        log_kind, rmode = "dagp", "dag"
         if isinstance(works, np.ndarray):
-            # the DAG simulator folds Python floats, as from the bodies
+            # the DAG scheduler folds Python floats, as from the bodies
             works = works.tolist()
-
-        def schedule_dag(costs, start, meta):
-            return SimResult(simulate_dag_policy(
-                costs, deps, policy, ctx.nthreads,
-                items=items, model=ctx.model, start_time=start, meta=meta,
-            ))
-
-        return close_region(ctx, "dagp", works, schedule_dag, kind=kind, rmode="dag",
-                            deps=deps, footprints=footprints)
-
-    def schedule_loop(costs, start, meta):
-        return simulate(
-            costs, policy, ctx.nthreads,
-            items=items, model=ctx.model, start_time=start, meta=meta,
-        )
-
-    return close_region(ctx, "par", works, schedule_loop, kind=kind, rmode=rmode,
-                        footprints=footprints)
+    return close_region(ctx, log_kind, works, kind=kind, rmode=rmode, policy=policy,
+                        items=items, deps=deps, footprints=footprints)
 
 
-def close_region(
-    ctx,
-    log_kind: str,
-    works,
-    schedule: Callable,
-    *,
-    kind: str,
-    rmode: str,
-    deps: Sequence[Iterable[int]] | None = None,
-    footprints: list | None = None,
-):
+def close_region(ctx, log_kind: str, works, *, kind: str, rmode: str,
+                 deps: Sequence[Iterable[int]] | None = None, footprints: list | None = None,
+                 **labels):
     """The bookkeeping every sim-backend region ends in.
 
     Appends the region-log entry (``(log_kind, works[, preds])``, raw
-    works before noise), perturbs the costs once, schedules them with
-    ``schedule(costs, start_time, meta)`` — which returns a
-    :class:`SimResult`-like object with ``makespan``, ``steals`` and
-    ``timeline`` — advances the clock past the makespan (plus fork/join
-    overhead, except for a sequential region), then publishes: the
-    timeline when anyone reads timelines (:meth:`instrumented`), else
-    just the region count.  A whole-frame region is scheduled from the
-    same works, so its timeline is the reference one.
+    works before noise), schedules it with :func:`schedule_region` —
+    ``labels`` are its ``policy``, ``items`` and ``tasks`` — and moves
+    the clock past the region, then publishes: the timeline when anyone
+    reads timelines (:meth:`instrumented`), else just the region count.
+    A whole-frame region is scheduled from the same works, so its
+    timeline is the reference one.
     """
     if ctx.region_log is not None:
         logged = works.tolist() if isinstance(works, np.ndarray) else works
@@ -254,12 +229,50 @@ def close_region(
         "iteration": ctx.iteration, "kind": kind,
         "region": ctx.next_region(), "rmode": rmode,
     }
-    result = schedule(_costs(ctx, works), ctx.vclock, meta)
-    join = 0.0 if rmode == "seq" else ctx.model.fork_join_overhead
-    ctx.vclock = max(result.makespan, ctx.vclock) + join
+    jitter = ctx.config.jitter
+    result, ctx.vclock = schedule_region(
+        log_kind, works, deps, ncpus=ctx.nthreads, model=ctx.model, start=ctx.vclock,
+        jitter=jitter, rng=ctx.jitter_rng if jitter > 0 else None, meta=meta, **labels,
+    )
     timeline = result.timeline if ctx.instrumented() else None
     publish_region(ctx, timeline, result.steals, footprints)
     return result
+
+
+def schedule_region(kind: str, works: Sequence[float] = (), preds=None, *, ncpus: int,
+                    model: CostModel, start: float, policy: SchedulePolicy | None = None,
+                    jitter: float = 0.0, rng=None, items=None, meta=None,
+                    tasks=None) -> tuple[SimResult, float]:
+    """Schedule the region-log entry ``(kind, works[, preds])`` on
+    ``ncpus`` CPUs from clock ``start``: the region's :class:`SimResult`
+    and the clock after it.  Live regions (:func:`close_region`) and
+    sweep replay both run this, so a replayed point is the live run.
+
+    Costs are :func:`region_costs` (``rng``: the jitter stream).  A
+    ``par`` loop is chunked by ``policy``, a ``seq`` loop folds left on
+    CPU 0, a ``dagp`` region is DAG-scheduled by ``policy`` and a
+    ``dag`` task region by FIFO list scheduling.  ``items``, ``meta``
+    and ``tasks`` (node metas) only label the timeline, built when read.
+    """
+    costs = region_costs(works, model, jitter, rng)
+    if kind == "seq":
+        result = _sequential(costs, items, start, ncpus, meta)
+    elif kind == "par":
+        result = simulate(costs, policy, ncpus, items=items, model=model,
+                          start_time=start, meta=meta)
+    elif kind in ("dag", "dagp"):
+        result = schedule_dag(costs, preds, policy if kind == "dagp" else FIFO, ncpus,
+                              items=items, model=model, start_time=start, meta=meta,
+                              tasks=tasks)
+    else:
+        raise ConfigError(f"unknown region log entry {kind!r}")
+    return result, clock_after(model, start, result.makespan, join=kind != "seq")
+
+
+def clock_after(model: CostModel, clock: float, makespan: float, *, join: bool = True) -> float:
+    """The clock after a region that started at ``clock`` and ended at
+    ``makespan``: plus the fork/join barrier unless it ran sequentially."""
+    return max(makespan, clock) + (model.fork_join_overhead if join else 0.0)
 
 
 def publish_region(ctx, timeline: Timeline | None, steals: int = 0, footprints=None) -> None:
@@ -274,14 +287,15 @@ def publish_region(ctx, timeline: Timeline | None, steals: int = 0, footprints=N
         ctx.bus.publish_region(timeline, footprints)
 
 
-def _costs(ctx, works):
-    """Per-item virtual seconds of ``works`` under the run's noise model
-    (a frame's work vector stays an array unless noise is applied)."""
-    if ctx.config.jitter > 0:
-        return perturb(ctx.model.times_of(works), ctx.jitter_rng, ctx.config.jitter)
+def region_costs(works, model: CostModel, jitter: float = 0.0, rng=None):
+    """Per-item virtual seconds of ``works`` under ``model``, perturbed by
+    ``rng`` when ``jitter > 0`` (a frame's work vector stays an array
+    unless noise is applied)."""
+    if jitter > 0:
+        return perturb(model.times_of(works), rng, jitter)
     if isinstance(works, np.ndarray):
-        return works * ctx.model.seconds_per_unit
-    return ctx.model.times_of(works)
+        return works * model.seconds_per_unit
+    return model.times_of(works)
 
 
 def _execute(ctx, body, items, frame, values=None):

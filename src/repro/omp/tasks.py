@@ -16,8 +16,6 @@ from typing import Any, Callable, Hashable, Sequence
 
 from repro.errors import DependencyError
 from repro.omp.parallel import _measure, close_region
-from repro.sched.dag_sim import simulate_dag
-from repro.sched.simulator import SimResult
 from repro.sched.taskgraph import TaskGraph
 from repro.sched.timeline import Timeline
 
@@ -120,18 +118,10 @@ class TaskRegion:
             raise DependencyError("task region already closed")
         self._closed = True
         nodes = self.graph.nodes
-
-        def schedule(costs, start, meta):
-            for node, cost in zip(nodes, costs):
-                node.cost = cost
-            return SimResult(simulate_dag(
-                self.graph, self.ctx.nthreads,
-                model=self.ctx.model, start_time=start, meta=meta,
-            ))
-
         result = close_region(
-            self.ctx, "dag", [n.meta.get("work", 0.0) for n in nodes], schedule,
-            kind=self.kind, rmode="dag", deps=[n.preds for n in nodes],
+            self.ctx, "dag", [n.meta.get("work", 0.0) for n in nodes],
+            kind=self.kind, rmode="dag", items=[n.item for n in nodes],
+            deps=[n.preds for n in nodes], tasks=[n.meta for n in nodes],
         )
         self.timeline = result.timeline
         return self.timeline

@@ -26,11 +26,15 @@ from typing import Any, Iterable, Sequence
 from repro.errors import SimulationError
 from repro.sched.claim import claim, plan
 from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sched.policies import SchedulePolicy, StaticSchedule
+from repro.sched.policies import DynamicSchedule, SchedulePolicy, StaticSchedule
+from repro.sched.simulator import SimResult
 from repro.sched.taskgraph import TaskGraph
 from repro.sched.timeline import Timeline
 
-__all__ = ["simulate_dag", "simulate_dag_policy", "dag_policy_makespan"]
+__all__ = ["schedule_dag", "simulate_dag", "simulate_dag_policy", "dag_policy_makespan"]
+
+#: a task region's schedule: FIFO list scheduling off the ready queue
+FIFO = DynamicSchedule()
 
 
 def simulate_dag(
@@ -52,16 +56,11 @@ def simulate_dag(
     Tasks appear in the timeline in dispatch order.
     """
     nodes = graph.nodes
-    preds = [node.preds for node in nodes]
-    _check_dag(len(nodes), preds, ncpus)
-    slots, order = _list_schedule(
-        [node.cost for node in nodes], preds, ncpus, model.dispatch_overhead, start_time
-    )
-    cpus, starts, ends = zip(*[slots[tid] for tid in order]) if order else ((),) * 3
-    return Timeline(
-        [node.item for node in nodes], order, cpus, starts, ends, ncpus=ncpus,
-        meta=dict(meta or {}), preds=preds, tasks=[node.meta for node in nodes],
-    )
+    return schedule_dag(
+        [node.cost for node in nodes], [node.preds for node in nodes], FIFO, ncpus,
+        items=[node.item for node in nodes], model=model, start_time=start_time,
+        meta=meta, tasks=[node.meta for node in nodes],
+    ).timeline
 
 
 def _check_dag(n: int, preds: Sequence[Iterable[int]], ncpus: int) -> None:
@@ -129,14 +128,15 @@ def _schedule_policy(
     ncpus: int,
     model: CostModel,
     start_time: float,
-) -> list[tuple[int, float, float]]:
-    """Per-task ``(cpu, start, finish)`` of policy-aware DAG scheduling."""
+) -> tuple[list[tuple[int, float, float]], Sequence[int]]:
+    """Per-task ``(cpu, start, finish)`` of policy-aware DAG scheduling
+    and the order the tasks were dispatched in (``static``: item order)."""
     n = len(costs)
     _check_dag(n, preds, ncpus)
     d = model.dispatch_overhead
     if not isinstance(policy, StaticSchedule):
         # dynamic family (dynamic/guided/nonmonotonic)
-        return _list_schedule(costs, preds, ncpus, d, start_time)[0]
+        return _list_schedule(costs, preds, ncpus, d, start_time)
 
     # fixed assignment: each CPU runs its chunks in order, paying the
     # dispatch once per chunk and *idling* until the next item's
@@ -164,12 +164,12 @@ def _schedule_policy(
         finish[i] = t1
         free[cpu] = t1
         out.append((cpu, t0, t1))
-    return out
+    return out, range(n)
 
 
-def simulate_dag_policy(
+def schedule_dag(
     costs: Sequence[float],
-    preds: Sequence[Sequence[int]],
+    preds: Sequence[Iterable[int]],
     policy: SchedulePolicy,
     ncpus: int,
     *,
@@ -177,40 +177,42 @@ def simulate_dag_policy(
     model: CostModel = DEFAULT_COST_MODEL,
     start_time: float = 0.0,
     meta: dict | None = None,
-) -> Timeline:
-    """Timeline of a schedule policy driving a dependency-carrying region.
+    tasks: Sequence[dict] | None = None,
+) -> SimResult:
+    """Policy-aware DAG scheduling of a region: every task's slot is
+    computed once, the makespan is the largest finish and the
+    :class:`Timeline` is built the first time it is read.
+
+    A task region passes its node metas as ``tasks``; its rows are then
+    listed in dispatch order, a worksharing region's in item order.
+    """
+    slots, order = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
+    if items is None:
+        items = range(len(costs))
+    elif len(items) != len(costs):
+        raise SimulationError(f"{len(items)} items for {len(costs)} costs")
+
+    def timeline() -> Timeline:
+        rows = range(len(slots)) if tasks is None else order
+        cpus, starts, ends = zip(*[slots[i] for i in rows]) if slots else ((),) * 3
+        return Timeline(items, rows, cpus, starts, ends, ncpus=ncpus,
+                        meta=dict(meta or {}), preds=preds, tasks=tasks)
+
+    return SimResult(timeline, makespan=max((t1 for _, _, t1 in slots), default=0.0))
+
+
+def simulate_dag_policy(costs, preds, policy: SchedulePolicy, ncpus: int, **kw) -> Timeline:
+    """Timeline of a schedule policy driving a dependency-carrying region
+    (keywords as for :func:`schedule_dag`).
 
     Same invariants as :func:`simulate_dag` (no task before its preds,
     one task per CPU at a time) plus policy semantics: ``static`` keeps
     its fixed chunk assignment (idling on unmet dependencies), the
     dynamic family greedily dispatches whatever is ready.
     """
-    slots = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
-    if items is None:
-        items = range(len(costs))
-    elif len(items) != len(costs):
-        raise SimulationError(f"{len(items)} items for {len(costs)} costs")
-    cpus, starts, ends = zip(*slots) if slots else ((),) * 3
-    return Timeline(
-        items, range(len(slots)), cpus, starts, ends, ncpus=ncpus,
-        meta=dict(meta or {}), preds=preds,
-    )
+    return schedule_dag(costs, preds, policy, ncpus, **kw).timeline
 
 
-def dag_policy_makespan(
-    costs: Sequence[float],
-    preds: Sequence[Sequence[int]],
-    policy: SchedulePolicy,
-    ncpus: int,
-    *,
-    model: CostModel = DEFAULT_COST_MODEL,
-    start_time: float = 0.0,
-) -> float:
-    """Makespan of :func:`simulate_dag_policy` without the timeline.
-
-    Runs the identical forward pass (same float operations in the same
-    order), so the value is bit-identical — the replay memo and the
-    perf path lean on that equality.
-    """
-    slots = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
-    return max((t1 for _, _, t1 in slots), default=0.0)
+def dag_policy_makespan(costs, preds, policy: SchedulePolicy, ncpus: int, **kw) -> float:
+    """Makespan of :func:`simulate_dag_policy` without the timeline."""
+    return schedule_dag(costs, preds, policy, ncpus, **kw).makespan

@@ -25,8 +25,10 @@ in-process ranks.  Every draw is held to the same invariants:
    is replayed from a work profile or is served by the memo (a second
    replay, which must be a memo hit): whole rows, clock, ``steals``
    and completed iterations included, compared after
-   ``strip_provenance``; a point that cannot be replayed gives an
-   error row naming :class:`ConfigError`;
+   ``strip_provenance``; the same profile replayed at one more drawn
+   point (team size, schedule, run index) gives that point's live row
+   too; a point that cannot be replayed gives an error row naming
+   :class:`ConfigError`;
 5. a traced, monitored run keeps the image and the clock; its ``.evt``
    save/load gives equal events, and its Chrome export/import keeps
    every field, timestamps within 1 µs;
@@ -107,6 +109,13 @@ def run_configs(draw) -> dict:
         seed=draw(st.integers(0, 3)),
         mpi_np=draw(st.sampled_from([1, 2])) if variant.startswith("mpi_") else 0,
         mpi_backend="inproc",
+        # not a RunConfig field: the second point invariant 4 replays
+        replay_at=dict(
+            nthreads=draw(st.integers(1, 4)),
+            schedule=draw(st.sampled_from(SCHEDULE_NAMES))
+            + draw(st.sampled_from(["", ",1", ",2", ",3"])),
+            run_index=draw(st.integers(0, 2)),
+        ),
     )
 
 
@@ -115,7 +124,8 @@ def pin(kernel: str, variant: str, **over) -> dict:
     kw = dict(kernel=kernel, variant=variant, dim=32, dim_y=0, tile_w=8, tile_h=8,
               domain="grid", schedule="dynamic", backend="sim", nthreads=2,
               iterations=2, jitter=0.0, run_index=0, seed=0, mpi_np=0,
-              mpi_backend="inproc")
+              mpi_backend="inproc",
+              replay_at=dict(nthreads=3, schedule="static", run_index=1))
     kw.update(over)
     return kw
 
@@ -187,6 +197,8 @@ def same_trace_io(trace) -> None:
 
 
 def check_contract(kw: dict) -> None:
+    kw = dict(kw)
+    replay_at = kw.pop("replay_at")
     try:
         cfg = RunConfig(**kw)
     except EasypapError:
@@ -241,6 +253,10 @@ def check_contract(kw: dict) -> None:
         assert (replayed["memo"], hit["memo"]) == ("miss", "hit")
         assert strip_provenance(replayed) == strip_provenance(live)
         assert strip_provenance(hit) == strip_provenance(live)
+        # the same profile, replayed at another point, is that point's live row
+        other = SweepJob(0, sim.with_(**replay_at), replay_at["run_index"])
+        other_replayed = run_point(other, RunOptions(reuse_work=True), cache)
+        assert strip_provenance(other_replayed) == strip_provenance(run_point(other, RunOptions()))
 
     # 5. instrumentation observes without perturbing; traces round-trip
     traced = run(sim.with_(trace=True, monitoring=True, footprints=True,
@@ -296,6 +312,9 @@ CONTRACT_SETTINGS = dict(
 # and the sandpile quadtree in one step
 @example(kw=pin("lu_wavefront", "omp_tiled", dim=30, schedule="static", nthreads=3))
 @example(kw=pin("sandpile", "omp_quadtree", dim=30, iterations=3))
+# a task region's replay draws the live run's noise, region by region
+@example(kw=pin("cc", "omp_task", jitter=0.05,
+                replay_at=dict(nthreads=4, schedule="dynamic", run_index=2)))
 def test_contract(kw):
     check_contract(kw)
 

@@ -1,6 +1,6 @@
 """Tests for the message-passing substrate."""
 
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -219,12 +219,20 @@ class TestRecvTimeoutConfig:
         assert default_recv_timeout() == 60.0
 
     def test_expiry_raises_deadlock_error_with_pending_state(self):
+        sent, expired = threading.Event(), threading.Event()
+
         def fn(comm, rank):
             if rank == 0:
                 comm.send("mismatched", dest=1, tag=9)
-                time.sleep(1.0)  # stay active: starve the analyzer
+                sent.set()
+                # stay active until rank 1's receive expired: starve the analyzer
+                expired.wait(timeout=30)
                 return "done"
-            return comm.recv(source=0, tag=5)
+            sent.wait(timeout=30)  # the mismatched frame is in the lanes
+            try:
+                return comm.recv(source=0, tag=5)
+            finally:
+                expired.set()
 
         with pytest.raises(MpiError) as ei:
             run_world(2, fn, recv_timeout=0.2)

@@ -9,6 +9,7 @@ semantics change.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import sys
@@ -140,12 +141,19 @@ def _prog_big_messages(comm, rank):
     return (int(got[0]), int(got[-1]), got.nbytes)
 
 
-def _prog_late_send(comm, rank):
+def _prog_send_after_expiry(flag, comm, rank):
+    """Rank 1 stays active (undiagnosable) until rank 0's receive has
+    expired and touched ``flag``, then sends too late."""
     if rank == 1:
-        time.sleep(1.0)
+        deadline = time.monotonic() + 30
+        while not os.path.exists(flag) and time.monotonic() < deadline:
+            time.sleep(0.01)
         comm.send("late", dest=0, tag=3)
         return "sent"
-    return comm.recv(source=1, tag=3)
+    try:
+        return comm.recv(source=1, tag=3)
+    finally:
+        open(flag, "w").close()
 
 
 def _prog_self_send(comm, rank):
@@ -228,11 +236,12 @@ def test_self_sends_are_delivered(world, size):
 # --------------------------------------------------------------------------
 
 
-def test_recv_timeout_reports_deadlock():
+def test_recv_timeout_reports_deadlock(tmp_path):
     t0 = time.monotonic()
+    prog = functools.partial(_prog_send_after_expiry, str(tmp_path / "expired"))
     with pytest.raises(MpiError, match="timed out.*deadlock"):
         # rank 1 computes (active, undiagnosable) past rank 0's backstop
-        run_world_procs(2, _prog_late_send, recv_timeout=0.3)
+        run_world_procs(2, prog, recv_timeout=0.3)
     assert time.monotonic() - t0 < 10.0
 
 

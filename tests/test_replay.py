@@ -71,13 +71,6 @@ class TestReplay:
             cfg = base.with_(nthreads=threads, schedule=schedule)
             assert cache.simulate(cfg) == run(cfg).elapsed
 
-    def test_replay_equals_full_run_for_tasks(self):
-        base = make_config(kernel="cc", variant="omp_task", iterations=6)
-        cache = WorkProfileCache()
-        for threads in (2, 4):
-            cfg = base.with_(nthreads=threads)
-            assert cache.simulate(cfg) == run(cfg).elapsed
-
     def test_replayed_stealing_row_equals_live_row(self):
         base = make_config(dim=128, schedule="nonmonotonic:dynamic")
         for threads in (2, 4):
